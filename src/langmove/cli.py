@@ -25,7 +25,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ from .covariates import (
     generate_random_field,
 )
 from .experiments import (
+    PARAM_NAMES_S1,
     IrregularConfig,
     Scenario1Config,
     Scenario2Config,
@@ -70,6 +71,19 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _dataclass_kwargs(cls, cfg: dict) -> dict:
+    """The entries of ``cfg`` that name fields of ``cls``, JSON lists as tuples."""
+    return {
+        f.name: tuple(cfg[f.name]) if isinstance(cfg[f.name], list) else cfg[f.name]
+        for f in fields(cls)
+        if f.name in cfg
+    }
+
+
+def _random_field(spec: dict) -> GridRaster:
+    return generate_random_field(RandomFieldSpec(**_dataclass_kwargs(RandomFieldSpec, spec)))
+
+
 def _covariate_from_spec(spec: dict, base_dir: Path) -> Covariate:
     kind = spec.get("type")
     if kind == "wavelet":
@@ -88,8 +102,7 @@ def _covariate_from_spec(spec: dict, base_dir: Path) -> Covariate:
     if kind == "raster":
         return RasterCovariate(read_ascii_grid(base_dir / spec["path"]))
     if kind == "random_field":
-        keys = ("x_min", "y_min", "cell_size", "n_x", "n_y", "rho", "seed")
-        return RasterCovariate(generate_random_field(RandomFieldSpec(**{k: spec[k] for k in keys})))
+        return RasterCovariate(_random_field(spec))
     raise ValueError(f"unknown covariate type {kind!r}")
 
 
@@ -223,52 +236,37 @@ def _cmd_ud(args: argparse.Namespace) -> int:
 
 def _cmd_gen_cov(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    fields = cfg["fields"] if "fields" in cfg else [cfg]
+    specs = cfg["fields"] if "fields" in cfg else [cfg]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    keys = ("x_min", "y_min", "cell_size", "n_x", "n_y", "rho", "seed")
     outputs = []
-    for k, spec in enumerate(fields):
-        raster = generate_random_field(RandomFieldSpec(**{key: spec[key] for key in keys}))
+    for k, spec in enumerate(specs):
+        raster = _random_field(spec)
         name = spec.get("name", f"cov{k + 1}") + ".asc"
         write_ascii_grid(raster, out_dir / name)
         outputs.append(name)
     manifest = _manifest_base("gen-cov", cfg)
-    manifest.update({"outputs": outputs, "seeds": [spec["seed"] for spec in fields]})
+    manifest.update({"outputs": outputs, "seeds": [spec["seed"] for spec in specs]})
     _write_manifest(out_dir, manifest)
     print(f"wrote {', '.join(outputs)} to {out_dir}")
     return 0
 
 
-_S1_KEYS = (
-    "replications",
-    "n_points",
-    "fine_dt",
-    "thin_interval",
-    "beta",
-    "gamma2",
-    "x0",
-    "seed",
-    "second_sine_axis",
-    "grid_n",
-    "grid_half_width",
-    "alpha",
-)
-
-
-def _cmd_scenario1(args: argparse.Namespace) -> int:
+def _study_config(args: argparse.Namespace, cls, paper_scale: dict) -> tuple[dict, object]:
+    """The loaded config (empty if none) with the command-line overrides
+    applied, and the study config ``cls`` built from it."""
     cfg = _load_config(args.config) if args.config else {}
     if args.paper_scale:
-        cfg["replications"] = 600
+        cfg.update(paper_scale)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.alpha is not None:
         cfg["alpha"] = args.alpha
-    kwargs = {k: cfg[k] for k in _S1_KEYS if k in cfg}
-    for key in ("beta", "x0"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    s1 = Scenario1Config(**kwargs)
+    return cfg, cls(**_dataclass_kwargs(cls, cfg))
+
+
+def _cmd_scenario1(args: argparse.Namespace) -> int:
+    _, s1 = _study_config(args, Scenario1Config, {"replications": 600})
     result = run_scenario1(s1)
 
     out_dir = Path(args.out)
@@ -293,7 +291,7 @@ def _cmd_scenario1(args: argparse.Namespace) -> int:
             "failures": [list(f) for f in result.failures],
             "outputs": ["estimates.csv"],
             "medians": {
-                mode: dict(zip(("beta1", "beta2", "beta3", "gamma2"), map(float, result.medians(mode))))
+                mode: dict(zip(PARAM_NAMES_S1, map(float, result.medians(mode))))
                 for mode in ("analytic", "discretized")
             },
         }
@@ -308,42 +306,8 @@ def _cmd_scenario1(args: argparse.Namespace) -> int:
     return 0
 
 
-_S2_KEYS = (
-    "n_tracks",
-    "n_points",
-    "fine_dt",
-    "levels",
-    "beta",
-    "gamma2",
-    "rho",
-    "grid_x_min",
-    "grid_y_min",
-    "grid_cell_size",
-    "grid_n_x",
-    "grid_n_y",
-    "start_margin",
-    "seed",
-    "alpha",
-)
-
-
-def _scenario2_config(cfg: dict, args: argparse.Namespace) -> Scenario2Config:
-    if args.paper_scale:
-        cfg["n_tracks"] = 200
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.alpha is not None:
-        cfg["alpha"] = args.alpha
-    kwargs = {k: cfg[k] for k in _S2_KEYS if k in cfg}
-    for key in ("levels", "beta"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return Scenario2Config(**kwargs)
-
-
 def _cmd_scenario2(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    s2 = _scenario2_config(cfg, args)
+    _, s2 = _study_config(args, Scenario2Config, {"n_tracks": 200})
     result = run_scenario2(s2)
 
     out_dir = Path(args.out)
@@ -371,9 +335,8 @@ def _cmd_scenario2(args: argparse.Namespace) -> int:
 
 
 def _cmd_irregular(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    mean_intervals = tuple(cfg.pop("mean_intervals", (0.05, 0.5)))
-    s2 = _scenario2_config(cfg, args)
+    cfg, s2 = _study_config(args, Scenario2Config, {"n_tracks": 200})
+    mean_intervals = tuple(cfg.get("mean_intervals", (0.05, 0.5)))
     irr = IrregularConfig(base=s2, mean_intervals=mean_intervals)
     result = run_irregular(irr)
 

@@ -43,9 +43,6 @@ class Covariate:
     def gradient(self, p: Sequence[float]) -> tuple[float, float]:
         raise NotImplementedError
 
-    def value_and_gradient(self, p: Sequence[float]) -> tuple[float, tuple[float, float]]:
-        return self.value(p), self.gradient(p)
-
 
 @dataclass(frozen=True)
 class WaveletParams:
@@ -156,10 +153,8 @@ class RasterCovariate(Covariate):
 
 def rasterize(cov: Covariate, geometry: GridGeometry) -> GridRaster:
     """Sample a covariate at every cell center of ``geometry``."""
-    values = np.empty((geometry.n_y, geometry.n_x))
-    for iy, y in enumerate(geometry.y_centers()):
-        for ix, x in enumerate(geometry.x_centers()):
-            values[iy, ix] = cov.value((x, y))
+    xs = geometry.x_centers().tolist()
+    values = [[cov.value((x, y)) for x in xs] for y in geometry.y_centers().tolist()]
     return GridRaster(geometry, values)
 
 

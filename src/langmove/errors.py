@@ -75,7 +75,3 @@ class DegenerateFitError(LangmoveError):
     def __init__(self, nu_hat=None):
         self.nu_hat = nu_hat
         super().__init__("residual variance is zero; habitat coefficients are undefined")
-
-
-class ClampedTrackError(LangmoveError):
-    """A fit was requested on a track containing boundary-clamped points."""

@@ -36,16 +36,7 @@ from .covariates import (
 )
 from .errors import LangmoveError
 from .inference import FitResult, build_design, fit, pooled_fit
-from .langevin import (
-    SimConfig,
-    SimResult,
-    Track,
-    drop_clamped_increments,
-    simulate,
-    split_in_domain,
-    thin_irregular,
-    thin_regular,
-)
+from .langevin import SimConfig, SimResult, Track, simulate, split_at, thin_irregular, thin_regular
 from .raster import GridGeometry, GridRaster
 from .rsf import RsfModel
 from .seeding import derive_rng, derive_seed
@@ -69,6 +60,21 @@ __all__ = [
 ]
 
 PARAM_NAMES_S1 = ("beta1", "beta2", "beta3", "gamma2")
+
+
+def _stride(interval: float, fine_dt: float) -> int:
+    """Fine steps per ``interval``, which must be a positive multiple of ``fine_dt``."""
+    stride = round(interval / fine_dt)
+    if stride < 1 or abs(stride * fine_dt - interval) > 1e-9 * interval:
+        raise ValueError(f"interval {interval} is not a multiple of fine_dt {fine_dt}")
+    return stride
+
+
+def _beta_columns(**stats: np.ndarray) -> dict:
+    """Table columns ``beta{j}_{stat}``, coefficient by coefficient, each in
+    the order the stats are given."""
+    n = len(next(iter(stats.values())))
+    return {f"beta{j + 1}_{name}": v[j] for j in range(n) for name, v in stats.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +154,8 @@ class Scenario1Result:
 
     ``analytic`` and ``discretized`` are ``(replications, 4)`` arrays of
     ``(beta1, beta2, beta3, gamma2)``, NaN where a replication failed;
-    failures are listed as ``(replication, mode, message)``.
+    failures are listed as ``(replication, mode, message)``.  ``tracks``
+    holds each replication's thinned track, as fitted.
     """
 
     config: Scenario1Config
@@ -156,6 +163,7 @@ class Scenario1Result:
     discretized: np.ndarray
     failures: list[tuple[int, str, str]] = field(default_factory=list)
     n_clamped: int = 0
+    tracks: list[Track] = field(default_factory=list)
 
     def to_rows(self) -> list[tuple[int, str, str, float]]:
         """Long-format rows ``(replication, mode, parameter, estimate)``."""
@@ -192,9 +200,7 @@ def run_scenario1(cfg: Scenario1Config) -> Scenario1Result:
     in-domain segments and pooling them.  Replication failures are
     recorded, not fatal.
     """
-    stride = round(cfg.thin_interval / cfg.fine_dt)
-    if abs(stride * cfg.fine_dt - cfg.thin_interval) > 1e-9 * cfg.thin_interval:
-        raise ValueError("thin_interval must be an integer multiple of fine_dt")
+    stride = _stride(cfg.thin_interval, cfg.fine_dt)
     covs = scenario1_covariates(cfg.second_sine_axis)
     model = RsfModel(covs, cfg.beta, cfg.gamma2)
     disc_covs = scenario1_discretized_covariates(cfg)
@@ -203,24 +209,27 @@ def run_scenario1(cfg: Scenario1Config) -> Scenario1Result:
     analytic = np.full((cfg.replications, 4), np.nan)
     discretized = np.full((cfg.replications, 4), np.nan)
     failures: list[tuple[int, str, str]] = []
+    tracks: list[Track] = []
     n_clamped = 0
     n_steps = (cfg.n_points - 1) * stride
     for rep in range(cfg.replications):
         sim = simulate(SimConfig(model, cfg.x0, cfg.fine_dt, n_steps, derive_seed(cfg.seed, rep)))
         n_clamped += sim.n_clamped
         thinned = thin_regular(sim.track, stride)
+        # a copy: the strided view would keep the whole fine track in memory
+        tracks.append(Track(thinned.times.copy(), thinned.xy.copy()))
         try:
             res = fit(build_design(thinned, covs), alpha=cfg.alpha)
             analytic[rep] = [*res.beta_hat, res.gamma2_hat]
         except LangmoveError as err:
             failures.append((rep, "analytic", str(err)))
         try:
-            segments = split_in_domain(thinned, grid_extent)
+            segments = split_at(thinned, ~grid_extent.contains_points(thinned.xy)[:-1])
             res = pooled_fit(segments, disc_covs, alpha=cfg.alpha)
             discretized[rep] = [*res.beta_hat, res.gamma2_hat]
         except LangmoveError as err:
             failures.append((rep, "discretized", str(err)))
-    return Scenario1Result(cfg, analytic, discretized, failures, n_clamped)
+    return Scenario1Result(cfg, analytic, discretized, failures, n_clamped, tracks)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +251,7 @@ class Scenario2Config:
     driver of coefficient precision) while keeping early boundary contact
     rare.  Boundary clamps still happen on long tracks; the affected
     thinned increments are dropped from the fits (see
-    :func:`~langmove.langevin.drop_clamped_increments`) rather than
+    :func:`~langmove.langevin.split_at`) rather than
     refusing whole tracks, which at this scale would discard most of the
     data for a handful of clamped steps.
     """
@@ -264,13 +273,7 @@ class Scenario2Config:
     alpha: float = 0.05
 
     def strides(self) -> list[int]:
-        out = []
-        for level in self.levels:
-            stride = round(level / self.fine_dt)
-            if stride < 1 or abs(stride * self.fine_dt - level) > 1e-9 * level:
-                raise ValueError(f"level {level} is not a multiple of fine_dt {self.fine_dt}")
-            out.append(stride)
-        return out
+        return [_stride(level, self.fine_dt) for level in self.levels]
 
     @property
     def n_fine_steps(self) -> int:
@@ -323,13 +326,16 @@ def scenario2_tracks(cfg: Scenario2Config, model: RsfModel | None = None) -> lis
     return sims
 
 
-def _clean_thinned_segments(sims: Sequence[SimResult], stride: int, n_points: int) -> list[Track]:
-    """Thin each simulation, truncate, and cut out clamp-affected increments."""
+def _clamp_free_fit(
+    sims: Sequence[SimResult], thinned: Sequence[Track], model: RsfModel, alpha: float
+) -> FitResult:
+    """Pooled fit of the thinned tracks, each cut at the increments its fine
+    simulation clamped in."""
     segments: list[Track] = []
-    for sim in sims:
-        thinned = thin_regular(sim.track, stride)[:n_points]
-        segments.extend(drop_clamped_increments(thinned, sim.clamp_times))
-    return segments
+    for sim, track in zip(sims, thinned):
+        clamps_before = np.searchsorted(sim.clamp_times, track.times, side="right")
+        segments.extend(split_at(track, np.diff(clamps_before) > 0))
+    return pooled_fit(segments, model.covariates, alpha=alpha)
 
 
 @dataclass
@@ -353,13 +359,10 @@ class Scenario2Result:
                 "gamma2_lo": res.ci_gamma2[0],
                 "gamma2_hi": res.ci_gamma2[1],
             }
-            se = res.se_beta
-            for j in range(res.J):
-                row[f"beta{j + 1}_hat"] = res.beta_hat[j]
-                row[f"beta{j + 1}_se"] = se[j]
-                row[f"beta{j + 1}_lo"] = res.ci_beta[j, 0]
-                row[f"beta{j + 1}_hi"] = res.ci_beta[j, 1]
-            rows.append(row)
+            ci = res.ci_beta
+            rows.append(
+                row | _beta_columns(hat=res.beta_hat, se=res.se_beta, lo=ci[:, 0], hi=ci[:, 1])
+            )
         return rows
 
 
@@ -376,8 +379,8 @@ def run_scenario2(
         sims = scenario2_tracks(cfg, model)
     fits: dict[float, FitResult] = {}
     for level, stride in zip(cfg.levels, cfg.strides()):
-        segments = _clean_thinned_segments(sims, stride, cfg.n_points)
-        fits[level] = pooled_fit(segments, model.covariates, alpha=cfg.alpha)
+        thinned = [thin_regular(sim.track, stride)[: cfg.n_points] for sim in sims]
+        fits[level] = _clamp_free_fit(sims, thinned, model, cfg.alpha)
     return Scenario2Result(cfg, fits, len(sims), sum(s.n_clamped for s in sims))
 
 
@@ -413,7 +416,6 @@ class IrregularResult:
         for interval in self.config.mean_intervals:
             for scheme, fits in (("regular", self.regular), ("irregular", self.irregular)):
                 res = fits[interval]
-                se = res.se_beta
                 row = {
                     "mean_interval": interval,
                     "scheme": scheme,
@@ -424,39 +426,34 @@ class IrregularResult:
                     row["gap_mean"], row["gap_sd"] = self.gap_stats[interval]
                 else:
                     row["gap_mean"], row["gap_sd"] = interval, 0.0
-                for j in range(res.J):
-                    row[f"beta{j + 1}_hat"] = res.beta_hat[j]
-                    row[f"beta{j + 1}_se"] = se[j]
-                rows.append(row)
+                rows.append(row | _beta_columns(hat=res.beta_hat, se=res.se_beta))
         return rows
 
 
 def run_irregular(
     cfg: IrregularConfig, sims: Sequence[SimResult] | None = None
 ) -> IrregularResult:
-    """Compare regular and random thinning on the same fine tracks."""
+    """Compare regular and random thinning on the same fine tracks.
+
+    Every mean interval must be a multiple of the fine step, so that the
+    regular scheme thins at exactly that interval.
+    """
     s2 = cfg.base
+    strides = [_stride(interval, s2.fine_dt) for interval in cfg.mean_intervals]
     model = scenario2_model(s2)
     if sims is None:
         sims = scenario2_tracks(s2, model)
     regular: dict[float, FitResult] = {}
     irregular: dict[float, FitResult] = {}
     gap_stats: dict[float, tuple[float, float]] = {}
-    for k, interval in enumerate(cfg.mean_intervals):
-        stride = round(interval / s2.fine_dt)
-        regular[interval] = pooled_fit(
-            _clean_thinned_segments(sims, stride, s2.n_points), model.covariates, alpha=s2.alpha
-        )
-
-        irr_segments: list[Track] = []
-        gaps = []
-        for i, sim in enumerate(sims):
-            thinned = thin_irregular(sim.track, interval, derive_seed(s2.seed, 3, k, i))[
-                : s2.n_points
-            ]
-            gaps.append(thinned.intervals)
-            irr_segments.extend(drop_clamped_increments(thinned, sim.clamp_times))
-        gaps = np.concatenate(gaps)
+    for k, (interval, stride) in enumerate(zip(cfg.mean_intervals, strides)):
+        thinned = [thin_regular(sim.track, stride)[: s2.n_points] for sim in sims]
+        regular[interval] = _clamp_free_fit(sims, thinned, model, s2.alpha)
+        thinned = [
+            thin_irregular(sim.track, interval, derive_seed(s2.seed, 3, k, i))[: s2.n_points]
+            for i, sim in enumerate(sims)
+        ]
+        gaps = np.concatenate([t.intervals for t in thinned])
         gap_stats[interval] = (float(gaps.mean()), float(gaps.std()))
-        irregular[interval] = pooled_fit(irr_segments, model.covariates, alpha=s2.alpha)
+        irregular[interval] = _clamp_free_fit(sims, thinned, model, s2.alpha)
     return IrregularResult(cfg, regular, irregular, gap_stats, len(sims))

@@ -10,8 +10,14 @@ where ``D`` stacks the halved covariate partial derivatives at the first
 ``sqrt(dt_i)``.  Ordinary least squares then gives ``nu`` and the residual
 variance gives ``gamma2``; the habitat coefficients follow from an
 inverse-chi-square moment correction that makes them exactly unbiased,
-with a closed-form covariance.  No numerical optimization is involved;
-:func:`pseudo_log_likelihood` exists for cross-checks and diagnostics.
+with a closed-form covariance.  No numerical optimization is involved.
+
+:func:`pseudo_log_likelihood`, for cross-checks and diagnostics, is
+computed from the same blocks: with ``nu = gamma2 * beta``,
+
+    -n log(2 pi gamma2) - sum_i log(dt_i) - ||Y - T D nu||^2 / (2 gamma2),
+
+which is exactly the sum of the Euler transition log-densities.
 """
 
 from __future__ import annotations
@@ -203,7 +209,9 @@ def fit(design: DesignMatrices, alpha: float = 0.05, ci: bool = True) -> FitResu
 
     Solves the weighted least-squares problem by QR factorization of
     ``T D`` (mathematically identical to the normal equations, better
-    conditioned), then applies the unbiasedness correction
+    conditioned); the rank test and the condition number of ``D'T^2 D``
+    come from the singular values of the ``J x J`` factor ``R``, which are
+    those of ``T D``.  It then applies the unbiasedness correction
 
         beta_hat = (2n - J - 2) * nu_hat / ((2n - J) * gamma2_hat)
 
@@ -239,13 +247,13 @@ def fit(design: DesignMatrices, alpha: float = 0.05, ci: bool = True) -> FitResu
         raise InsufficientDataError(f"2n - J = {m} <= 0: too few increments")
 
     x = design.d * design.t_delta[:, None]
-    svals = np.linalg.svd(x, compute_uv=False)
+    q, r = np.linalg.qr(x)
+    svals = np.linalg.svd(r, compute_uv=False)
     if svals[-1] <= svals[0] * 1e-12:
         cond2 = math.inf if svals[-1] == 0 else float((svals[0] / svals[-1]) ** 2)
         raise SingularDesignError(cond2)
     cond2 = float((svals[0] / svals[-1]) ** 2)
 
-    q, r = np.linalg.qr(x)
     nu_hat = solve_triangular(r, q.T @ design.y)
     r_inv = solve_triangular(r, np.eye(J))
     upsilon = r_inv @ r_inv.T
@@ -308,27 +316,18 @@ def pseudo_log_likelihood(track: Track, model: RsfModel) -> float:
     Sums, over transitions, the log Gaussian density of ``x_{i+1}`` with
     mean ``x_i + (gamma2 * dt_i / 2) * grad_log_pi(x_i)`` and isotropic
     variance ``gamma2 * dt_i``; the first position is conditioned on.
+    Computed in closed form from :func:`build_design` (module docstring).
 
     Raises
     ------
     OutOfDomainError
         If a non-final location is outside a covariate domain.
     """
-    if len(track) < 2:
-        raise ValueError("track must contain at least two locations")
+    design = build_design(track, model.covariates)
     g2 = model.gamma2
-    ll = 0.0
-    xy = track.xy
-    deltas = track.intervals
-    for i in range(len(track) - 1):
-        try:
-            gx, gy = model.grad_log_pi(xy[i])
-        except OutOfDomainError:
-            raise OutOfDomainError(xy[i][0], xy[i][1], f"track location {i}") from None
-        s2 = g2 * deltas[i]
-        mx = xy[i, 0] + 0.5 * s2 * gx
-        my = xy[i, 1] + 0.5 * s2 * gy
-        dx = xy[i + 1, 0] - mx
-        dy = xy[i + 1, 1] - my
-        ll += -math.log(2.0 * math.pi * s2) - (dx * dx + dy * dy) / (2.0 * s2)
-    return ll
+    resid = design.y - design.t_delta * (design.d @ (g2 * model.beta))
+    return float(
+        -design.n * math.log(2.0 * math.pi * g2)
+        - np.log(track.intervals).sum()
+        - (resid @ resid) / (2.0 * g2)
+    )

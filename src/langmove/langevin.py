@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainEscapeError, NonIncreasingTimesError, OutOfDomainError
-from .raster import Extent
 from .rsf import RsfModel
 from .seeding import derive_rng
 
@@ -32,8 +31,7 @@ __all__ = [
     "simulate",
     "thin_regular",
     "thin_irregular",
-    "split_in_domain",
-    "drop_clamped_increments",
+    "split_at",
     "read_track_csv",
     "write_track_csv",
 ]
@@ -154,8 +152,9 @@ def simulate(cfg: SimConfig, escape_policy: str = "clamp") -> SimResult:
       the step index (reported via ``SimResult.clamped``);
     - ``"error"``: raise :class:`DomainEscapeError`.
 
-    Downstream fits should refuse tracks with clamped points unless
-    explicitly overridden; clamped locations do not follow the model.
+    Clamped locations do not follow the model; the studies in
+    ``experiments`` cut the increments they affect out of their fits with
+    :func:`split_at`.
     """
     if escape_policy not in ("clamp", "error"):
         raise ValueError(f"escape_policy must be 'clamp' or 'error', got {escape_policy!r}")
@@ -204,6 +203,8 @@ def thin_irregular(track: Track, mean_interval: float, seed: int) -> Track:
     exponential waiting times, with the rate calibrated so the retained
     intervals have mean exactly ``mean_interval`` (and SD/mean
     ``sqrt(1 - p)``, just under 1, consistent with near-exponential gaps).
+    All ``n - 1`` gaps are drawn in one call; every gap is at least one
+    step, so their running sum covers the whole track.
 
     Requires a regular input spacing ``dt`` with ``mean_interval >= dt``.
     """
@@ -215,76 +216,26 @@ def thin_irregular(track: Track, mean_interval: float, seed: int) -> Track:
         raise ValueError("thin_irregular requires a regularly sampled track")
     if mean_interval < dt:
         raise ValueError(f"mean_interval {mean_interval} is below the track spacing {dt}")
-    p = dt / mean_interval
-    rng = derive_rng(seed)
     n = len(track)
-    keep = [0]
-    idx = 0
-    while True:
-        idx += int(rng.geometric(p))
-        if idx > n - 1:
-            break
-        keep.append(idx)
+    idx = np.cumsum(derive_rng(seed).geometric(dt / mean_interval, size=n - 1))
+    keep = np.concatenate([[0], idx[: np.searchsorted(idx, n - 1, side="right")]])
     return Track(track.times[keep], track.xy[keep])
 
 
-def split_in_domain(track: Track, extent: Extent) -> list[Track]:
-    """Break a track into maximal segments usable for fitting over ``extent``.
+def split_at(track: Track, bad: np.ndarray) -> list[Track]:
+    """Cut a track into the maximal runs of usable increments.
 
-    A segment is a contiguous run of locations inside ``extent``, plus the
-    one location that follows it (design matrices never evaluate covariates
-    at a segment's final point).  Increments spanning out-of-domain
-    locations are discarded rather than bridged.  Segments shorter than two
-    locations are dropped.
+    ``bad[i]`` marks increment ``i``, from location ``i`` to ``i + 1``, as
+    unusable (e.g. its start lies outside a covariate's domain, or the fine
+    simulation was clamped during it).  Returns the sub-tracks, in order,
+    whose increments are all usable; each has at least two locations.
+    Unusable increments are dropped rather than bridged.
     """
-    inside = np.array([extent.contains(x, y) for x, y in track.xy])
-    segments: list[Track] = []
-    i = 0
-    n = len(track)
-    while i < n:
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and inside[j]:
-            j += 1
-        end = min(j + 1, n)
-        if end - i >= 2:
-            segments.append(track[i:end])
-        i = j + 1
-    return segments
-
-
-def drop_clamped_increments(thinned: Track, clamp_times: np.ndarray) -> list[Track]:
-    """Split a thinned track into segments free of boundary-clamp events.
-
-    An increment ``(t_k, t_{k+1}]`` of the thinned track is unusable if the
-    underlying fine simulation clamped a proposal at any time in that
-    window (the observed transition then does not follow the model).
-    Returns the maximal sub-tracks whose increments are all clean;
-    segments shorter than two locations are dropped.
-
-    ``clamp_times`` must be sorted (as produced by
-    ``sim.track.times[list(sim.clamped)]``).
-    """
-    clamp_times = np.asarray(clamp_times, dtype=float)
-    if clamp_times.size == 0:
-        return [thinned]
-    pos = np.searchsorted(clamp_times, thinned.times, side="right")
-    bad = np.diff(pos) > 0
-    segments: list[Track] = []
-    i = 0
-    n_incr = len(thinned) - 1
-    while i < n_incr:
-        if bad[i]:
-            i += 1
-            continue
-        j = i
-        while j < n_incr and not bad[j]:
-            j += 1
-        segments.append(thinned[i : j + 1])
-        i = j + 1
-    return segments
+    bad = np.asarray(bad, dtype=bool)
+    if bad.shape != (len(track) - 1,):
+        raise ValueError(f"need one flag per increment ({len(track) - 1}), got {bad.shape}")
+    edges = np.flatnonzero(np.diff(np.concatenate([[True], bad, [True]])))
+    return [track[i : j + 1] for i, j in zip(edges[::2], edges[1::2])]
 
 
 def write_track_csv(track: Track, path: str | Path) -> None:

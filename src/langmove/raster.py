@@ -51,6 +51,11 @@ class Extent:
     def contains(self, x: float, y: float) -> bool:
         return self.x_lo <= x <= self.x_hi and self.y_lo <= y <= self.y_hi
 
+    def contains_points(self, xy: np.ndarray) -> np.ndarray:
+        """:meth:`contains` for each row of an ``(n, 2)`` array of points."""
+        x, y = xy[:, 0], xy[:, 1]
+        return (self.x_lo <= x) & (x <= self.x_hi) & (self.y_lo <= y) & (y <= self.y_hi)
+
     def clamp(self, x: float, y: float) -> tuple[float, float]:
         """Project a point onto the rectangle."""
         return (

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariates import Covariate
+from .covariates import Covariate, rasterize
 from .errors import NonFiniteError
 from .raster import Extent, GridGeometry, GridRaster
 
@@ -90,10 +90,11 @@ class RsfModel:
 def ud_raster(model: RsfModel, geometry: GridGeometry) -> GridRaster:
     """Evaluate the model's space-use density on a grid, normalized to integrate to 1.
 
-    The unnormalized log density is evaluated at every cell center, shifted
-    by its maximum before exponentiating (overflow safety), and divided by
-    the midpoint-rule integral ``sum * cell_size**2``, so the returned
-    raster integrates to 1 over its own extent.
+    The unnormalized log density ``sum_j beta_j * c_j``, with each covariate
+    sampled at the cell centers by :func:`~langmove.covariates.rasterize`,
+    is shifted by its maximum before exponentiating (overflow safety), and
+    divided by the midpoint-rule integral ``sum * cell_size**2``, so the
+    returned raster integrates to 1 over its own extent.
 
     Raises
     ------
@@ -102,12 +103,7 @@ def ud_raster(model: RsfModel, geometry: GridGeometry) -> GridRaster:
     NonFiniteError
         If any log-density value is non-finite.
     """
-    log_v = np.empty((geometry.n_y, geometry.n_x))
-    xs = geometry.x_centers()
-    ys = geometry.y_centers()
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            log_v[iy, ix] = model.log_pi_unnormalized((x, y))
+    log_v = sum(b * rasterize(c, geometry).values for b, c in zip(model.beta, model.covariates))
     if not np.all(np.isfinite(log_v)):
         raise NonFiniteError("log density is non-finite on the requested grid")
     dens = np.exp(log_v - log_v.max())

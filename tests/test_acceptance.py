@@ -58,7 +58,7 @@ from langmove.experiments import (
     scenario2_model,
     scenario2_tracks,
 )
-from langmove.langevin import drop_clamped_increments, split_in_domain
+from langmove.langevin import split_at
 from langmove.seeding import derive_rng, derive_seed
 
 MASTER_SEED = 0
@@ -140,28 +140,23 @@ class TestCriterion1EstimatorExactness:
         )
 
 
-def refit_on_grids(cfg: Scenario1Config) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def refit_on_grids(result) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Habitat-coefficient estimates of scenario 1's thinned tracks, fitted
     with exact gradients and with the wavelets discretized at each of
     ``GRID_SIZES``.
 
-    The tracks are simulated once, from ``run_scenario1``'s per-replication
-    seeds.  Every fit uses the same in-domain segments (all grids span the
-    same square), so the estimates differ only by gradient interpolation.
+    The tracks are the ones ``run_scenario1`` fitted.  Every fit uses the
+    same in-domain segments (all grids span the same square), so the
+    estimates differ only by gradient interpolation.
     """
+    cfg = result.config
     model = scenario1_model(cfg)
-    stride = round(cfg.thin_interval / cfg.fine_dt)
     disc = {g: scenario1_discretized_covariates(replace(cfg, grid_n=g)) for g in GRID_SIZES}
     extent = disc[GRID_SIZES[0]][0].extent
     exact = np.empty((cfg.replications, 3))
     grid = {g: np.empty((cfg.replications, 3)) for g in GRID_SIZES}
-    for rep in range(cfg.replications):
-        sim = simulate(
-            SimConfig(
-                model, cfg.x0, cfg.fine_dt, (cfg.n_points - 1) * stride, derive_seed(cfg.seed, rep)
-            )
-        )
-        segments = split_in_domain(thin_regular(sim.track, stride), extent)
+    for rep, track in enumerate(result.tracks):
+        segments = split_at(track, ~extent.contains_points(track.xy)[:-1])
         exact[rep] = pooled_fit(segments, model.covariates, alpha=cfg.alpha).beta_hat
         for g in GRID_SIZES:
             grid[g][rep] = pooled_fit(segments, disc[g], alpha=cfg.alpha).beta_hat
@@ -187,7 +182,7 @@ class TestCriterion2Scenario1:
         mcse = math.sqrt(math.pi / 2) * est.std(axis=0, ddof=1) / math.sqrt(len(est))
         band = np.maximum(0.15 * np.abs(truth), 3 * mcse)
 
-        exact, grid = refit_on_grids(cfg)
+        exact, grid = refit_on_grids(result)
         # paired median |discretized - exact| of beta1 and beta2 per grid size
         gap = {g: np.median(np.abs(grid[g][:, :2] - exact[:, :2]), axis=0) for g in GRID_SIZES}
         shrink = np.array([gap[a] / gap[b] for a, b in zip(GRID_SIZES, GRID_SIZES[1:])])
@@ -296,20 +291,9 @@ class TestCriterion3Scenario2:
         )
 
 
-def thin_irregular_head(track: Track, mean_interval: float, seed: int, n_points: int) -> Track:
-    """``thin_irregular(track, mean_interval, seed)[:n_points]``, drawing gaps
-    only over a head of the track twice as long as ``n_points`` gaps need
-    on average.
-
-    The same draws keep the same locations, so the result is identical
-    whenever the head yields ``n_points`` locations; otherwise the whole
-    track is thinned.
-    """
-    head = round(2 * n_points * mean_interval / float(track.times[1] - track.times[0]))
-    thinned = thin_irregular(track[:head], mean_interval, seed)
-    if len(thinned) < n_points:
-        thinned = thin_irregular(track, mean_interval, seed)
-    return thinned[:n_points]
+def clamped_increments(track: Track, clamp_times: np.ndarray) -> np.ndarray:
+    """Increments of ``track`` whose window ``(t_i, t_{i+1}]`` holds a clamp."""
+    return np.diff(np.searchsorted(clamp_times, track.times, side="right")) > 0
 
 
 def irregular_vs_regular(
@@ -328,7 +312,7 @@ def irregular_vs_regular(
     window.  Returns ``(irregular_fit, regular_fit, gaps)``.
     """
     thinned = [
-        thin_irregular_head(sim.track, mean_interval, seed, cfg.n_points)
+        thin_irregular(sim.track, mean_interval, seed)[: cfg.n_points]
         for sim, seed in zip(sims, seeds)
     ]
     gaps = np.concatenate([t.intervals for t in thinned])
@@ -337,8 +321,8 @@ def irregular_vs_regular(
     for sim, irr in zip(sims, thinned):
         reg = thin_regular(sim.track, stride)
         reg = reg[: int(np.searchsorted(reg.times, irr.times[-1], side="right"))]
-        irregular.extend(drop_clamped_increments(irr, sim.clamp_times))
-        regular.extend(drop_clamped_increments(reg, sim.clamp_times))
+        irregular.extend(split_at(irr, clamped_increments(irr, sim.clamp_times)))
+        regular.extend(split_at(reg, clamped_increments(reg, sim.clamp_times)))
     return (
         pooled_fit(irregular, covariates, alpha=cfg.alpha),
         pooled_fit(regular, covariates, alpha=cfg.alpha),

@@ -259,6 +259,17 @@ class TestStudyCommands:
         for col in ("scheme", "mean_interval", "beta1_hat", "beta1_se", "gap_mean"):
             assert col in header
 
+    @pytest.mark.parametrize(
+        "command, key", [("irregular", "mean_intervals"), ("scenario2", "levels")]
+    )
+    def test_interval_off_the_fine_grid_rejected(self, tmp_path, command, key):
+        # 0.055 is 5.5 fine steps: no regular schedule thins at exactly that interval
+        tiny = {"n_tracks": 2, "n_points": 20, "levels": [0.1], "grid_n_x": 41, "grid_n_y": 41}
+        tiny.update({key: [0.055], "grid_x_min": -20, "grid_y_min": -20, "rho": 4.0})
+        cfg = write_json(tmp_path / "c.json", tiny)
+        with pytest.raises(ValueError, match="0.055 is not a multiple of fine_dt"):
+            main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+
 
 class TestTrackCsvIngestion:
     def test_cli_reads_external_style_csv(self, tmp_path):

@@ -11,6 +11,7 @@ from langmove import (
     GridRaster,
     RandomFieldSpec,
     RasterCovariate,
+    RsfModel,
     SquaredDistance,
     WaveletParams,
     generate_random_field,
@@ -100,9 +101,10 @@ class TestSquaredDistance:
 
 class TestDispatch:
     def test_value_and_gradient_squared_distance(self):
-        v, g = SquaredDistance((0, 0)).value_and_gradient((3, 4))
-        assert v == 25.0
-        assert g == (6.0, 8.0)
+        # the model's log density and its gradient dispatch to the covariate
+        model = RsfModel([SquaredDistance((0, 0))], [1.0])
+        assert model.log_pi_unnormalized((3, 4)) == 25.0
+        assert model.grad_log_pi((3, 4)) == (6.0, 8.0)
 
     def test_raster_variant_reproduces_nodes(self):
         rng = np.random.default_rng(2)
@@ -115,10 +117,10 @@ class TestDispatch:
 
     def test_wavelet_variant_delegates(self):
         w = AnalyticWavelet(TABLE_PARAMS_1)
+        model = RsfModel([w], [1.0])
         p = (0.7, -0.3)
-        v, g = w.value_and_gradient(p)
-        assert v == w.value(p)
-        assert g == w.gradient(p)
+        assert model.log_pi_unnormalized(p) == w.value(p)
+        assert model.grad_log_pi(p) == w.gradient(p)
 
     def test_raster_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)

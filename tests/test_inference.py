@@ -23,6 +23,7 @@ from langmove import (
     pooled_fit,
     pseudo_log_likelihood,
     simulate,
+    thin_irregular,
 )
 from langmove.errors import (
     DegenerateFitError,
@@ -30,6 +31,7 @@ from langmove.errors import (
     OutOfDomainError,
     SingularDesignError,
 )
+from langmove.experiments import scenario1_covariates
 
 
 def plane_covariate(gx, gy, half=100.0):
@@ -309,6 +311,29 @@ class TestPseudoLogLikelihood:
         d_g2 = (ll(beta_star[0], gamma2_ml + h) - ll(beta_star[0], gamma2_ml - h)) / (2 * h)
         assert abs(d_beta) < 1e-3 * abs(center)
         assert abs(d_g2) < 1e-3 * abs(center)
+
+    @pytest.mark.parametrize("kind", ["raster", "analytic"])
+    def test_matches_per_transition_sum(self, kind):
+        # reference: one Gaussian transition log-density at a time
+        if kind == "raster":
+            rng = np.random.default_rng(19)
+            geom = GridGeometry(-20, -20, 2.0, 21, 21)
+            covs = [RasterCovariate(GridRaster(geom, rng.normal(size=(21, 21)))) for _ in range(2)]
+            model = RsfModel(covs, [0.8, -0.5], gamma2=1.7)
+        else:
+            model = RsfModel(scenario1_covariates(), [-1.0, 0.5, -0.05], gamma2=0.6)
+        track = thin_irregular(
+            simulate(SimConfig(model, (0.0, 0.0), 0.01, 3000, seed=20)).track, 0.1, seed=21
+        )
+        g2 = model.gamma2
+        expected = 0.0
+        for i, dt in enumerate(track.intervals):
+            gx, gy = model.grad_log_pi(track.xy[i])
+            s2 = g2 * dt
+            dx = track.xy[i + 1, 0] - (track.xy[i, 0] + 0.5 * s2 * gx)
+            dy = track.xy[i + 1, 1] - (track.xy[i, 1] + 0.5 * s2 * gy)
+            expected += -math.log(2.0 * math.pi * s2) - (dx * dx + dy * dy) / (2.0 * s2)
+        assert pseudo_log_likelihood(track, model) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_out_of_domain_reports_index(self):
         cov = plane_covariate(1.0, 0.0, half=2.0)

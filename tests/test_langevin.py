@@ -20,7 +20,8 @@ from langmove import (
     write_track_csv,
 )
 from langmove.errors import DomainEscapeError, NonIncreasingTimesError, OutOfDomainError
-from langmove.langevin import drop_clamped_increments, split_in_domain
+from langmove.langevin import split_at
+from langmove.seeding import derive_rng
 
 
 def flat_model(gamma2=1.0):
@@ -229,27 +230,65 @@ class TestThinIrregular:
         with pytest.raises(ValueError):
             thin_irregular(self.fine_track(100), 0.005, seed=0)
 
+    @pytest.mark.parametrize("mean_interval", [0.01, 0.02, 0.05, 0.5])
+    def test_matches_one_draw_per_kept_point(self, mean_interval):
+        # p = 1, p above 1/3, p below 1/3: the reference draws one gap at a
+        # time until it passes the end of the track
+        track = self.fine_track(3000)
+        rng = derive_rng(12)
+        keep, idx = [0], 0
+        while True:
+            idx += int(rng.geometric(0.01 / mean_interval))
+            if idx > len(track) - 1:
+                break
+            keep.append(idx)
+        out = thin_irregular(track, mean_interval, seed=12)
+        np.testing.assert_array_equal(out.times, track.times[keep])
+        np.testing.assert_array_equal(out.xy, track.xy[keep])
 
-class TestSegmentHelpers:
-    def test_split_in_domain(self):
-        times = np.arange(7.0)
-        xy = np.array([[0, 0], [1, 0], [9, 9], [2, 0], [3, 0], [9, -9], [4, 0]], dtype=float)
-        segs = split_in_domain(Track(times, xy), Extent(-5, 5, -5, 5))
-        # runs: [0,1] (+escaped point 2 as tail), [3,4] (+5), [6] dropped (too short)
-        assert len(segs) == 2
-        np.testing.assert_array_equal(segs[0].times, [0, 1, 2])
-        np.testing.assert_array_equal(segs[1].times, [3, 4, 5])
 
-    def test_drop_clamped_increments(self):
-        track = Track(np.arange(0, 10.0), np.zeros((10, 2)))
-        # clamp at t=3.5 kills increment (3,4]; clamp at t=7 kills (6,7]
-        segs = drop_clamped_increments(track, np.array([3.5, 7.0]))
-        assert [list(s.times) for s in segs] == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
+def domain_mask(xy, extent):
+    """Reference: increment i is bad when location i is outside ``extent``."""
+    return [not extent.contains(x, y) for x, y in xy[:-1]]
 
-    def test_drop_clamped_no_events(self):
-        track = Track(np.arange(5.0), np.zeros((5, 2)))
-        segs = drop_clamped_increments(track, np.array([]))
-        assert len(segs) == 1 and segs[0] is track
+
+def clamp_mask(times, clamp_times):
+    """Reference: increment i is bad when a clamp falls in ``(t_i, t_{i+1}]``."""
+    return [any(a < c <= b for c in clamp_times) for a, b in zip(times, times[1:])]
+
+
+ESCAPES = np.array([[0, 0], [1, 0], [9, 9], [2, 0], [3, 0], [9, -9], [4, 0]], dtype=float)
+
+
+class TestSplitAt:
+    @pytest.mark.parametrize(
+        "times, bad, expected",
+        [
+            # runs [0,1] (+ escaped point 2 as tail), [3,4] (+5); [6] has no increment
+            (np.arange(7.0), domain_mask(ESCAPES, Extent(-5, 5, -5, 5)), [[0, 1, 2], [3, 4, 5]]),
+            # clamp at t=3.5 kills increment (3,4]; clamp at t=7 kills (6,7]
+            (
+                np.arange(10.0),
+                clamp_mask(np.arange(10.0), [3.5, 7.0]),
+                [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]],
+            ),
+            (np.arange(5.0), clamp_mask(np.arange(5.0), []), [[0, 1, 2, 3, 4]]),
+            (np.arange(4.0), [True, True, True], []),
+            (np.arange(2.0), [False], [[0, 1]]),
+            (np.arange(2.0), [True], []),
+        ],
+        ids=["domain-tail", "clamp-windows", "no-events", "all-bad", "n2-good", "n2-bad"],
+    )
+    def test_split_at(self, times, bad, expected):
+        xy = np.column_stack([times, -times])
+        segs = split_at(Track(times, xy), np.array(bad))
+        assert [s.times.tolist() for s in segs] == expected
+        for s in segs:
+            np.testing.assert_array_equal(s.xy[:, 0], s.times)
+
+    def test_mask_length_checked(self):
+        with pytest.raises(ValueError):
+            split_at(Track(np.arange(3.0), np.zeros((3, 2))), np.array([False]))
 
 
 class TestTrackType:

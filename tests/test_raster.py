@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langmove import (
+    Extent,
     GridGeometry,
     GridRaster,
     interpolate,
@@ -238,3 +239,15 @@ class TestValidation:
         r = GridRaster(GridGeometry(0, 0, 1, 2, 2), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             r.values[0, 0] = 1.0
+
+
+class TestExtent:
+    def test_contains_points_matches_contains(self):
+        ext = Extent(-1.0, 2.0, 0.5, 3.0)
+        rng = np.random.default_rng(7)
+        xy = rng.uniform(-2.0, 4.0, size=(500, 2))
+        # boundary points are inside
+        xy[:4] = [[-1.0, 0.5], [2.0, 3.0], [-1.0, 3.0], [2.0 + 1e-12, 1.0]]
+        expected = [ext.contains(x, y) for x, y in xy]
+        assert ext.contains_points(xy).tolist() == expected
+        assert expected[:4] == [True, True, True, False]
