@@ -38,6 +38,12 @@ for p in [(1.0, 1.0), (4.0, 4.0), (2.5, 1.2)]:
     gx, gy = interpolate_gradient(bump, p)
     print(f"gradient at {p}: ({gx:+.4f}, {gy:+.4f})")
 
+# the same functions take an (n, 2) array of points and answer for every
+# row in one call, with the same bits as the one-point calls above
+pts = np.array([(1.0, 1.0), (4.0, 4.0), (2.5, 1.2)])
+print("values at the three points, one call:", np.round(interpolate(bump, pts), 4))
+print("gradients at the three points, one call:", np.round(interpolate_gradient(bump, pts), 4).tolist())
+
 # save and reload: geometry and values survive the text format
 path = out_dir / "bump.asc"
 write_ascii_grid(bump, path)

@@ -71,17 +71,27 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _dataclass_kwargs(cls, cfg: dict) -> dict:
-    """The entries of ``cfg`` that name fields of ``cls``, JSON lists as tuples."""
+def _dataclass_kwargs(cls, cfg: dict, extra: tuple[str, ...] = ()) -> dict:
+    """The entries of ``cfg`` that name fields of ``cls``, JSON lists as tuples.
+
+    ``extra`` names the other keys the caller reads itself; any key that is
+    neither raises ``ValueError``, so a misspelt key cannot silently leave a
+    setting at its default.
+    """
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(cfg) - set(names) - set(extra))
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} config keys: {', '.join(unknown)}")
     return {
-        f.name: tuple(cfg[f.name]) if isinstance(cfg[f.name], list) else cfg[f.name]
-        for f in fields(cls)
-        if f.name in cfg
+        name: tuple(cfg[name]) if isinstance(cfg[name], list) else cfg[name]
+        for name in names
+        if name in cfg
     }
 
 
 def _random_field(spec: dict) -> GridRaster:
-    return generate_random_field(RandomFieldSpec(**_dataclass_kwargs(RandomFieldSpec, spec)))
+    kwargs = _dataclass_kwargs(RandomFieldSpec, spec, extra=("type", "name"))
+    return generate_random_field(RandomFieldSpec(**kwargs))
 
 
 def _covariate_from_spec(spec: dict, base_dir: Path) -> Covariate:
@@ -252,9 +262,12 @@ def _cmd_gen_cov(args: argparse.Namespace) -> int:
     return 0
 
 
-def _study_config(args: argparse.Namespace, cls, paper_scale: dict) -> tuple[dict, object]:
+def _study_config(
+    args: argparse.Namespace, cls, paper_scale: dict, extra: tuple[str, ...] = ()
+) -> tuple[dict, object]:
     """The loaded config (empty if none) with the command-line overrides
-    applied, and the study config ``cls`` built from it."""
+    applied, and the study config ``cls`` built from it; ``extra`` names the
+    keys the command reads itself."""
     cfg = _load_config(args.config) if args.config else {}
     if args.paper_scale:
         cfg.update(paper_scale)
@@ -262,7 +275,7 @@ def _study_config(args: argparse.Namespace, cls, paper_scale: dict) -> tuple[dic
         cfg["seed"] = args.seed
     if args.alpha is not None:
         cfg["alpha"] = args.alpha
-    return cfg, cls(**_dataclass_kwargs(cls, cfg))
+    return cfg, cls(**_dataclass_kwargs(cls, cfg, extra))
 
 
 def _cmd_scenario1(args: argparse.Namespace) -> int:
@@ -335,7 +348,7 @@ def _cmd_scenario2(args: argparse.Namespace) -> int:
 
 
 def _cmd_irregular(args: argparse.Namespace) -> int:
-    cfg, s2 = _study_config(args, Scenario2Config, {"n_tracks": 200})
+    cfg, s2 = _study_config(args, Scenario2Config, {"n_tracks": 200}, extra=("mean_intervals",))
     mean_intervals = tuple(cfg.get("mean_intervals", (0.05, 0.5)))
     irr = IrregularConfig(base=s2, mean_intervals=mean_intervals)
     result = run_irregular(irr)

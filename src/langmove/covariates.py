@@ -1,15 +1,24 @@
 """Covariate sources: analytic fields, gridded fields, random-field generation.
 
-Every covariate exposes ``value(p)`` and ``gradient(p)`` at a point
-``p = (x, y)``.  Analytic covariates are defined on all of R^2; gridded
-covariates are restricted to their raster's interpolation domain and
-report it through ``extent``.
+Every covariate exposes ``value(p)`` and ``gradient(p)``.  At one point
+``p = (x, y)`` they return a float and a pair of floats; at an ``(n, 2)``
+array of points they return an ``(n,)`` and an ``(n, 2)`` array whose rows
+equal the one-point calls bit for bit.  The simulator steps one point at a
+time; the design matrix and :func:`rasterize` make one call per covariate.
+Analytic covariates are defined on all of R^2; gridded covariates are
+restricted to their raster's interpolation domain and report it through
+``extent`` (an array call raises for its first row outside it).
+
+The array form is recognized by ``type(p) is np.ndarray and p.ndim == 2``,
+the cheapest test for the one-point call, which runs once per covariate
+and simulation step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -37,11 +46,22 @@ class Covariate:
     #: Domain restriction, or None if defined everywhere.
     extent: Extent | None = None
 
-    def value(self, p: Sequence[float]) -> float:
+    def value(self, p: Sequence[float] | np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
 
-    def gradient(self, p: Sequence[float]) -> tuple[float, float]:
+    def gradient(self, p: Sequence[float] | np.ndarray) -> tuple[float, float] | np.ndarray:
         raise NotImplementedError
+
+
+def _exp_rows(a: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each element: ``np.exp`` differs from it in the last
+    bit on some inputs."""
+    return np.array(list(map(math.exp, a.tolist())))
+
+
+#: The math functions the wavelet applies to an array of points; numpy's
+#: float64 sin and cos equal the math module's (the tests check this).
+_ARRAY_MATH = SimpleNamespace(sin=np.sin, cos=np.cos, exp=_exp_rows)
 
 
 @dataclass(frozen=True)
@@ -87,27 +107,30 @@ class AnalyticWavelet(Covariate):
         self.params = params
         self.second_sine_axis = second_sine_axis
 
-    def _factors(self, x: float, y: float):
+    def _factors(self, p):
+        """The shared factors at ``p``, with ``m`` the math functions used."""
+        if type(p) is np.ndarray and p.ndim == 2:
+            x, y, m = p[:, 0], p[:, 1], _ARRAY_MATH
+        else:
+            x, y, m = float(p[0]), float(p[1]), math
         q = self.params
         d1 = x - q.a1
         d2 = y - q.a2
-        gauss = math.exp(-q.sigma1 * d1 * d1 - q.sigma2 * d2 * d2)
-        s1 = math.sin(q.omega1 * d1)
+        gauss = m.exp(-q.sigma1 * d1 * d1 - q.sigma2 * d2 * d2)
+        s1 = m.sin(q.omega1 * d1)
         arg2 = q.omega2 * ((x if self.second_sine_axis == "z1" else y) - q.a2)
-        s2 = math.sin(arg2)
-        return d1, d2, gauss, s1, s2, arg2
+        s2 = m.sin(arg2)
+        return m, d1, d2, gauss, s1, s2, arg2
 
-    def value(self, p: Sequence[float]) -> float:
-        x, y = float(p[0]), float(p[1])
-        _, _, gauss, s1, s2, _ = self._factors(x, y)
+    def value(self, p: Sequence[float] | np.ndarray) -> float | np.ndarray:
+        _, _, _, gauss, s1, s2, _ = self._factors(p)
         return self.params.alpha * gauss * s1 * s2
 
-    def gradient(self, p: Sequence[float]) -> tuple[float, float]:
-        x, y = float(p[0]), float(p[1])
+    def gradient(self, p: Sequence[float] | np.ndarray) -> tuple[float, float] | np.ndarray:
         q = self.params
-        d1, d2, gauss, s1, s2, arg2 = self._factors(x, y)
-        c1 = math.cos(q.omega1 * d1)
-        c2 = math.cos(arg2)
+        m, d1, d2, gauss, s1, s2, arg2 = self._factors(p)
+        c1 = m.cos(q.omega1 * d1)
+        c2 = m.cos(arg2)
         # product rule over the Gaussian window and the two sine factors
         gx = -2.0 * q.sigma1 * d1 * s1 * s2 + q.omega1 * c1 * s2
         gy = -2.0 * q.sigma2 * d2 * s1 * s2
@@ -116,7 +139,9 @@ class AnalyticWavelet(Covariate):
         else:
             gy += s1 * q.omega2 * c2
         a = self.params.alpha * gauss
-        return a * gx, a * gy
+        if m is math:
+            return a * gx, a * gy
+        return np.column_stack((a * gx, a * gy))
 
 
 class SquaredDistance(Covariate):
@@ -125,12 +150,18 @@ class SquaredDistance(Covariate):
     def __init__(self, center: Sequence[float] = (0.0, 0.0)):
         self.center = (float(center[0]), float(center[1]))
 
-    def value(self, p: Sequence[float]) -> float:
-        dx = float(p[0]) - self.center[0]
-        dy = float(p[1]) - self.center[1]
+    def value(self, p: Sequence[float] | np.ndarray) -> float | np.ndarray:
+        if type(p) is np.ndarray and p.ndim == 2:
+            dx = p[:, 0] - self.center[0]
+            dy = p[:, 1] - self.center[1]
+        else:
+            dx = float(p[0]) - self.center[0]
+            dy = float(p[1]) - self.center[1]
         return dx * dx + dy * dy
 
-    def gradient(self, p: Sequence[float]) -> tuple[float, float]:
+    def gradient(self, p: Sequence[float] | np.ndarray) -> tuple[float, float] | np.ndarray:
+        if type(p) is np.ndarray and p.ndim == 2:
+            return 2.0 * (p - self.center)
         return (
             2.0 * (float(p[0]) - self.center[0]),
             2.0 * (float(p[1]) - self.center[1]),
@@ -144,18 +175,18 @@ class RasterCovariate(Covariate):
         self.raster = raster
         self.extent = raster.extent
 
-    def value(self, p: Sequence[float]) -> float:
+    def value(self, p: Sequence[float] | np.ndarray) -> float | np.ndarray:
         return interpolate(self.raster, p)
 
-    def gradient(self, p: Sequence[float]) -> tuple[float, float]:
+    def gradient(self, p: Sequence[float] | np.ndarray) -> tuple[float, float] | np.ndarray:
         return interpolate_gradient(self.raster, p)
 
 
 def rasterize(cov: Covariate, geometry: GridGeometry) -> GridRaster:
-    """Sample a covariate at every cell center of ``geometry``."""
-    xs = geometry.x_centers().tolist()
-    values = [[cov.value((x, y)) for x in xs] for y in geometry.y_centers().tolist()]
-    return GridRaster(geometry, values)
+    """Sample a covariate at every cell center of ``geometry``, in one array call."""
+    x, y = np.meshgrid(geometry.x_centers(), geometry.y_centers())
+    values = cov.value(np.column_stack((x.ravel(), y.ravel())))
+    return GridRaster(geometry, values.reshape(geometry.n_y, geometry.n_x))
 
 
 @dataclass(frozen=True)

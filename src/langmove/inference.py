@@ -72,14 +72,15 @@ class DesignMatrices:
 def build_design(track: Track, covariates: Sequence[Covariate]) -> DesignMatrices:
     """Assemble the linear-model blocks for a single track.
 
-    Covariate gradients are evaluated at ``x_0 .. x_{n-1}`` only, so the
-    final location may lie outside gridded covariate domains.
+    Covariate gradients are evaluated at ``x_0 .. x_{n-1}`` only, in one
+    array call per covariate, so the final location may lie outside
+    gridded covariate domains.
 
     Raises
     ------
     OutOfDomainError
-        If a non-final location falls outside a covariate domain (the
-        message carries the location index).
+        If a non-final location falls outside a covariate's ``extent``
+        (the message carries the first such location's index).
     """
     covariates = list(covariates)
     if len(covariates) == 0:
@@ -94,16 +95,20 @@ def build_design(track: Track, covariates: Sequence[Covariate]) -> DesignMatrice
     incr = np.diff(track.xy, axis=0) / sqrt_d[:, None]
     y = np.concatenate([incr[:, 0], incr[:, 1]])
 
+    starts = track.xy[:-1]
+    outside = np.zeros(n, dtype=bool)
+    for cov in covariates:
+        if cov.extent is not None:
+            outside |= ~cov.extent.contains_points(starts)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise OutOfDomainError(starts[i, 0], starts[i, 1], f"track location {i}")
+
     d = np.empty((2 * n, J))
-    for i in range(n):
-        p = track.xy[i]
-        for j, cov in enumerate(covariates):
-            try:
-                gx, gy = cov.gradient(p)
-            except OutOfDomainError:
-                raise OutOfDomainError(p[0], p[1], f"track location {i}") from None
-            d[i, j] = 0.5 * gx
-            d[n + i, j] = 0.5 * gy
+    for j, cov in enumerate(covariates):
+        g = cov.gradient(starts)
+        d[:n, j] = 0.5 * g[:, 0]
+        d[n:, j] = 0.5 * g[:, 1]
 
     t_delta = np.concatenate([sqrt_d, sqrt_d])
     return DesignMatrices(y=y, d=d, t_delta=t_delta, n=n, J=J)

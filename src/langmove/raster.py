@@ -11,6 +11,12 @@ center values, so it is exact at the centers, continuous across cell edges,
 and has a closed-form gradient that is affine in each coordinate inside a
 cell.  The gradient is discontinuous across cell edges; a point lying
 exactly on an interior edge is assigned to the cell above/right of it.
+
+:func:`interpolate` and :func:`interpolate_gradient` take either one point
+``(x, y)`` and return a float or a pair of floats, or an ``(n, 2)`` array
+of points and return an ``(n,)`` or ``(n, 2)`` array.  Both forms run the
+same arithmetic in the same order, so a row of an array result equals the
+call at that one point bit for bit.
 """
 
 from __future__ import annotations
@@ -178,7 +184,7 @@ class GridRaster:
         return self.geom.extent
 
 
-def _locate(geom: GridGeometry, x: float, y: float) -> tuple[int, int, float, float]:
+def _locate(geom: GridGeometry, p: Sequence[float]) -> tuple[int, int, float, float]:
     """Find the enclosing cell and local coordinates of a point.
 
     Returns ``(ix, iy, u, w)`` where ``(ix, iy)`` indexes the lower-left
@@ -186,6 +192,7 @@ def _locate(geom: GridGeometry, x: float, y: float) -> tuple[int, int, float, fl
     Interior edge points go to the cell above/right (floor); the top and
     right domain edges fall back to the last cell.
     """
+    x, y = float(p[0]), float(p[1])
     if not (geom.x_min <= x <= geom.x_max and geom.y_min <= y <= geom.y_max):
         raise OutOfDomainError(x, y)
     u = (x - geom.x_min) / geom.cell_size
@@ -195,44 +202,68 @@ def _locate(geom: GridGeometry, x: float, y: float) -> tuple[int, int, float, fl
     return ix, iy, u - ix, w - iy
 
 
-def interpolate(raster: GridRaster, p: Sequence[float]) -> float:
+def _locate_rows(geom: GridGeometry, xy: np.ndarray):
+    """:func:`_locate` for each row of an ``(n, 2)`` array, with the same
+    arithmetic; returns four ``(n,)`` arrays.  The first row outside the
+    domain raises."""
+    outside = ~geom.extent.contains_points(xy)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise OutOfDomainError(float(xy[i, 0]), float(xy[i, 1]))
+    u = (xy[:, 0] - geom.x_min) / geom.cell_size
+    w = (xy[:, 1] - geom.y_min) / geom.cell_size
+    ix = np.minimum(u.astype(np.intp), geom.n_x - 2)
+    iy = np.minimum(w.astype(np.intp), geom.n_y - 2)
+    return ix, iy, u - ix, w - iy
+
+
+def interpolate(raster: GridRaster, p: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Bilinear interpolant of the raster at point ``p = (x, y)``.
 
-    Exact at cell centers and continuous across cell edges.
+    Exact at cell centers and continuous across cell edges.  For an
+    ``(n, 2)`` array of points, returns the ``(n,)`` array of the values
+    at each row, bit for bit those of the calls at one point.
 
     Raises
     ------
     OutOfDomainError
-        If ``p`` lies outside the hull of cell centers.
+        If ``p`` (or a row of it: the first) lies outside the hull of cell
+        centers.
     """
-    x, y = float(p[0]), float(p[1])
-    ix, iy, u, w = _locate(raster.geom, x, y)
+    rows = type(p) is np.ndarray and p.ndim == 2
+    ix, iy, u, w = (_locate_rows if rows else _locate)(raster.geom, p)
     v = raster.values
     v00 = v[iy, ix]
     v10 = v[iy, ix + 1]
     v01 = v[iy + 1, ix]
     v11 = v[iy + 1, ix + 1]
-    return float(
+    value = (
         (1.0 - u) * (1.0 - w) * v00
         + u * (1.0 - w) * v10
         + (1.0 - u) * w * v01
         + u * w * v11
     )
+    return value if rows else float(value)
 
 
-def interpolate_gradient(raster: GridRaster, p: Sequence[float]) -> tuple[float, float]:
+def interpolate_gradient(
+    raster: GridRaster, p: Sequence[float] | np.ndarray
+) -> tuple[float, float] | np.ndarray:
     """Exact gradient ``(d/dx, d/dy)`` of the bilinear interpolant at ``p``.
 
     The interpolant is bilinear per cell, so its gradient is affine in each
     coordinate within the cell.  On a cell edge the cell above/right is used.
+    For an ``(n, 2)`` array of points, returns the ``(n, 2)`` array of the
+    gradients at each row, bit for bit those of the calls at one point.
 
     Raises
     ------
     OutOfDomainError
-        If ``p`` lies outside the hull of cell centers.
+        If ``p`` (or a row of it: the first) lies outside the hull of cell
+        centers.
     """
-    x, y = float(p[0]), float(p[1])
-    ix, iy, u, w = _locate(raster.geom, x, y)
+    rows = type(p) is np.ndarray and p.ndim == 2
+    ix, iy, u, w = (_locate_rows if rows else _locate)(raster.geom, p)
     v = raster.values
     v00 = v[iy, ix]
     v10 = v[iy, ix + 1]
@@ -241,6 +272,8 @@ def interpolate_gradient(raster: GridRaster, p: Sequence[float]) -> tuple[float,
     h = raster.geom.cell_size
     gx = ((1.0 - w) * (v10 - v00) + w * (v11 - v01)) / h
     gy = ((1.0 - u) * (v01 - v00) + u * (v11 - v10)) / h
+    if rows:
+        return np.column_stack((gx, gy))
     return float(gx), float(gy)
 
 

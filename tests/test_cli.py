@@ -1,6 +1,7 @@
 """Command-line surface: configs in, deterministic files out."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from langmove import (
     write_ascii_grid,
     write_track_csv,
 )
+from langmove import cli
 from langmove.cli import main
 
 
@@ -269,6 +271,37 @@ class TestStudyCommands:
         cfg = write_json(tmp_path / "c.json", tiny)
         with pytest.raises(ValueError, match="0.055 is not a multiple of fine_dt"):
             main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+
+
+    @pytest.mark.parametrize("command", ["scenario1", "scenario2", "irregular"])
+    def test_committed_configs_load(self, tmp_path, command, monkeypatch):
+        # every key of configs/*.json names a setting the command reads; the
+        # study itself is replaced by a stub that stops the command
+        class Built(Exception):
+            pass
+
+        def stop(config):
+            raise Built(config)
+
+        monkeypatch.setattr(cli, f"run_{command}", stop)
+        path = Path(__file__).parents[1] / "configs" / f"{command}.json"
+        with pytest.raises(Built) as built:
+            main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        config = built.value.args[0]
+        assert json.loads(path.read_text())["n_points"] == getattr(config, "base", config).n_points
+
+    @pytest.mark.parametrize("command", ["scenario1", "scenario2", "irregular"])
+    def test_unknown_config_key_rejected(self, tmp_path, command):
+        # a misspelt key must not leave the setting at its default unnoticed
+        cfg = write_json(tmp_path / "c.json", {"n_track": 2, "seed": 1})
+        with pytest.raises(ValueError, match="unknown .* config keys: n_track"):
+            main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+
+    def test_unknown_random_field_key_rejected(self, tmp_path):
+        spec = {"name": "c1", "x_min": 0, "y_min": 0, "cell_size": 1, "n_x": 9, "n_y": 9}
+        cfg = write_json(tmp_path / "f.json", {"fields": [dict(spec, rh0=2, seed=1)]})
+        with pytest.raises(ValueError, match="unknown RandomFieldSpec config keys: rh0"):
+            main(["gen-cov", "--config", cfg, "--out", str(tmp_path / "out")])
 
 
 class TestTrackCsvIngestion:

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langmove import (
     AnalyticWavelet,
     GridGeometry,
     GridRaster,
+    interpolate,
+    interpolate_gradient,
     RandomFieldSpec,
     RasterCovariate,
     RsfModel,
@@ -142,6 +146,117 @@ class TestDispatch:
         raster = rasterize(w, geom)
         assert raster.values[2, 2] == w.value((0.0, 0.0))
         assert raster.values[0, 4] == w.value((2.0, -2.0))
+
+
+def assert_same_bits(actual, expected):
+    actual = np.ascontiguousarray(actual, dtype=np.float64)
+    expected = np.ascontiguousarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def one_point_calls(f, xy):
+    """Reference: ``f`` called at each row of ``xy`` as a tuple of floats."""
+    return np.array([f(tuple(p)) for p in xy.tolist()])
+
+
+@st.composite
+def raster_and_points(draw):
+    """A random raster and points on it: anywhere inside, on cell centers,
+    on interior cell edges, and on the top and right domain edges."""
+    n_x, n_y = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    h = draw(st.sampled_from([0.3, 0.5, 1.0, 2.5]))
+    x_min, y_min = (draw(st.floats(-50, 50)) for _ in range(2))
+    geom = GridGeometry(x_min, y_min, h, n_x, n_y)
+    seed = draw(st.integers(0, 2**32 - 1))
+    raster = GridRaster(geom, np.random.default_rng(seed).normal(size=(n_y, n_x)))
+
+    def coordinate(lo, hi, centers):
+        return st.one_of(
+            st.floats(lo, hi),
+            st.sampled_from(centers.tolist()),  # centers, interior edges
+            st.just(hi),  # top or right domain edge
+        )
+
+    rows = draw(
+        st.lists(
+            st.tuples(
+                coordinate(geom.x_min, geom.x_max, geom.x_centers()),
+                coordinate(geom.y_min, geom.y_max, geom.y_centers()),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return raster, np.array(rows, dtype=float)
+
+
+wavelet_params = st.builds(
+    WaveletParams,
+    alpha=st.floats(-10, 10),
+    a1=st.floats(-5, 5),
+    a2=st.floats(-5, 5),
+    omega1=st.floats(-3, 3),
+    omega2=st.floats(-3, 3),
+    sigma1=st.floats(0.01, 2),
+    sigma2=st.floats(0.01, 2),
+)
+analytic_points = st.lists(
+    st.tuples(st.floats(-12, 12), st.floats(-12, 12)), min_size=1, max_size=40
+).map(lambda rows: np.array(rows, dtype=float))
+
+
+class TestArrayCalls:
+    """An (n, 2) array call equals the one-point calls row by row, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raster_and_points())
+    def test_raster(self, case):
+        raster, xy = case
+        cov = RasterCovariate(raster)
+        for f in (
+            lambda p: interpolate(raster, p),
+            lambda p: interpolate_gradient(raster, p),
+            cov.value,
+            cov.gradient,
+        ):
+            assert_same_bits(f(xy), one_point_calls(f, xy))
+
+    @settings(max_examples=200, deadline=None)
+    @given(wavelet_params, st.sampled_from(["z1", "z2"]), analytic_points)
+    def test_wavelet(self, params, axis, xy):
+        w = AnalyticWavelet(params, axis)
+        assert_same_bits(w.value(xy), one_point_calls(w.value, xy))
+        assert_same_bits(w.gradient(xy), one_point_calls(w.gradient, xy))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), analytic_points)
+    def test_squared_distance(self, center, xy):
+        c = SquaredDistance(center)
+        assert_same_bits(c.value(xy), one_point_calls(c.value, xy))
+        assert_same_bits(c.gradient(xy), one_point_calls(c.gradient, xy))
+
+    def test_shapes(self):
+        xy = np.zeros((3, 2))
+        for cov in (AnalyticWavelet(TABLE_PARAMS_1), SquaredDistance((1.0, 2.0))):
+            assert cov.value(xy).shape == (3,)
+            assert cov.gradient(xy).shape == (3, 2)
+
+    def test_out_of_domain_raises_for_the_first_bad_row(self):
+        geom = GridGeometry(0, 0, 1.0, 4, 4)
+        cov = RasterCovariate(GridRaster(geom, np.ones((4, 4))))
+        xy = np.array([[1.0, 1.0], [3.0, 3.0], [3.5, 1.0], [2.0, 2.0], [-1.0, 0.0]])
+        for f in (cov.value, cov.gradient):
+            with pytest.raises(OutOfDomainError) as err:
+                f(xy)
+            assert (err.value.x, err.value.y) == (3.5, 1.0)
+
+    def test_rasterize_matches_one_point_calls(self):
+        geom = GridGeometry(-3.3, -1.7, 0.7, 9, 6)
+        for cov in (AnalyticWavelet(TABLE_PARAMS_2, "z1"), AnalyticWavelet(TABLE_PARAMS_2, "z2")):
+            expected = [[cov.value((x, y)) for x in geom.x_centers().tolist()]
+                        for y in geom.y_centers().tolist()]
+            assert_same_bits(rasterize(cov, geom).values, expected)
 
 
 class TestRandomField:

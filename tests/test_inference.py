@@ -12,6 +12,7 @@ from langmove import (
     DesignMatrices,
     GridGeometry,
     GridRaster,
+    RandomFieldSpec,
     RasterCovariate,
     RsfModel,
     SimConfig,
@@ -19,6 +20,7 @@ from langmove import (
     Track,
     build_design,
     fit,
+    generate_random_field,
     pooled_design,
     pooled_fit,
     pseudo_log_likelihood,
@@ -94,6 +96,47 @@ class TestBuildDesign:
         with pytest.raises(OutOfDomainError) as err:
             build_design(track, [cov])
         assert "location 1" in str(err.value)
+
+    def test_second_covariate_leaving_first_reports_its_location(self):
+        # location 1 is outside only the second covariate's domain, location
+        # 2 outside both: the first bad location over all covariates is 1
+        wide = plane_covariate(1.0, 0.0, half=10.0)
+        narrow = plane_covariate(0.0, 1.0, half=2.0)
+        track = Track(np.arange(4.0), [[0, 0], [5, 5], [50, 50], [0, 0]])
+        for covs in ([wide, narrow], [narrow, wide]):
+            with pytest.raises(OutOfDomainError) as err:
+                build_design(track, covs)
+            assert "location 1" in str(err.value)
+            assert (err.value.x, err.value.y) == (5.0, 5.0)
+
+    def test_matches_per_increment_loop(self):
+        # the design from one array call per covariate equals, bit for bit,
+        # the per-increment, per-covariate loop it replaces
+        covs = [
+            RasterCovariate(
+                generate_random_field(RandomFieldSpec(-20, -20, 0.5, 81, 81, rho=2.0, seed=5))
+            ),
+            *scenario1_covariates("z1")[:2],
+            *scenario1_covariates("z2")[:2],
+            SquaredDistance((1.5, -0.5)),
+        ]
+        rng = np.random.default_rng(6)
+        times = np.cumsum(rng.uniform(0.05, 1.0, size=400))
+        xy = np.cumsum(rng.normal(scale=0.25, size=(400, 2)), axis=0)
+        xy[-1] = (99.0, 99.0)  # the final location may leave every domain
+        track = Track(times, xy)
+
+        des = build_design(track, covs)
+        n = len(track) - 1
+        d = np.empty((2 * n, len(covs)))
+        for i in range(n):
+            for j, cov in enumerate(covs):
+                gx, gy = cov.gradient(track.xy[i])
+                d[i, j] = 0.5 * gx
+                d[n + i, j] = 0.5 * gy
+        assert np.abs(xy[:-1]).max() < 20
+        assert np.array_equal(des.d, d)
+        assert des.d.tobytes() == d.tobytes()
 
     def test_too_short_track(self):
         with pytest.raises(ValueError):

@@ -122,7 +122,7 @@ class TestUdRaster:
     def test_nonfinite_log_density_rejected(self):
         class ExplodingCovariate(Covariate):
             def value(self, p):
-                return float("inf")
+                return np.full(len(p), np.inf)
 
             def gradient(self, p):
                 return (0.0, 0.0)
