@@ -19,7 +19,8 @@ from langmove import (
     write_ascii_grid,
 )
 
-out_dir = Path(__file__).parent / "output"
+demo_dir = Path(__file__).parent
+out_dir = demo_dir / "output"
 out_dir.mkdir(exist_ok=True)
 
 # a 6x6 grid of a smooth bump, lower-left center at (0, 0), unit cells
@@ -50,4 +51,4 @@ write_ascii_grid(bump, path)
 back = read_ascii_grid(path)
 print("round-trip geometry match:", back.geom == bump.geom)
 print("round-trip max value error:", np.abs(back.values - bump.values).max())
-print("wrote", path)
+print("wrote", path.relative_to(demo_dir))

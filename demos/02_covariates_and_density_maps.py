@@ -23,7 +23,8 @@ from langmove import (
     write_ascii_grid,
 )
 
-out_dir = Path(__file__).parent / "output"
+demo_dir = Path(__file__).parent
+out_dir = demo_dir / "output"
 out_dir.mkdir(exist_ok=True)
 
 # an oscillating bump, a centering force, and a smoothed random field
@@ -54,6 +55,7 @@ print(
     (float(field.geom.x_centers()[ix]), float(field.geom.y_centers()[iy])),
 )
 
-write_ascii_grid(ud, out_dir / "density.asc")
-write_ascii_grid(field, out_dir / "field.asc")
-print("wrote", out_dir / "density.asc", "and", out_dir / "field.asc")
+density_path, field_path = out_dir / "density.asc", out_dir / "field.asc"
+write_ascii_grid(ud, density_path)
+write_ascii_grid(field, field_path)
+print("wrote", density_path.relative_to(demo_dir), "and", field_path.relative_to(demo_dir))

@@ -22,7 +22,8 @@ from langmove import (
     write_track_csv,
 )
 
-out_dir = Path(__file__).parent / "output"
+demo_dir = Path(__file__).parent
+out_dir = demo_dir / "output"
 out_dir.mkdir(exist_ok=True)
 
 # same quadratic-well density, speeds 1 and 100: identical long-run spread,
@@ -52,6 +53,7 @@ print(
     f"gap SD {irregular.intervals.std():.3f}"
 )
 
-write_track_csv(regular, out_dir / "track_regular.csv")
-write_track_csv(irregular, out_dir / "track_irregular.csv")
-print("wrote", out_dir / "track_regular.csv", "and", out_dir / "track_irregular.csv")
+regular_path, irregular_path = out_dir / "track_regular.csv", out_dir / "track_irregular.csv"
+write_track_csv(regular, regular_path)
+write_track_csv(irregular, irregular_path)
+print("wrote", regular_path.relative_to(demo_dir), "and", irregular_path.relative_to(demo_dir))

@@ -30,7 +30,6 @@ from .langevin import (
     SimConfig,
     SimResult,
     Track,
-    euler_step,
     read_track_csv,
     simulate,
     thin_irregular,
@@ -69,7 +68,6 @@ __all__ = [
     "WaveletParams",
     "build_design",
     "derive_rng",
-    "euler_step",
     "fit",
     "generate_random_field",
     "interpolate",

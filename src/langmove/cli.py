@@ -16,7 +16,7 @@ Config files are JSON.  Covariate sources are objects with a ``type``:
 
 A model is ``{"covariates": [...], "beta": [...], "gamma2": 1.0}`` and a
 grid is ``{"x_min": ..., "y_min": ..., "cell_size": ..., "n_x": ...,
-"n_y": ...}``.
+"n_y": ...}``.  A key that names no setting is an error, in every spec.
 """
 
 from __future__ import annotations
@@ -71,17 +71,26 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _known_keys(spec: dict, what: str, keys: tuple[str, ...]) -> dict:
+    """``spec`` itself, once checked to hold no key outside ``keys``.
+
+    Any other key raises ``ValueError``, so a misspelt key cannot silently
+    leave a setting at its default.
+    """
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {what} config keys: {', '.join(unknown)}")
+    return spec
+
+
 def _dataclass_kwargs(cls, cfg: dict, extra: tuple[str, ...] = ()) -> dict:
     """The entries of ``cfg`` that name fields of ``cls``, JSON lists as tuples.
 
     ``extra`` names the other keys the caller reads itself; any key that is
-    neither raises ``ValueError``, so a misspelt key cannot silently leave a
-    setting at its default.
+    neither is rejected by :func:`_known_keys`.
     """
     names = [f.name for f in fields(cls)]
-    unknown = sorted(set(cfg) - set(names) - set(extra))
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} config keys: {', '.join(unknown)}")
+    _known_keys(cfg, cls.__name__, (*names, *extra))
     return {
         name: tuple(cfg[name]) if isinstance(cfg[name], list) else cfg[name]
         for name in names
@@ -97,6 +106,7 @@ def _random_field(spec: dict) -> GridRaster:
 def _covariate_from_spec(spec: dict, base_dir: Path) -> Covariate:
     kind = spec.get("type")
     if kind == "wavelet":
+        _known_keys(spec, kind, ("type", "alpha", "a", "omega", "sigma", "second_sine_axis"))
         params = WaveletParams(
             alpha=spec["alpha"],
             a1=spec["a"][0],
@@ -108,8 +118,10 @@ def _covariate_from_spec(spec: dict, base_dir: Path) -> Covariate:
         )
         return AnalyticWavelet(params, spec.get("second_sine_axis", "z1"))
     if kind == "squared_distance":
+        _known_keys(spec, kind, ("type", "center"))
         return SquaredDistance(tuple(spec.get("center", (0.0, 0.0))))
     if kind == "raster":
+        _known_keys(spec, kind, ("type", "path"))
         return RasterCovariate(read_ascii_grid(base_dir / spec["path"]))
     if kind == "random_field":
         return RasterCovariate(_random_field(spec))
@@ -117,34 +129,15 @@ def _covariate_from_spec(spec: dict, base_dir: Path) -> Covariate:
 
 
 def _model_from_spec(spec: dict, base_dir: Path) -> RsfModel:
+    _known_keys(spec, "model", ("covariates", "beta", "gamma2"))
     covs = [_covariate_from_spec(c, base_dir) for c in spec["covariates"]]
     return RsfModel(covs, spec["beta"], spec.get("gamma2", 1.0))
-
-
-def _geometry_from_spec(spec: dict) -> GridGeometry:
-    return GridGeometry(
-        x_min=spec["x_min"],
-        y_min=spec["y_min"],
-        cell_size=spec["cell_size"],
-        n_x=spec["n_x"],
-        n_y=spec["n_y"],
-    )
 
 
 def _format_value(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
-
-
-def _write_table(path: Path, header: list[str], rows: list, provenance: dict) -> None:
-    """CSV with ``#``-prefixed provenance lines before the header."""
-    with open(path, "w") as fh:
-        for key, value in provenance.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(v) for v in row) + "\n")
 
 
 def _write_manifest(out_dir: Path, payload: dict) -> None:
@@ -163,12 +156,42 @@ def _manifest_base(command: str, cfg: dict) -> dict:
     }
 
 
+def _write_study(
+    out: str,
+    command: str,
+    cfg: dict,
+    table: str,
+    header: list[str],
+    rows: list[dict],
+    provenance: dict,
+    **record,
+) -> None:
+    """Write a study's CSV ``table`` and its ``manifest.json`` to ``out``.
+
+    The table opens with ``#``-prefixed provenance lines, the hash of
+    ``cfg`` and then ``provenance``, before ``header`` and one line per row;
+    the manifest records ``record`` and lists the table.
+    """
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / table, "w") as fh:
+        for key, value in {"config_sha256": _config_hash(cfg), **provenance}.items():
+            fh.write(f"# {key}={value}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_format_value(row[k]) for k in header) + "\n")
+    manifest = _manifest_base(command, cfg)
+    manifest.update(record, outputs=[table])
+    _write_manifest(out_dir, manifest)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    keys = ("model", "x0", "dt", "n_steps", "seeds")
+    cfg = _known_keys(_load_config(args.config), "simulate", keys)
     base_dir = Path(args.config).parent
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
@@ -198,7 +221,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     cov_cfg = _load_config(args.covariates)
     base_dir = Path(args.covariates).parent
-    specs = cov_cfg["covariates"] if isinstance(cov_cfg, dict) else cov_cfg
+    if isinstance(cov_cfg, dict):
+        specs = _known_keys(cov_cfg, "covariates file", ("covariates",))["covariates"]
+    else:
+        specs = cov_cfg
     covariates = [_covariate_from_spec(c, base_dir) for c in specs]
     tracks = [read_track_csv(p) for p in args.tracks]
     if args.time_scale != 1.0:
@@ -224,10 +250,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_ud(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _known_keys(_load_config(args.config), "ud", ("model", "grid"))
     base_dir = Path(args.config).parent
     model = _model_from_spec(cfg["model"], base_dir)
-    geometry = _geometry_from_spec(cfg["grid"])
+    geometry = GridGeometry(**_dataclass_kwargs(GridGeometry, cfg["grid"]))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ud = ud_raster(model, geometry)
@@ -246,7 +272,7 @@ def _cmd_ud(args: argparse.Namespace) -> int:
 
 def _cmd_gen_cov(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    specs = cfg["fields"] if "fields" in cfg else [cfg]
+    specs = _known_keys(cfg, "gen-cov", ("fields",))["fields"] if "fields" in cfg else [cfg]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -281,35 +307,22 @@ def _study_config(
 def _cmd_scenario1(args: argparse.Namespace) -> int:
     _, s1 = _study_config(args, Scenario1Config, {"replications": 600})
     result = run_scenario1(s1)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg_dict = asdict(s1)
-    provenance = {
-        "config_sha256": _config_hash(cfg_dict),
-        "seed": s1.seed,
-        "second_sine_axis": s1.second_sine_axis,
-    }
-    _write_table(
-        out_dir / "estimates.csv",
+    _write_study(
+        args.out,
+        "scenario1",
+        asdict(s1),
+        "estimates.csv",
         ["replication", "mode", "parameter", "estimate"],
         result.to_rows(),
-        provenance,
+        {"seed": s1.seed, "second_sine_axis": s1.second_sine_axis},
+        second_sine_axis=s1.second_sine_axis,
+        n_clamped=result.n_clamped,
+        failures=[list(f) for f in result.failures],
+        medians={
+            mode: dict(zip(PARAM_NAMES_S1, map(float, result.medians(mode))))
+            for mode in ("analytic", "discretized")
+        },
     )
-    manifest = _manifest_base("scenario1", cfg_dict)
-    manifest.update(
-        {
-            "second_sine_axis": s1.second_sine_axis,
-            "n_clamped": result.n_clamped,
-            "failures": [list(f) for f in result.failures],
-            "outputs": ["estimates.csv"],
-            "medians": {
-                mode: dict(zip(PARAM_NAMES_S1, map(float, result.medians(mode))))
-                for mode in ("analytic", "discretized")
-            },
-        }
-    )
-    _write_manifest(out_dir, manifest)
     for mode in ("analytic", "discretized"):
         med = result.medians(mode)
         print(
@@ -322,23 +335,17 @@ def _cmd_scenario1(args: argparse.Namespace) -> int:
 def _cmd_scenario2(args: argparse.Namespace) -> int:
     _, s2 = _study_config(args, Scenario2Config, {"n_tracks": 200})
     result = run_scenario2(s2)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = result.to_rows()
-    header = list(rows[0].keys())
-    cfg_dict = asdict(s2)
-    _write_table(
-        out_dir / "estimates_by_level.csv",
-        header,
-        [[row[k] for k in header] for row in rows],
-        {"config_sha256": _config_hash(cfg_dict), "seed": s2.seed},
+    _write_study(
+        args.out,
+        "scenario2",
+        asdict(s2),
+        "estimates_by_level.csv",
+        list(rows[0]),
+        rows,
+        {"seed": s2.seed},
+        n_clamp_events=result.n_clamp_events,
     )
-    manifest = _manifest_base("scenario2", cfg_dict)
-    manifest.update(
-        {"n_clamp_events": result.n_clamp_events, "outputs": ["estimates_by_level.csv"]}
-    )
-    _write_manifest(out_dir, manifest)
     for row in rows:
         print(
             f"delta={row['delta']:g}: beta1={row['beta1_hat']:.3f} (se {row['beta1_se']:.3f}) "
@@ -352,21 +359,16 @@ def _cmd_irregular(args: argparse.Namespace) -> int:
     mean_intervals = tuple(cfg.get("mean_intervals", (0.05, 0.5)))
     irr = IrregularConfig(base=s2, mean_intervals=mean_intervals)
     result = run_irregular(irr)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = result.to_rows()
-    header = list(rows[0].keys())
-    cfg_dict = {"base": asdict(s2), "mean_intervals": list(mean_intervals)}
-    _write_table(
-        out_dir / "comparison.csv",
-        header,
-        [[row[k] for k in header] for row in rows],
-        {"config_sha256": _config_hash(cfg_dict), "seed": s2.seed},
+    _write_study(
+        args.out,
+        "irregular",
+        {"base": asdict(s2), "mean_intervals": list(mean_intervals)},
+        "comparison.csv",
+        list(rows[0]),
+        rows,
+        {"seed": s2.seed},
     )
-    manifest = _manifest_base("irregular", cfg_dict)
-    manifest["outputs"] = ["comparison.csv"]
-    _write_manifest(out_dir, manifest)
     for row in rows:
         print(
             f"{row['scheme']:9s} mean_interval={row['mean_interval']:g}: "

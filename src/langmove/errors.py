@@ -11,6 +11,7 @@ class OutOfDomainError(LangmoveError):
     def __init__(self, x: float, y: float, detail: str = ""):
         self.x = x
         self.y = y
+        self.detail = detail
         msg = f"point ({x}, {y}) is outside the interpolation domain"
         if detail:
             msg = f"{msg} ({detail})"
@@ -63,7 +64,7 @@ class SingularDesignError(LangmoveError):
 
 
 class InsufficientDataError(LangmoveError):
-    """Too few increments for the requested output (confidence intervals)."""
+    """Too few increments (or no tracks) for a fit with confidence intervals."""
 
 
 class DegenerateFitError(LangmoveError):

@@ -165,15 +165,17 @@ class Scenario1Result:
     n_clamped: int = 0
     tracks: list[Track] = field(default_factory=list)
 
-    def to_rows(self) -> list[tuple[int, str, str, float]]:
-        """Long-format rows ``(replication, mode, parameter, estimate)``."""
+    def to_rows(self) -> list[dict]:
+        """Long-format rows with keys ``replication``, ``mode``,
+        ``parameter`` and ``estimate``; failed replications have none."""
         rows = []
         for mode, est in (("analytic", self.analytic), ("discretized", self.discretized)):
             for rep in range(est.shape[0]):
                 if np.isnan(est[rep, 0]):
                     continue
                 for j, name in enumerate(PARAM_NAMES_S1):
-                    rows.append((rep, mode, name, float(est[rep, j])))
+                    row = {"replication": rep, "mode": mode, "parameter": name}
+                    rows.append(row | {"estimate": float(est[rep, j])})
         return rows
 
     def medians(self, mode: str) -> np.ndarray:

@@ -22,7 +22,6 @@ which is exactly the sum of the Euler transition log-densities.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -133,7 +132,7 @@ def pooled_design(tracks: Sequence[Track], covariates: Sequence[Covariate]) -> D
         try:
             parts.append(build_design(track, covariates))
         except OutOfDomainError as err:
-            raise OutOfDomainError(err.x, err.y, f"track {k}: {err.args[0]}") from None
+            raise OutOfDomainError(err.x, err.y, f"track {k}: {err.detail}") from None
     y = np.concatenate([p.y for p in parts])
     d = np.vstack([p.d for p in parts])
     t_delta = np.concatenate([p.t_delta for p in parts])
@@ -148,17 +147,16 @@ class FitResult:
     ``nu_hat`` is the raw linear-model coefficient vector (``gamma2 * beta``
     scale), ``beta_hat`` the bias-corrected habitat coefficients, and
     ``upsilon`` the inverse weighted Gram matrix the covariance formula is
-    built from.  ``beta_cov``, ``ci_beta`` and ``ci_gamma2`` are None when
-    the fit was computed without confidence intervals.
+    built from.
     """
 
     nu_hat: np.ndarray
     gamma2_hat: float
     beta_hat: np.ndarray
     upsilon: np.ndarray
-    beta_cov: np.ndarray | None
-    ci_beta: np.ndarray | None
-    ci_gamma2: tuple[float, float] | None
+    beta_cov: np.ndarray
+    ci_beta: np.ndarray
+    ci_gamma2: tuple[float, float]
     alpha: float
     n: int
     J: int
@@ -168,8 +166,6 @@ class FitResult:
     @property
     def se_beta(self) -> np.ndarray:
         """Standard errors of the habitat coefficients."""
-        if self.beta_cov is None:
-            raise InsufficientDataError("fit was computed without confidence intervals")
         return np.sqrt(np.diag(self.beta_cov))
 
     def to_dict(self) -> dict:
@@ -178,17 +174,14 @@ class FitResult:
             "nu_hat": self.nu_hat.tolist(),
             "gamma2_hat": self.gamma2_hat,
             "beta_hat": self.beta_hat.tolist(),
-            "beta_cov": None if self.beta_cov is None else self.beta_cov.tolist(),
-            "ci_beta": None if self.ci_beta is None else self.ci_beta.tolist(),
-            "ci_gamma2": None if self.ci_gamma2 is None else list(self.ci_gamma2),
+            "beta_cov": self.beta_cov.tolist(),
+            "ci_beta": self.ci_beta.tolist(),
+            "ci_gamma2": list(self.ci_gamma2),
             "n": self.n,
             "J": self.J,
             "alpha": self.alpha,
             "condition_number": self.condition_number,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
     def format_table(self) -> str:
         """Flat key-value text table for human consumption."""
@@ -196,20 +189,19 @@ class FitResult:
             f"n            {self.n}",
             f"J            {self.J}",
             f"alpha        {self.alpha:g}",
-            f"gamma2_hat   {self.gamma2_hat:.6g}",
+            f"gamma2_hat   {self.gamma2_hat:.6g}"
+            f"   CI ({self.ci_gamma2[0]:.6g}, {self.ci_gamma2[1]:.6g})",
         ]
-        if self.ci_gamma2 is not None:
-            lines[-1] += f"   CI ({self.ci_gamma2[0]:.6g}, {self.ci_gamma2[1]:.6g})"
         for j in range(self.J):
-            line = f"beta_{j + 1}       {self.beta_hat[j]:.6g}"
-            if self.ci_beta is not None:
-                line += f"   CI ({self.ci_beta[j, 0]:.6g}, {self.ci_beta[j, 1]:.6g})"
-            lines.append(line)
+            lines.append(
+                f"beta_{j + 1}       {self.beta_hat[j]:.6g}"
+                f"   CI ({self.ci_beta[j, 0]:.6g}, {self.ci_beta[j, 1]:.6g})"
+            )
         lines.append(f"cond(DtT2D)  {self.condition_number:.3e}")
         return "\n".join(lines)
 
 
-def fit(design: DesignMatrices, alpha: float = 0.05, ci: bool = True) -> FitResult:
+def fit(design: DesignMatrices, alpha: float = 0.05) -> FitResult:
     """Closed-form estimates from assembled design matrices.
 
     Solves the weighted least-squares problem by QR factorization of
@@ -232,15 +224,13 @@ def fit(design: DesignMatrices, alpha: float = 0.05, ci: bool = True) -> FitResu
     design : DesignMatrices
     alpha : float
         Confidence level in (0, 0.5); intervals have coverage ``1 - alpha``.
-    ci : bool
-        Compute covariance and intervals.  Requires ``2n - J - 4 > 0``.
 
     Raises
     ------
     SingularDesignError
         If ``T D`` is numerically rank deficient.
     InsufficientDataError
-        If there are too few increments for the requested outputs.
+        If ``2n - J - 4 <= 0``: too few increments for the covariance.
     DegenerateFitError
         If the residual variance is (numerically) zero; carries ``nu_hat``.
     """
@@ -272,22 +262,20 @@ def fit(design: DesignMatrices, alpha: float = 0.05, ci: bool = True) -> FitResu
 
     beta_hat = (m - 2) * nu_hat / (m * gamma2_hat)
 
-    beta_cov = ci_beta = ci_gamma2 = None
-    if ci:
-        if m - 4 <= 0:
-            raise InsufficientDataError(
-                f"2n - J - 4 = {m - 4} <= 0: too few increments for confidence intervals"
-            )
-        beta_cov = 2.0 * np.outer(beta_hat, beta_hat) / (m - 4) + (upsilon / gamma2_hat) * (
-            1.0 + 2.0 / (m - 4)
+    if m - 4 <= 0:
+        raise InsufficientDataError(
+            f"2n - J - 4 = {m - 4} <= 0: too few increments for confidence intervals"
         )
-        z = norm.ppf(alpha / 2.0)  # negative
-        se = np.sqrt(np.diag(beta_cov))
-        ci_beta = np.column_stack([beta_hat + z * se, beta_hat - z * se])
-        ci_gamma2 = (
-            float(gamma2_hat * m / chi2.ppf(1.0 - alpha / 2.0, m)),
-            float(gamma2_hat * m / chi2.ppf(alpha / 2.0, m)),
-        )
+    beta_cov = 2.0 * np.outer(beta_hat, beta_hat) / (m - 4) + (upsilon / gamma2_hat) * (
+        1.0 + 2.0 / (m - 4)
+    )
+    z = norm.ppf(alpha / 2.0)  # negative
+    se = np.sqrt(np.diag(beta_cov))
+    ci_beta = np.column_stack([beta_hat + z * se, beta_hat - z * se])
+    ci_gamma2 = (
+        float(gamma2_hat * m / chi2.ppf(1.0 - alpha / 2.0, m)),
+        float(gamma2_hat * m / chi2.ppf(alpha / 2.0, m)),
+    )
 
     return FitResult(
         nu_hat=nu_hat,
@@ -309,10 +297,9 @@ def pooled_fit(
     tracks: Sequence[Track],
     covariates: Sequence[Covariate],
     alpha: float = 0.05,
-    ci: bool = True,
 ) -> FitResult:
     """Fit one model to several tracks by pooling their design blocks."""
-    return fit(pooled_design(tracks, covariates), alpha=alpha, ci=ci)
+    return fit(pooled_design(tracks, covariates), alpha=alpha)
 
 
 def pseudo_log_likelihood(track: Track, model: RsfModel) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "Track",
     "SimConfig",
     "SimResult",
-    "euler_step",
     "simulate",
     "thin_regular",
     "thin_irregular",
@@ -115,36 +113,13 @@ class SimResult:
         return self.track.times[list(self.clamped)]
 
 
-def euler_step(
-    model: RsfModel,
-    x: Sequence[float],
-    dt: float,
-    noise: Sequence[float],
-) -> tuple[float, float]:
-    """One Euler transition from ``x`` given a pair of standard-normal draws.
-
-    Returns ``x + (gamma2 * dt / 2) * grad_log_pi(x) + sqrt(gamma2 * dt) * noise``;
-    deterministic given ``noise``.  The drift term is exactly linear in both
-    ``dt`` and ``gamma2``.
-
-    Raises
-    ------
-    OutOfDomainError
-        If ``x`` is outside a gridded covariate's domain.
-    """
-    gx, gy = model.grad_log_pi(x)
-    half = 0.5 * model.gamma2 * dt
-    sig = math.sqrt(model.gamma2 * dt)
-    return (
-        float(x[0]) + half * gx + sig * float(noise[0]),
-        float(x[1]) + half * gy + sig * float(noise[1]),
-    )
-
-
 def simulate(cfg: SimConfig, escape_policy: str = "clamp") -> SimResult:
     """Simulate a track of ``n_steps + 1`` locations at timestamps ``k * dt``.
 
-    Reproducible: the noise stream is fully determined by ``cfg.seed``.
+    Step ``k`` moves ``x`` to ``x + (gamma2 * dt / 2) * grad_log_pi(x) +
+    sqrt(gamma2 * dt) * n[k]``, where ``n`` is
+    ``derive_rng(cfg.seed).standard_normal((n_steps, 2))``, so the noise
+    stream is fully determined by ``cfg.seed``.
     When the model has a restricted domain (gridded covariates) a proposed
     point may fall outside it; the ``escape_policy`` decides what happens:
 

@@ -29,22 +29,63 @@ def write_json(path, payload):
     return str(path)
 
 
+# a small random-field grid for the scenario-2 and irregular studies
+TINY_RANDOM_FIELD = {
+    "grid_n_x": 41,
+    "grid_n_y": 41,
+    "grid_x_min": -20,
+    "grid_y_min": -20,
+    "rho": 4.0,
+}
+
+# small configs of the three studies, and the table each writes
+TINY_STUDIES = {
+    "scenario1": {"replications": 3, "n_points": 60, "thin_interval": 0.1, "seed": 1},
+    "scenario2": {
+        "n_tracks": 2,
+        "n_points": 40,
+        "levels": [0.05, 0.1],
+        "seed": 2,
+        **TINY_RANDOM_FIELD,
+    },
+    "irregular": {
+        "n_tracks": 2,
+        "n_points": 40,
+        "levels": [0.05, 0.1],
+        "mean_intervals": [0.05, 0.1],
+        "seed": 3,
+        **TINY_RANDOM_FIELD,
+    },
+}
+STUDY_TABLES = {
+    "scenario1": "estimates.csv",
+    "scenario2": "estimates_by_level.csv",
+    "irregular": "comparison.csv",
+}
+
+SIM_CONFIG = {
+    "model": {
+        "covariates": [{"type": "squared_distance", "center": [0, 0]}],
+        "beta": [-0.5],
+        "gamma2": 1.0,
+    },
+    "x0": [0.0, 0.0],
+    "dt": 0.01,
+    "n_steps": 10,
+    "seeds": [3, 4],
+}
+WAVELET = {"type": "wavelet", "alpha": 6, "a": [0, 0], "omega": [0.6, 0.2], "sigma": [0.4, 0.4]}
+GRID = {"x_min": 0.5, "y_min": 0.5, "cell_size": 1.0, "n_x": 10, "n_y": 10}
+
+
+def with_covariate(covariate):
+    """``SIM_CONFIG`` with its model's one covariate replaced."""
+    return {**SIM_CONFIG, "model": {**SIM_CONFIG["model"], "covariates": [covariate]}}
+
+
 @pytest.fixture
 def analytic_sim_config(tmp_path):
-    return write_json(
-        tmp_path / "sim.json",
-        {
-            "model": {
-                "covariates": [{"type": "squared_distance", "center": [0, 0]}],
-                "beta": [-0.5],
-                "gamma2": 1.0,
-            },
-            "x0": [0.0, 0.0],
-            "dt": 0.01,
-            "n_steps": 10,
-            "seeds": [3, 4],
-        },
-    )
+    return write_json(tmp_path / "sim.json", SIM_CONFIG)
 
 
 class TestSimulateCommand:
@@ -136,7 +177,7 @@ class TestUdCommand:
                     "covariates": [{"type": "squared_distance", "center": [0, 0]}],
                     "beta": [0.0],
                 },
-                "grid": {"x_min": 0.5, "y_min": 0.5, "cell_size": 1.0, "n_x": 10, "n_y": 10},
+                "grid": GRID,
             },
         )
         out = tmp_path / "ud"
@@ -188,10 +229,7 @@ class TestGenCovCommand:
 
 class TestStudyCommands:
     def test_scenario1_tiny(self, tmp_path):
-        cfg = write_json(
-            tmp_path / "s1.json",
-            {"replications": 3, "n_points": 60, "thin_interval": 0.1, "seed": 1},
-        )
+        cfg = write_json(tmp_path / "s1.json", TINY_STUDIES["scenario1"])
         out = tmp_path / "s1"
         assert main(["scenario1", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "estimates.csv").read_text().splitlines()
@@ -205,50 +243,45 @@ class TestStudyCommands:
         assert manifest["n_clamped"] == 0
         assert manifest["second_sine_axis"] == "z1"
 
-    def test_scenario2_tiny_and_deterministic(self, tmp_path):
-        cfg = write_json(
-            tmp_path / "s2.json",
-            {
-                "n_tracks": 2,
-                "n_points": 40,
-                "levels": [0.05, 0.1],
-                "grid_n_x": 41,
-                "grid_n_y": 41,
-                "grid_x_min": -20,
-                "grid_y_min": -20,
-                "rho": 4.0,
-                "seed": 2,
-            },
-        )
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["scenario2", "--config", cfg, "--out", str(out1)]) == 0
-        main(["scenario2", "--config", cfg, "--out", str(out2)])
-        assert (out1 / "estimates_by_level.csv").read_bytes() == (
-            out2 / "estimates_by_level.csv"
-        ).read_bytes()
+    def test_scenario1_all_fits_failed(self, tmp_path):
+        # two increments cannot carry a fit of three coefficients: both
+        # modes fail, and the table keeps its provenance lines and header
+        cfg = write_json(tmp_path / "s1.json", {"replications": 1, "n_points": 3})
+        out = tmp_path / "s1"
+        assert main(["scenario1", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "estimates.csv").read_text().splitlines()
+        assert [ln.split("=")[0] for ln in lines[:3]] == [
+            "# config_sha256",
+            "# seed",
+            "# second_sine_axis",
+        ]
+        assert lines[3:] == ["replication,mode,parameter,estimate"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [f[:2] for f in manifest["failures"]] == [[0, "analytic"], [0, "discretized"]]
+        assert manifest["outputs"] == ["estimates.csv"]
+
+    def test_scenario2_tiny(self, tmp_path):
+        cfg = write_json(tmp_path / "s2.json", TINY_STUDIES["scenario2"])
+        out = tmp_path / "s2"
+        assert main(["scenario2", "--config", cfg, "--out", str(out)]) == 0
         lines = [
             ln
-            for ln in (out1 / "estimates_by_level.csv").read_text().splitlines()
+            for ln in (out / "estimates_by_level.csv").read_text().splitlines()
             if not ln.startswith("#")
         ]
         assert len(lines) == 1 + 2  # header + one row per level
 
+    @pytest.mark.parametrize("command", ["scenario1", "scenario2", "irregular"])
+    def test_rerun_byte_identical(self, tmp_path, command):
+        cfg = write_json(tmp_path / "c.json", TINY_STUDIES[command])
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        for name in (STUDY_TABLES[command], "manifest.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_irregular_tiny(self, tmp_path):
-        cfg = write_json(
-            tmp_path / "irr.json",
-            {
-                "n_tracks": 2,
-                "n_points": 40,
-                "levels": [0.05, 0.1],
-                "mean_intervals": [0.05, 0.1],
-                "grid_n_x": 41,
-                "grid_n_y": 41,
-                "grid_x_min": -20,
-                "grid_y_min": -20,
-                "rho": 4.0,
-                "seed": 3,
-            },
-        )
+        cfg = write_json(tmp_path / "irr.json", TINY_STUDIES["irregular"])
         out = tmp_path / "irr"
         assert main(["irregular", "--config", cfg, "--out", str(out)]) == 0
         lines = [
@@ -266,8 +299,7 @@ class TestStudyCommands:
     )
     def test_interval_off_the_fine_grid_rejected(self, tmp_path, command, key):
         # 0.055 is 5.5 fine steps: no regular schedule thins at exactly that interval
-        tiny = {"n_tracks": 2, "n_points": 20, "levels": [0.1], "grid_n_x": 41, "grid_n_y": 41}
-        tiny.update({key: [0.055], "grid_x_min": -20, "grid_y_min": -20, "rho": 4.0})
+        tiny = {"n_tracks": 2, "n_points": 20, "levels": [0.1], **TINY_RANDOM_FIELD, key: [0.055]}
         cfg = write_json(tmp_path / "c.json", tiny)
         with pytest.raises(ValueError, match="0.055 is not a multiple of fine_dt"):
             main([command, "--config", cfg, "--out", str(tmp_path / "out")])
@@ -290,11 +322,43 @@ class TestStudyCommands:
         config = built.value.args[0]
         assert json.loads(path.read_text())["n_points"] == getattr(config, "base", config).n_points
 
-    @pytest.mark.parametrize("command", ["scenario1", "scenario2", "irregular"])
-    def test_unknown_config_key_rejected(self, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            pytest.param("scenario1", {"n_track": 2, "seed": 1}, "n_track", id="scenario1"),
+            pytest.param("scenario2", {"n_track": 2, "seed": 1}, "n_track", id="scenario2"),
+            pytest.param("irregular", {"n_track": 2, "seed": 1}, "n_track", id="irregular"),
+            pytest.param(
+                "simulate",
+                {**SIM_CONFIG, "model": {**SIM_CONFIG["model"], "gama2": 4.0}},
+                "gama2",
+                id="simulate-model",
+            ),
+            pytest.param(
+                "simulate",
+                with_covariate({"type": "squared_distance", "centre": [1, 0]}),
+                "centre",
+                id="simulate-squared_distance",
+            ),
+            pytest.param(
+                "simulate",
+                with_covariate({**WAVELET, "second_sine_axes": "z2"}),
+                "second_sine_axes",
+                id="simulate-wavelet",
+            ),
+            pytest.param("simulate", {**SIM_CONFIG, "n_step": 20}, "n_step", id="simulate"),
+            pytest.param(
+                "ud",
+                {"model": SIM_CONFIG["model"], "grid": {**GRID, "nx": 20}},
+                "nx",
+                id="ud-grid",
+            ),
+        ],
+    )
+    def test_unknown_config_key_rejected(self, tmp_path, command, config, key):
         # a misspelt key must not leave the setting at its default unnoticed
-        cfg = write_json(tmp_path / "c.json", {"n_track": 2, "seed": 1})
-        with pytest.raises(ValueError, match="unknown .* config keys: n_track"):
+        cfg = write_json(tmp_path / "c.json", config)
+        with pytest.raises(ValueError, match=f"unknown .* config keys: {key}$"):
             main([command, "--config", cfg, "--out", str(tmp_path / "out")])
 
     def test_unknown_random_field_key_rejected(self, tmp_path):

@@ -221,9 +221,7 @@ class TestFit:
         rng = np.random.default_rng(10)
         des = synthetic_design(rng, n=2, J=1, nu=(1.0,))  # 2n - J - 4 = -1
         with pytest.raises(InsufficientDataError):
-            fit(des, ci=True)
-        res = fit(des, ci=False)
-        assert res.beta_cov is None and res.ci_beta is None and res.ci_gamma2 is None
+            fit(des)
 
     def test_alpha_validation(self):
         rng = np.random.default_rng(11)
@@ -240,7 +238,7 @@ class TestFit:
         des_p = DesignMatrices(
             y=des.y[rows], d=des.d[rows], t_delta=des.t_delta[rows], n=n, J=1
         )
-        np.testing.assert_allclose(fit(des, ci=False).nu_hat, fit(des_p, ci=False).nu_hat, rtol=1e-9)
+        np.testing.assert_allclose(fit(des).nu_hat, fit(des_p).nu_hat, rtol=1e-9)
 
 
 class TestPooling:
@@ -292,6 +290,16 @@ class TestPooling:
     def test_empty_input(self):
         with pytest.raises(InsufficientDataError):
             pooled_design([], [SquaredDistance((0, 0))])
+
+    def test_out_of_domain_names_track_and_location_once(self):
+        cov = plane_covariate(1.0, 0.0, half=2.0)
+        good = Track([0.0, 1.0], [[0, 0], [1, 1]])
+        bad = Track([0.0, 1.0, 2.0, 3.0], [[0, 0], [1, 1], [9, 9], [0, 0]])
+        with pytest.raises(OutOfDomainError) as err:
+            pooled_design([good, bad], [cov])
+        assert str(err.value) == (
+            "point (9.0, 9.0) is outside the interpolation domain (track 1: track location 2)"
+        )
 
 
 class TestPseudoLogLikelihood:
@@ -404,7 +412,7 @@ class TestFitResultSerialization:
             "alpha",
             "condition_number",
         }
-        parsed = json.loads(res.to_json())
+        parsed = json.loads(json.dumps(doc))
         assert parsed["n"] == 100 and parsed["J"] == 2
         assert len(parsed["beta_hat"]) == 2
         assert len(parsed["ci_beta"]) == 2 and len(parsed["ci_beta"][0]) == 2

@@ -1,5 +1,7 @@
 """Simulation, thinning, domain handling, and track I/O."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from langmove import (
     SimConfig,
     SquaredDistance,
     Track,
-    euler_step,
     read_track_csv,
     simulate,
     thin_irregular,
@@ -37,35 +38,53 @@ def plane_model(gx, gy, gamma2=1.0, half=50.0):
     return RsfModel([RasterCovariate(GridRaster(geom, vals))], [1.0], gamma2=gamma2)
 
 
+def first_step(model, x0, dt, seed=0):
+    """The first simulated location, and the noise pair that drove it."""
+    res = simulate(SimConfig(model, x0, dt, 1, seed=seed))
+    return tuple(res.track.xy[1]), derive_rng(seed).standard_normal((1, 2))[0]
+
+
 class TestEulerStep:
-    def test_zero_drift_zero_noise_is_identity(self):
-        assert euler_step(flat_model(), (1.3, -2.2), 0.5, (0.0, 0.0)) == (1.3, -2.2)
+    """The Euler transition, observed through :func:`simulate`."""
 
     def test_direct_arithmetic(self):
-        # gamma2=1, dt=0.01, grad=(2,-4), zero noise, from the origin
-        m = plane_model(2.0, -4.0)
-        x, y = euler_step(m, (0.0, 0.0), 0.01, (0.0, 0.0))
-        assert x == pytest.approx(0.01, rel=1e-12)
-        assert y == pytest.approx(-0.02, rel=1e-12)
+        # the first step is x0 + half * g + sig * n to the last bit, with n
+        # the first row of the seed's (n_steps, 2) standard-normal draw
+        m = plane_model(2.0, -4.0, gamma2=1.3)
+        x0, dt, n_steps, seed = (0.7, -1.1), 0.01, 50, 17
+        res = simulate(SimConfig(m, x0, dt, n_steps, seed=seed))
+        n = derive_rng(seed).standard_normal((n_steps, 2))
+        gx, gy = m.grad_log_pi(x0)
+        half = 0.5 * m.gamma2 * dt
+        sig = math.sqrt(m.gamma2 * dt)
+        assert res.track.xy[1, 0] == x0[0] + half * gx + sig * n[0, 0]
+        assert res.track.xy[1, 1] == x0[1] + half * gy + sig * n[0, 1]
+        assert (gx, gy) == pytest.approx((2.0, -4.0), rel=1e-12)
+
+    def test_zero_drift_is_running_sum_of_noise(self):
+        # without drift every location is the start plus the running sum of
+        # sqrt(gamma2 * dt) * n, added in step order
+        gamma2, dt, n_steps, seed = 1.7, 0.04, 500, 9
+        res = simulate(SimConfig(flat_model(gamma2), (1.3, -2.2), dt, n_steps, seed=seed))
+        steps = math.sqrt(gamma2 * dt) * derive_rng(seed).standard_normal((n_steps, 2))
+        expected = np.cumsum(np.vstack([[1.3, -2.2], steps]), axis=0)
+        np.testing.assert_array_equal(res.track.xy, expected)
 
     def test_drift_exactly_linear_in_dt_and_gamma2(self):
-        # stepping from the origin isolates the drift term, so power-of-two
-        # rescalings of dt and gamma2 are exact in floating point
-        m1 = plane_model(0.7, -0.3, gamma2=0.5)
-        m4 = plane_model(0.7, -0.3, gamma2=2.0)
-        p = (0.0, 0.0)
-        base = euler_step(m1, p, 0.25, (0.0, 0.0))
-        double_dt = euler_step(m1, p, 0.5, (0.0, 0.0))
-        assert double_dt == (2 * base[0], 2 * base[1])
-        quad_g2 = euler_step(m4, p, 0.25, (0.0, 0.0))
-        assert quad_g2 == (4 * base[0], 4 * base[1])
+        # from the origin the first step is drift + sqrt(gamma2 * dt) * n;
+        # power-of-two rescalings of dt and gamma2 rescale the drift term
+        # exactly in floating point
+        g = np.array([0.7, -0.3])
+        base = 0.5 * 0.5 * 0.5 * g  # gamma2 = dt = 0.5
+        for gamma2, dt, factor in ((0.5, 0.5, 1), (0.5, 1.0, 2), (2.0, 0.5, 4), (0.5, 0.25, 0.5)):
+            step, n = first_step(plane_model(*g, gamma2=gamma2), (0.0, 0.0), dt)
+            assert step == tuple(factor * base + math.sqrt(gamma2 * dt) * n)
 
     def test_noise_scale(self):
-        # with unit noise and zero drift the step is sqrt(gamma2 * dt)
-        m = flat_model(gamma2=4.0)
-        x, y = euler_step(m, (0.0, 0.0), 0.25, (1.0, -1.0))
-        assert x == pytest.approx(1.0, rel=1e-15)
-        assert y == pytest.approx(-1.0, rel=1e-15)
+        # with zero drift the first step is sqrt(gamma2 * dt) = 1 times the
+        # noise pair, exactly
+        step, n = first_step(flat_model(gamma2=4.0), (0.0, 0.0), 0.25, seed=3)
+        assert step == tuple(n)
 
     def test_increment_variance_monte_carlo(self):
         # zero drift: increments have variance gamma2 * dt per coordinate
