@@ -26,6 +26,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -140,20 +141,34 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _write_manifest(out_dir: Path, payload: dict) -> None:
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+def _write_json(payload, path: Path) -> None:
+    """Write ``payload`` as indented JSON with sorted keys; NaN and infinity,
+    which strict JSON parsers reject, raise ``ValueError``."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _manifest_base(command: str, cfg: dict) -> dict:
-    return {
+def _write_outputs(out: str, command: str, cfg: dict, writers: dict, **record) -> None:
+    """Create the directory ``out``, write the outputs and then ``manifest.json``.
+
+    ``writers`` maps each output's file name to a function that writes it to
+    the path it is given.  The manifest records ``command``, ``cfg`` and its
+    hash, the package version, the seed rule, ``record`` and the output names.
+    """
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, write in writers.items():
+        write(out_dir / name)
+    manifest = {
         "command": command,
         "config": cfg,
         "config_sha256": _config_hash(cfg),
         "langmove_version": __version__,
         "seed_rule": "stream k of replication i uses SeedSequence(entropy=seed, spawn_key=(k, i))",
+        "outputs": list(writers),
     }
+    _write_json(manifest | record, out_dir / "manifest.json")
 
 
 def _write_study(
@@ -172,17 +187,16 @@ def _write_study(
     ``cfg`` and then ``provenance``, before ``header`` and one line per row;
     the manifest records ``record`` and lists the table.
     """
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / table, "w") as fh:
-        for key, value in {"config_sha256": _config_hash(cfg), **provenance}.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(row[k]) for k in header) + "\n")
-    manifest = _manifest_base(command, cfg)
-    manifest.update(record, outputs=[table])
-    _write_manifest(out_dir, manifest)
+
+    def write_table(path: Path) -> None:
+        with open(path, "w") as fh:
+            for key, value in {"config_sha256": _config_hash(cfg), **provenance}.items():
+                fh.write(f"# {key}={value}\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_format_value(row[k]) for k in header) + "\n")
+
+    _write_outputs(out, command, cfg, {table: write_table}, **record)
 
 
 # ---------------------------------------------------------------------------
@@ -195,26 +209,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     base_dir = Path(args.config).parent
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = _model_from_spec(cfg["model"], base_dir)
-    clamp_counts = {}
-    outputs = []
-    for seed in cfg["seeds"]:
-        sim = simulate(
-            SimConfig(model, tuple(cfg["x0"]), cfg["dt"], cfg["n_steps"], seed),
-            escape_policy=args.escape_policy,
-        )
-        name = f"track_{seed}.csv"
-        write_track_csv(sim.track, out_dir / name)
-        outputs.append(name)
-        clamp_counts[str(seed)] = sim.n_clamped
-    manifest = _manifest_base("simulate", cfg)
-    manifest.update(
-        {"seeds": list(cfg["seeds"]), "clamp_counts": clamp_counts, "outputs": outputs}
+    sims = {
+        seed: simulate(SimConfig(model, tuple(cfg["x0"]), cfg["dt"], cfg["n_steps"], seed))
+        for seed in cfg["seeds"]
+    }
+    _write_outputs(
+        args.out,
+        "simulate",
+        cfg,
+        {f"track_{seed}.csv": partial(write_track_csv, sim.track) for seed, sim in sims.items()},
+        seeds=list(cfg["seeds"]),
+        clamp_counts={str(seed): sim.n_clamped for seed, sim in sims.items()},
     )
-    _write_manifest(out_dir, manifest)
-    print(f"wrote {len(outputs)} track(s) to {out_dir}")
+    print(f"wrote {len(sims)} track(s) to {Path(args.out)}")
     return 0
 
 
@@ -232,19 +240,18 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         tracks = [Track(t.times / args.time_scale, t.xy) for t in tracks]
     result = pooled_fit(tracks, covariates, alpha=args.alpha)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg = {"covariates": specs, "alpha": args.alpha, "time_scale": args.time_scale}
     doc = result.to_dict()
     doc["tracks"] = [str(p) for p in args.tracks]
     doc["time_scale"] = args.time_scale
-    doc["config_sha256"] = _config_hash(
-        {"covariates": specs, "alpha": args.alpha, "time_scale": args.time_scale}
-    )
-    with open(out_dir / "fit.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    doc["config_sha256"] = _config_hash(cfg)
     table = result.format_table()
-    (out_dir / "fit.txt").write_text(table + "\n")
+    _write_outputs(
+        args.out,
+        "fit",
+        cfg,
+        {"fit.json": partial(_write_json, doc), "fit.txt": lambda p: p.write_text(table + "\n")},
+    )
     print(table)
     return 0
 
@@ -254,37 +261,25 @@ def _cmd_ud(args: argparse.Namespace) -> int:
     base_dir = Path(args.config).parent
     model = _model_from_spec(cfg["model"], base_dir)
     geometry = GridGeometry(**_dataclass_kwargs(GridGeometry, cfg["grid"]))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ud = ud_raster(model, geometry)
-    write_ascii_grid(ud, out_dir / "ud.asc")
-    outputs = ["ud.asc"]
+    writers = {"ud.asc": partial(write_ascii_grid, ud)}
     if not args.no_log:
         log_ud = GridRaster(geometry, np.log(ud.values))
-        write_ascii_grid(log_ud, out_dir / "ud_log.asc")
-        outputs.append("ud_log.asc")
-    manifest = _manifest_base("ud", cfg)
-    manifest["outputs"] = outputs
-    _write_manifest(out_dir, manifest)
-    print(f"wrote {', '.join(outputs)} to {out_dir}")
+        writers["ud_log.asc"] = partial(write_ascii_grid, log_ud)
+    _write_outputs(args.out, "ud", cfg, writers)
+    print(f"wrote {', '.join(writers)} to {Path(args.out)}")
     return 0
 
 
 def _cmd_gen_cov(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     specs = _known_keys(cfg, "gen-cov", ("fields",))["fields"] if "fields" in cfg else [cfg]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for k, spec in enumerate(specs):
-        raster = _random_field(spec)
-        name = spec.get("name", f"cov{k + 1}") + ".asc"
-        write_ascii_grid(raster, out_dir / name)
-        outputs.append(name)
-    manifest = _manifest_base("gen-cov", cfg)
-    manifest.update({"outputs": outputs, "seeds": [spec["seed"] for spec in specs]})
-    _write_manifest(out_dir, manifest)
-    print(f"wrote {', '.join(outputs)} to {out_dir}")
+    writers = {
+        spec.get("name", f"cov{k + 1}") + ".asc": partial(write_ascii_grid, _random_field(spec))
+        for k, spec in enumerate(specs)
+    }
+    _write_outputs(args.out, "gen-cov", cfg, writers, seeds=[spec["seed"] for spec in specs])
+    print(f"wrote {', '.join(writers)} to {Path(args.out)}")
     return 0
 
 
@@ -318,8 +313,12 @@ def _cmd_scenario1(args: argparse.Namespace) -> int:
         second_sine_axis=s1.second_sine_axis,
         n_clamped=result.n_clamped,
         failures=[list(f) for f in result.failures],
+        # null, not NaN, where every replication of the mode failed: strict JSON has no NaN
         medians={
-            mode: dict(zip(PARAM_NAMES_S1, map(float, result.medians(mode))))
+            mode: {
+                name: None if np.isnan(med) else float(med)
+                for name, med in zip(PARAM_NAMES_S1, result.medians(mode))
+            }
             for mode in ("analytic", "discretized")
         },
     )
@@ -394,7 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON config with model, x0, dt, n_steps, seeds")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="simulate this single seed instead")
-    p.add_argument("--escape-policy", choices=("clamp", "error"), default="clamp")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="fit the movement model to track CSV files")

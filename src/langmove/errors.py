@@ -34,16 +34,6 @@ class DegenerateFieldError(LangmoveError):
     """A smoothed random field is constant, so min-max normalization is undefined."""
 
 
-class DomainEscapeError(LangmoveError):
-    """A simulated trajectory left the covariate domain under the `error` policy."""
-
-    def __init__(self, step: int, x: float, y: float):
-        self.step = step
-        self.x = x
-        self.y = y
-        super().__init__(f"trajectory left the domain at step {step}: ({x}, {y})")
-
-
 class NonIncreasingTimesError(LangmoveError):
     """Track timestamps are not strictly increasing."""
 

@@ -178,18 +178,30 @@ class Scenario1Result:
                     rows.append(row | {"estimate": float(est[rep, j])})
         return rows
 
+    def _successes(self, mode: str) -> np.ndarray:
+        """The rows of ``mode`` (``"analytic"`` or ``"discretized"``) whose
+        replication succeeded; any other mode raises ``ValueError``."""
+        if mode not in ("analytic", "discretized"):
+            raise ValueError(f"mode must be 'analytic' or 'discretized', got {mode!r}")
+        est = getattr(self, mode)
+        return est[~np.isnan(est[:, 0])]
+
     def medians(self, mode: str) -> np.ndarray:
-        est = self.analytic if mode == "analytic" else self.discretized
-        ok = ~np.isnan(est[:, 0])
-        return np.median(est[ok], axis=0)
+        """Median of each parameter over the successful replications of
+        ``mode``; NaN when none succeeded."""
+        ok = self._successes(mode)
+        if not len(ok):
+            return np.full(ok.shape[1], np.nan)
+        return np.median(ok, axis=0)
 
     def sign_correct_fraction(self, mode: str) -> float:
         """Fraction of successful replications whose habitat-coefficient
-        estimates all have the true sign."""
-        est = self.analytic if mode == "analytic" else self.discretized
-        ok = ~np.isnan(est[:, 0])
+        estimates all have the true sign; NaN when none succeeded."""
+        ok = self._successes(mode)
+        if not len(ok):
+            return float("nan")
         truth = np.sign(np.asarray(self.config.beta))
-        return float(np.mean(np.all(np.sign(est[ok][:, :3]) == truth, axis=1)))
+        return float(np.mean(np.all(np.sign(ok[:, :3]) == truth, axis=1)))
 
 
 def run_scenario1(cfg: Scenario1Config) -> Scenario1Result:

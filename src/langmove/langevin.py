@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainEscapeError, NonIncreasingTimesError, OutOfDomainError
+from .errors import NonIncreasingTimesError, OutOfDomainError
 from .rsf import RsfModel
 from .seeding import derive_rng
 
@@ -113,7 +113,7 @@ class SimResult:
         return self.track.times[list(self.clamped)]
 
 
-def simulate(cfg: SimConfig, escape_policy: str = "clamp") -> SimResult:
+def simulate(cfg: SimConfig) -> SimResult:
     """Simulate a track of ``n_steps + 1`` locations at timestamps ``k * dt``.
 
     Step ``k`` moves ``x`` to ``x + (gamma2 * dt / 2) * grad_log_pi(x) +
@@ -121,18 +121,14 @@ def simulate(cfg: SimConfig, escape_policy: str = "clamp") -> SimResult:
     ``derive_rng(cfg.seed).standard_normal((n_steps, 2))``, so the noise
     stream is fully determined by ``cfg.seed``.
     When the model has a restricted domain (gridded covariates) a proposed
-    point may fall outside it; the ``escape_policy`` decides what happens:
-
-    - ``"clamp"``: project the proposal onto the domain boundary and record
-      the step index (reported via ``SimResult.clamped``);
-    - ``"error"``: raise :class:`DomainEscapeError`.
+    point may fall outside it.  Clamping is the only boundary rule: the
+    proposal is projected onto the domain boundary and its step index is
+    recorded in ``SimResult.clamped``.
 
     Clamped locations do not follow the model; the studies in
     ``experiments`` cut the increments they affect out of their fits with
     :func:`split_at`.
     """
-    if escape_policy not in ("clamp", "error"):
-        raise ValueError(f"escape_policy must be 'clamp' or 'error', got {escape_policy!r}")
     model = cfg.model
     dom = model.domain()
     x, y = cfg.x0
@@ -153,8 +149,6 @@ def simulate(cfg: SimConfig, escape_policy: str = "clamp") -> SimResult:
         x = x + half * gx + sig * noise[k, 0]
         y = y + half * gy + sig * noise[k, 1]
         if dom is not None and not dom.contains(x, y):
-            if escape_policy == "error":
-                raise DomainEscapeError(k + 1, x, y)
             x, y = dom.clamp(x, y)
             clamped.append(k + 1)
         pts[k + 1, 0] = x

@@ -60,10 +60,6 @@ class RsfModel:
         # plain-float copy for the per-step hot loops
         object.__setattr__(self, "_beta_scalars", tuple(float(v) for v in b))
 
-    @property
-    def n_covariates(self) -> int:
-        return len(self.covariates)
-
     def log_pi_unnormalized(self, p: Sequence[float]) -> float:
         """Log space-use density at ``p``, up to the normalizing constant."""
         return sum(b * c.value(p) for b, c in zip(self._beta_scalars, self.covariates))

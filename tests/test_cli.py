@@ -29,6 +29,10 @@ def write_json(path, payload):
     return str(path)
 
 
+def reject_json_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 # a small random-field grid for the scenario-2 and irregular studies
 TINY_RANDOM_FIELD = {
     "grid_n_x": 41,
@@ -137,6 +141,10 @@ class TestFitCommand:
         assert lo < hi
         g_lo, g_hi = doc["ci_gamma2"]
         assert g_lo < doc["gamma2_hat"] < g_hi
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "fit"
+        assert manifest["config_sha256"] == doc["config_sha256"]
+        assert manifest["outputs"] == ["fit.json", "fit.txt"]
 
     def test_four_covariate_output_shape(self, tmp_path):
         # mirrors a four-covariate coastal fit: 4 estimates + 4 intervals
@@ -256,9 +264,14 @@ class TestStudyCommands:
             "# second_sine_axis",
         ]
         assert lines[3:] == ["replication,mode,parameter,estimate"]
-        manifest = json.loads((out / "manifest.json").read_text())
+        # strict JSON: NaN or Infinity in the manifest would raise here
+        manifest = json.loads(
+            (out / "manifest.json").read_text(), parse_constant=reject_json_constant
+        )
         assert [f[:2] for f in manifest["failures"]] == [[0, "analytic"], [0, "discretized"]]
         assert manifest["outputs"] == ["estimates.csv"]
+        none = dict.fromkeys(["beta1", "beta2", "beta3", "gamma2"])
+        assert manifest["medians"] == {"analytic": none, "discretized": none}
 
     def test_scenario2_tiny(self, tmp_path):
         cfg = write_json(tmp_path / "s2.json", TINY_STUDIES["scenario2"])

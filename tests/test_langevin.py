@@ -20,7 +20,7 @@ from langmove import (
     thin_regular,
     write_track_csv,
 )
-from langmove.errors import DomainEscapeError, NonIncreasingTimesError, OutOfDomainError
+from langmove.errors import NonIncreasingTimesError, OutOfDomainError
 from langmove.langevin import split_at
 from langmove.seeding import derive_rng
 
@@ -159,12 +159,8 @@ class TestDomainEscape:
         geom = GridGeometry(-1, -1, 1.0, 3, 3)
         return RsfModel([RasterCovariate(GridRaster(geom, np.zeros((3, 3))))], [1.0], gamma2=25.0)
 
-    def test_error_policy_raises(self):
-        with pytest.raises(DomainEscapeError):
-            simulate(SimConfig(self.small_domain_model(), (0.0, 0.0), 0.5, 100, seed=0), "error")
-
     def test_clamp_policy_counts_and_projects(self):
-        res = simulate(SimConfig(self.small_domain_model(), (0.0, 0.0), 0.5, 100, seed=0), "clamp")
+        res = simulate(SimConfig(self.small_domain_model(), (0.0, 0.0), 0.5, 100, seed=0))
         assert res.n_clamped > 0
         ext = self.small_domain_model().domain()
         for x, y in res.track.xy:
@@ -177,10 +173,6 @@ class TestDomainEscape:
     def test_start_point_must_be_inside(self):
         with pytest.raises(OutOfDomainError):
             simulate(SimConfig(self.small_domain_model(), (5.0, 0.0), 0.1, 10, seed=0))
-
-    def test_invalid_policy(self):
-        with pytest.raises(ValueError):
-            simulate(SimConfig(flat_model(), (0, 0), 0.1, 10, seed=0), "bounce")
 
 
 class TestThinRegular:
