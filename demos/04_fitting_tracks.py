@@ -31,7 +31,7 @@ for seed in (1, 2, 3):
     fine = simulate(SimConfig(truth, x0=(0.5, -0.5), dt=0.01, n_steps=30_000, seed=seed)).track
     tracks.append(thin_regular(fine, 10))
 
-single = fit(build_design(tracks[0], covariates))
+single = fit(build_design(tracks[:1], covariates))
 print("single track:")
 print(single.format_table())
 

@@ -22,7 +22,6 @@ from .inference import (
     FitResult,
     build_design,
     fit,
-    pooled_design,
     pooled_fit,
     pseudo_log_likelihood,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "generate_random_field",
     "interpolate",
     "interpolate_gradient",
-    "pooled_design",
     "pooled_fit",
     "pseudo_log_likelihood",
     "read_ascii_grid",

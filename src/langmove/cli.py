@@ -165,7 +165,11 @@ def _write_outputs(out: str, command: str, cfg: dict, writers: dict, **record) -
         "config": cfg,
         "config_sha256": _config_hash(cfg),
         "langmove_version": __version__,
-        "seed_rule": "stream k of replication i uses SeedSequence(entropy=seed, spawn_key=(k, i))",
+        "seed_rule": (
+            "derive_rng(s, *key) is PCG64(SeedSequence(entropy=s, spawn_key=key)); a plain seed s "
+            "draws from derive_rng(s), a study stream from derive_rng(derive_seed(seed, *key)), "
+            "start points from derive_rng(seed, 2); langmove.seeding lists the keys"
+        ),
         "outputs": list(writers),
     }
     _write_json(manifest | record, out_dir / "manifest.json")

@@ -35,8 +35,8 @@ from .covariates import (
     rasterize,
 )
 from .errors import LangmoveError
-from .inference import FitResult, build_design, fit, pooled_fit
-from .langevin import SimConfig, SimResult, Track, simulate, split_at, thin_irregular, thin_regular
+from .inference import FitResult, build_design, fit
+from .langevin import SimConfig, SimResult, Track, simulate, thin_irregular, thin_regular
 from .raster import GridGeometry, GridRaster
 from .rsf import RsfModel
 from .seeding import derive_rng, derive_seed
@@ -209,10 +209,9 @@ def run_scenario1(cfg: Scenario1Config) -> Scenario1Result:
 
     Each replication simulates a fine track from the true model (exact
     gradients), thins it to the observation interval, and fits it twice:
-    with exact gradients and with the discretized covariates.  Locations
-    outside the coarse grid's hull are handled by splitting the track into
-    in-domain segments and pooling them.  Replication failures are
-    recorded, not fatal.
+    with exact gradients and with the discretized covariates.  The
+    discretized fit drops the increments that start outside the coarse
+    grid's hull.  Replication failures are recorded, not fatal.
     """
     stride = _stride(cfg.thin_interval, cfg.fine_dt)
     covs = scenario1_covariates(cfg.second_sine_axis)
@@ -233,13 +232,13 @@ def run_scenario1(cfg: Scenario1Config) -> Scenario1Result:
         # a copy: the strided view would keep the whole fine track in memory
         tracks.append(Track(thinned.times.copy(), thinned.xy.copy()))
         try:
-            res = fit(build_design(thinned, covs), alpha=cfg.alpha)
+            res = fit(build_design([thinned], covs), alpha=cfg.alpha)
             analytic[rep] = [*res.beta_hat, res.gamma2_hat]
         except LangmoveError as err:
             failures.append((rep, "analytic", str(err)))
         try:
-            segments = split_at(thinned, ~grid_extent.contains_points(thinned.xy)[:-1])
-            res = pooled_fit(segments, disc_covs, alpha=cfg.alpha)
+            off_grid = ~grid_extent.contains_points(thinned.xy)[:-1]
+            res = fit(build_design([thinned], disc_covs, [off_grid]), alpha=cfg.alpha)
             discretized[rep] = [*res.beta_hat, res.gamma2_hat]
         except LangmoveError as err:
             failures.append((rep, "discretized", str(err)))
@@ -264,8 +263,8 @@ class Scenario2Config:
     every side: spreading tracks widens the sampled covariate range (the
     driver of coefficient precision) while keeping early boundary contact
     rare.  Boundary clamps still happen on long tracks; the affected
-    thinned increments are dropped from the fits (see
-    :func:`~langmove.langevin.split_at`) rather than
+    thinned increments are dropped from the fits (the ``bad`` masks of
+    :func:`~langmove.inference.build_design`) rather than
     refusing whole tracks, which at this scale would discard most of the
     data for a handful of clamped steps.
     """
@@ -343,13 +342,13 @@ def scenario2_tracks(cfg: Scenario2Config, model: RsfModel | None = None) -> lis
 def _clamp_free_fit(
     sims: Sequence[SimResult], thinned: Sequence[Track], model: RsfModel, alpha: float
 ) -> FitResult:
-    """Pooled fit of the thinned tracks, each cut at the increments its fine
-    simulation clamped in."""
-    segments: list[Track] = []
-    for sim, track in zip(sims, thinned):
-        clamps_before = np.searchsorted(sim.clamp_times, track.times, side="right")
-        segments.extend(split_at(track, np.diff(clamps_before) > 0))
-    return pooled_fit(segments, model.covariates, alpha=alpha)
+    """Pooled fit of the thinned tracks without the increments whose time
+    window ``(t_i, t_{i+1}]`` holds a clamp of their fine simulation."""
+    bad = [
+        np.diff(np.searchsorted(sim.clamp_times, track.times, side="right")) > 0
+        for sim, track in zip(sims, thinned)
+    ]
+    return fit(build_design(thinned, model.covariates, bad), alpha=alpha)
 
 
 @dataclass
@@ -450,24 +449,38 @@ def run_irregular(
     """Compare regular and random thinning on the same fine tracks.
 
     Every mean interval must be a multiple of the fine step, so that the
-    regular scheme thins at exactly that interval.
+    regular scheme thins at exactly that interval, and every thinned track
+    must keep ``n_points`` points, so that both schemes fit the same number
+    of increments; otherwise ``ValueError`` is raised before any fit.
     """
     s2 = cfg.base
     strides = [_stride(interval, s2.fine_dt) for interval in cfg.mean_intervals]
     model = scenario2_model(s2)
     if sims is None:
         sims = scenario2_tracks(s2, model)
+    schedules: dict[float, dict[str, list[Track]]] = {}
+    for k, (interval, stride) in enumerate(zip(cfg.mean_intervals, strides)):
+        schedules[interval] = {
+            "regular": [thin_regular(sim.track, stride)[: s2.n_points] for sim in sims],
+            "irregular": [
+                thin_irregular(sim.track, interval, derive_seed(s2.seed, 3, k, i))[: s2.n_points]
+                for i, sim in enumerate(sims)
+            ],
+        }
+        for scheme, thinned in schedules[interval].items():
+            for i, track in enumerate(thinned):
+                if len(track) < s2.n_points:
+                    raise ValueError(
+                        f"{scheme} thinning at mean interval {interval:g} keeps {len(track)} of "
+                        f"{s2.n_points} points of track {i}: the fine tracks, whose length the "
+                        "coarsest of the base levels sets, are too short"
+                    )
     regular: dict[float, FitResult] = {}
     irregular: dict[float, FitResult] = {}
     gap_stats: dict[float, tuple[float, float]] = {}
-    for k, (interval, stride) in enumerate(zip(cfg.mean_intervals, strides)):
-        thinned = [thin_regular(sim.track, stride)[: s2.n_points] for sim in sims]
-        regular[interval] = _clamp_free_fit(sims, thinned, model, s2.alpha)
-        thinned = [
-            thin_irregular(sim.track, interval, derive_seed(s2.seed, 3, k, i))[: s2.n_points]
-            for i, sim in enumerate(sims)
-        ]
-        gaps = np.concatenate([t.intervals for t in thinned])
+    for interval, thinned in schedules.items():
+        regular[interval] = _clamp_free_fit(sims, thinned["regular"], model, s2.alpha)
+        gaps = np.concatenate([t.intervals for t in thinned["irregular"]])
         gap_stats[interval] = (float(gaps.mean()), float(gaps.std()))
-        irregular[interval] = _clamp_free_fit(sims, thinned, model, s2.alpha)
+        irregular[interval] = _clamp_free_fit(sims, thinned["irregular"], model, s2.alpha)
     return IrregularResult(cfg, regular, irregular, gap_stats, len(sims))

@@ -5,12 +5,13 @@ Under the Euler transition approximation, the normalized increments
 
     Y = (T D) nu + E,    E ~ N(0, gamma2 * I),    nu = gamma2 * beta,
 
-where ``D`` stacks the halved covariate partial derivatives at the first
-``n`` locations (x-block then y-block) and ``T`` is the diagonal matrix of
-``sqrt(dt_i)``.  Ordinary least squares then gives ``nu`` and the residual
-variance gives ``gamma2``; the habitat coefficients follow from an
-inverse-chi-square moment correction that makes them exactly unbiased,
-with a closed-form covariance.  No numerical optimization is involved.
+where ``D`` stacks the halved covariate partial derivatives at the starts
+of the ``n`` increments (x-block then y-block) and ``T`` is the diagonal
+matrix of ``sqrt(dt_i)``.  Ordinary least squares then gives ``nu`` and
+the residual variance gives ``gamma2``; the habitat coefficients follow
+from an inverse-chi-square moment correction that makes them exactly
+unbiased, with a closed-form covariance.  No numerical optimization is
+involved.
 
 :func:`pseudo_log_likelihood`, for cross-checks and diagnostics, is
 computed from the same blocks: with ``nu = gamma2 * beta``,
@@ -44,7 +45,6 @@ __all__ = [
     "DesignMatrices",
     "FitResult",
     "build_design",
-    "pooled_design",
     "fit",
     "pooled_fit",
     "pseudo_log_likelihood",
@@ -53,7 +53,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrices:
-    """Regression blocks for one or more tracks.
+    """Regression blocks for the increments of one or more tracks.
 
     ``y`` is the ``2n``-vector of normalized increments (all x components,
     then all y components), ``d`` the ``(2n, J)`` matrix of halved covariate
@@ -68,76 +68,73 @@ class DesignMatrices:
     J: int
 
 
-def build_design(track: Track, covariates: Sequence[Covariate]) -> DesignMatrices:
-    """Assemble the linear-model blocks for a single track.
+def build_design(
+    tracks: Sequence[Track],
+    covariates: Sequence[Covariate],
+    bad: Sequence[np.ndarray] | None = None,
+) -> DesignMatrices:
+    """Assemble the linear-model blocks of the usable increments of ``tracks``.
 
-    Covariate gradients are evaluated at ``x_0 .. x_{n-1}`` only, in one
-    array call per covariate, so the final location may lie outside
-    gridded covariate domains.
+    ``bad[k][i]`` flags increment ``i`` of track ``k``, from location ``i``
+    to ``i + 1``, as unusable (e.g. clamped, or starting outside a
+    covariate's domain), and it is dropped.  Each transition density is
+    conditioned on its own start, so dropping an increment is the same as
+    cutting the track there.  Gradients are evaluated at the kept starts
+    only, in one array call per covariate and track, so any other location
+    may lie outside gridded covariate domains, and the working memory is
+    that of one track.
 
     Raises
     ------
+    ValueError
+        With no covariate, a track of fewer than two locations, or a mask
+        that does not hold one flag per increment of its track.
     OutOfDomainError
-        If a non-final location falls outside a covariate's ``extent``
-        (the message carries the first such location's index).
+        If a kept start is outside a covariate's ``extent``; the message
+        names the first one as ``track k: track location i``.
+    InsufficientDataError
+        If no increment is left.
     """
     covariates = list(covariates)
     if len(covariates) == 0:
         raise ValueError("need at least one covariate")
-    if len(track) < 2:
-        raise ValueError("track must contain at least two locations")
-    n = len(track) - 1
-    J = len(covariates)
-    deltas = track.intervals
-    sqrt_d = np.sqrt(deltas)
-
-    incr = np.diff(track.xy, axis=0) / sqrt_d[:, None]
-    y = np.concatenate([incr[:, 0], incr[:, 1]])
-
-    starts = track.xy[:-1]
-    outside = np.zeros(n, dtype=bool)
-    for cov in covariates:
-        if cov.extent is not None:
-            outside |= ~cov.extent.contains_points(starts)
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise OutOfDomainError(starts[i, 0], starts[i, 1], f"track location {i}")
-
-    d = np.empty((2 * n, J))
-    for j, cov in enumerate(covariates):
-        g = cov.gradient(starts)
-        d[:n, j] = 0.5 * g[:, 0]
-        d[n:, j] = 0.5 * g[:, 1]
-
-    t_delta = np.concatenate([sqrt_d, sqrt_d])
-    return DesignMatrices(y=y, d=d, t_delta=t_delta, n=n, J=J)
-
-
-def pooled_design(tracks: Sequence[Track], covariates: Sequence[Covariate]) -> DesignMatrices:
-    """Stack per-track designs into one regression.
-
-    Increments never cross track boundaries; the likelihood factorizes over
-    independent tracks with each first position taken as deterministic.
-    Blocks are concatenated in track-list order.
-
-    Raises
-    ------
-    InsufficientDataError
-        If ``tracks`` is empty (e.g. domain splitting left no usable segment).
-    """
-    if len(tracks) == 0:
-        raise InsufficientDataError("no tracks (or track segments) to fit")
-    parts = []
+    if bad is not None and len(bad) != len(tracks):
+        raise ValueError(f"need one mask per track ({len(tracks)}), got {len(bad)}")
+    kept = []
     for k, track in enumerate(tracks):
-        try:
-            parts.append(build_design(track, covariates))
-        except OutOfDomainError as err:
-            raise OutOfDomainError(err.x, err.y, f"track {k}: {err.detail}") from None
-    y = np.concatenate([p.y for p in parts])
-    d = np.vstack([p.d for p in parts])
-    t_delta = np.concatenate([p.t_delta for p in parts])
-    n = sum(p.n for p in parts)
-    return DesignMatrices(y=y, d=d, t_delta=t_delta, n=n, J=parts[0].J)
+        n_k = len(track) - 1
+        if n_k < 1:
+            raise ValueError(f"track {k} must contain at least two locations")
+        flags = np.zeros(n_k, dtype=bool) if bad is None else np.asarray(bad[k], dtype=bool)
+        if flags.shape != (n_k,):
+            raise ValueError(f"track {k}: need one flag per increment ({n_k}), got {flags.shape}")
+        kept.append(np.flatnonzero(~flags))
+    n = sum(len(keep) for keep in kept)
+    if n == 0:
+        raise InsufficientDataError("no usable increments to fit")
+    J = len(covariates)
+
+    # each track fills its rows of the x block [0, n) and of the y block [n, 2n)
+    y, d, t_delta = np.empty(2 * n), np.empty((2 * n, J)), np.empty(2 * n)
+    lo = 0
+    for k, (track, keep) in enumerate(zip(tracks, kept)):
+        x_rows = slice(lo, lo + len(keep))
+        y_rows = slice(n + lo, n + lo + len(keep))
+        lo += len(keep)
+        starts = track.xy[keep]
+        outside = np.zeros(len(keep), dtype=bool)
+        for cov in covariates:
+            if cov.extent is not None:
+                outside |= ~cov.extent.contains_points(starts)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise OutOfDomainError(*starts[i], f"track {k}: track location {keep[i]}")
+        sqrt_d = np.sqrt(track.intervals[keep])
+        t_delta[x_rows] = t_delta[y_rows] = sqrt_d
+        y[x_rows], y[y_rows] = (np.diff(track.xy, axis=0)[keep] / sqrt_d[:, None]).T
+        for j, cov in enumerate(covariates):
+            d[x_rows, j], d[y_rows, j] = 0.5 * cov.gradient(starts).T
+    return DesignMatrices(y=y, d=d, t_delta=t_delta, n=n, J=J)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,8 +295,8 @@ def pooled_fit(
     covariates: Sequence[Covariate],
     alpha: float = 0.05,
 ) -> FitResult:
-    """Fit one model to several tracks by pooling their design blocks."""
-    return fit(pooled_design(tracks, covariates), alpha=alpha)
+    """Fit one model to all the increments of several tracks."""
+    return fit(build_design(tracks, covariates), alpha=alpha)
 
 
 def pseudo_log_likelihood(track: Track, model: RsfModel) -> float:
@@ -315,7 +312,7 @@ def pseudo_log_likelihood(track: Track, model: RsfModel) -> float:
     OutOfDomainError
         If a non-final location is outside a covariate domain.
     """
-    design = build_design(track, model.covariates)
+    design = build_design([track], model.covariates)
     g2 = model.gamma2
     resid = design.y - design.t_delta * (design.d @ (g2 * model.beta))
     return float(

@@ -29,7 +29,6 @@ __all__ = [
     "simulate",
     "thin_regular",
     "thin_irregular",
-    "split_at",
     "read_track_csv",
     "write_track_csv",
 ]
@@ -126,8 +125,8 @@ def simulate(cfg: SimConfig) -> SimResult:
     recorded in ``SimResult.clamped``.
 
     Clamped locations do not follow the model; the studies in
-    ``experiments`` cut the increments they affect out of their fits with
-    :func:`split_at`.
+    ``experiments`` drop the increments they affect from their fits (the
+    ``bad`` masks of :func:`~langmove.inference.build_design`).
     """
     model = cfg.model
     dom = model.domain()
@@ -189,22 +188,6 @@ def thin_irregular(track: Track, mean_interval: float, seed: int) -> Track:
     idx = np.cumsum(derive_rng(seed).geometric(dt / mean_interval, size=n - 1))
     keep = np.concatenate([[0], idx[: np.searchsorted(idx, n - 1, side="right")]])
     return Track(track.times[keep], track.xy[keep])
-
-
-def split_at(track: Track, bad: np.ndarray) -> list[Track]:
-    """Cut a track into the maximal runs of usable increments.
-
-    ``bad[i]`` marks increment ``i``, from location ``i`` to ``i + 1``, as
-    unusable (e.g. its start lies outside a covariate's domain, or the fine
-    simulation was clamped during it).  Returns the sub-tracks, in order,
-    whose increments are all usable; each has at least two locations.
-    Unusable increments are dropped rather than bridged.
-    """
-    bad = np.asarray(bad, dtype=bool)
-    if bad.shape != (len(track) - 1,):
-        raise ValueError(f"need one flag per increment ({len(track) - 1}), got {bad.shape}")
-    edges = np.flatnonzero(np.diff(np.concatenate([[True], bad, [True]])))
-    return [track[i : j + 1] for i, j in zip(edges[::2], edges[1::2])]
 
 
 def write_track_csv(track: Track, path: str | Path) -> None:

@@ -160,24 +160,8 @@ class GridRaster:
         object.__setattr__(self, "values", v)
 
     @property
-    def x_min(self) -> float:
-        return self.geom.x_min
-
-    @property
-    def y_min(self) -> float:
-        return self.geom.y_min
-
-    @property
     def cell_size(self) -> float:
         return self.geom.cell_size
-
-    @property
-    def n_x(self) -> int:
-        return self.geom.n_x
-
-    @property
-    def n_y(self) -> int:
-        return self.geom.n_y
 
     @property
     def extent(self) -> Extent:

@@ -30,10 +30,10 @@ from langmove import (
     SimConfig,
     SquaredDistance,
     Track,
+    build_design,
     fit,
     generate_random_field,
     interpolate,
-    pooled_fit,
     RandomFieldSpec,
     read_ascii_grid,
     simulate,
@@ -58,7 +58,6 @@ from langmove.experiments import (
     scenario2_model,
     scenario2_tracks,
 )
-from langmove.langevin import split_at
 from langmove.seeding import derive_rng, derive_seed
 
 MASTER_SEED = 0
@@ -145,9 +144,9 @@ def refit_on_grids(result) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     with exact gradients and with the wavelets discretized at each of
     ``GRID_SIZES``.
 
-    The tracks are the ones ``run_scenario1`` fitted.  Every fit uses the
-    same in-domain segments (all grids span the same square), so the
-    estimates differ only by gradient interpolation.
+    The tracks are the ones ``run_scenario1`` fitted.  Every fit drops the
+    same increments, those that start outside the grids (all grids span the
+    same square), so the estimates differ only by gradient interpolation.
     """
     cfg = result.config
     model = scenario1_model(cfg)
@@ -156,10 +155,10 @@ def refit_on_grids(result) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     exact = np.empty((cfg.replications, 3))
     grid = {g: np.empty((cfg.replications, 3)) for g in GRID_SIZES}
     for rep, track in enumerate(result.tracks):
-        segments = split_at(track, ~extent.contains_points(track.xy)[:-1])
-        exact[rep] = pooled_fit(segments, model.covariates, alpha=cfg.alpha).beta_hat
+        bad = [~extent.contains_points(track.xy)[:-1]]
+        exact[rep] = fit(build_design([track], model.covariates, bad), alpha=cfg.alpha).beta_hat
         for g in GRID_SIZES:
-            grid[g][rep] = pooled_fit(segments, disc[g], alpha=cfg.alpha).beta_hat
+            grid[g][rep] = fit(build_design([track], disc[g], bad), alpha=cfg.alpha).beta_hat
     return exact, grid
 
 
@@ -317,17 +316,16 @@ def irregular_vs_regular(
     ]
     gaps = np.concatenate([t.intervals for t in thinned])
     stride = round(float(gaps @ gaps / gaps.sum()) / cfg.fine_dt)
-    irregular, regular = [], []
+    regular = []
     for sim, irr in zip(sims, thinned):
         reg = thin_regular(sim.track, stride)
-        reg = reg[: int(np.searchsorted(reg.times, irr.times[-1], side="right"))]
-        irregular.extend(split_at(irr, clamped_increments(irr, sim.clamp_times)))
-        regular.extend(split_at(reg, clamped_increments(reg, sim.clamp_times)))
-    return (
-        pooled_fit(irregular, covariates, alpha=cfg.alpha),
-        pooled_fit(regular, covariates, alpha=cfg.alpha),
-        gaps,
-    )
+        regular.append(reg[: int(np.searchsorted(reg.times, irr.times[-1], side="right"))])
+
+    def clamp_free_fit(tracks):
+        bad = [clamped_increments(t, sim.clamp_times) for t, sim in zip(tracks, sims)]
+        return fit(build_design(tracks, covariates, bad), alpha=cfg.alpha)
+
+    return clamp_free_fit(thinned), clamp_free_fit(regular), gaps
 
 
 def cv_se(x: np.ndarray) -> float:
@@ -556,9 +554,7 @@ class TestCriterion6NumericalProperties:
         # bias-correction identity
         model5 = RsfModel([sq], [-0.4])
         track = simulate(SimConfig(model5, (0.2, 0.1), 0.05, 300, seed=21)).track
-        from langmove import build_design
-
-        res = fit(build_design(track, [sq]))
+        res = fit(build_design([track], [sq]))
         m = 2 * res.n - res.J
         ident = np.abs(res.beta_hat * res.gamma2_hat * m / (m - 2) - res.nu_hat)
         ident_rel = float((ident / np.abs(res.nu_hat)).max())

@@ -55,7 +55,9 @@ TINY_STUDIES = {
     "irregular": {
         "n_tracks": 2,
         "n_points": 40,
-        "levels": [0.05, 0.1],
+        # fine tracks of 39 x 0.2 time units: long enough for 40 random
+        # gaps of mean 0.1 on every track
+        "levels": [0.05, 0.2],
         "mean_intervals": [0.05, 0.1],
         "seed": 3,
         **TINY_RANDOM_FIELD,
@@ -306,6 +308,15 @@ class TestStudyCommands:
         header = lines[0].split(",")
         for col in ("scheme", "mean_interval", "beta1_hat", "beta1_se", "gap_mean"):
             assert col in header
+
+    def test_irregular_short_tracks_rejected(self, tmp_path):
+        # with levels up to 0.1 the fine tracks span 39 x 0.1 time units, and
+        # random gaps of mean 0.1 run past their end before 40 points
+        tiny = TINY_STUDIES["irregular"] | {"levels": [0.05, 0.1]}
+        cfg = write_json(tmp_path / "irr.json", tiny)
+        with pytest.raises(ValueError, match="mean interval 0.1 keeps 34 of 40 points of track 0"):
+            main(["irregular", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, key", [("irregular", "mean_intervals"), ("scenario2", "levels")]

@@ -21,7 +21,6 @@ from langmove import (
     build_design,
     fit,
     generate_random_field,
-    pooled_design,
     pooled_fit,
     pseudo_log_likelihood,
     simulate,
@@ -56,7 +55,7 @@ def synthetic_design(rng, n=200, J=2, nu=(1.0, -2.0), gamma2=1.0, noise=True):
 class TestBuildDesign:
     def test_normalized_increments(self):
         track = Track([0.0, 4.0], [[0.0, 0.0], [2.0, -2.0]])
-        des = build_design(track, [SquaredDistance((0, 0))])
+        des = build_design([track], [SquaredDistance((0, 0))])
         np.testing.assert_allclose(des.y, [1.0, -1.0])
         np.testing.assert_allclose(des.t_delta, [2.0, 2.0])
         assert des.n == 1 and des.J == 1
@@ -65,7 +64,7 @@ class TestBuildDesign:
         geom = GridGeometry(-10, -10, 10.0, 3, 3)
         const = RasterCovariate(GridRaster(geom, np.full((3, 3), 5.0)))
         track = Track(np.arange(4.0), np.random.default_rng(0).uniform(-5, 5, size=(4, 2)))
-        des = build_design(track, [const])
+        des = build_design([track], [const])
         np.testing.assert_array_equal(des.d, np.zeros((6, 1)))
 
     def test_halved_gradient_blocks(self):
@@ -73,7 +72,7 @@ class TestBuildDesign:
         rng = np.random.default_rng(1)
         xy = rng.uniform(-3, 3, size=(5, 2))
         track = Track(np.arange(5.0), xy)
-        des = build_design(track, [SquaredDistance((0, 0))])
+        des = build_design([track], [SquaredDistance((0, 0))])
         np.testing.assert_allclose(des.d[:4, 0], xy[:4, 0])
         np.testing.assert_allclose(des.d[4:, 0], xy[:4, 1])
 
@@ -81,21 +80,34 @@ class TestBuildDesign:
         # row i (x block) and row n+i (y block) use the same location
         cov = plane_covariate(2.0, -6.0)
         track = Track(np.arange(3.0), np.random.default_rng(2).uniform(-1, 1, (3, 2)))
-        des = build_design(track, [cov])
+        des = build_design([track], [cov])
         np.testing.assert_allclose(des.d[:2, 0], 1.0)  # (1/2) * 2
         np.testing.assert_allclose(des.d[2:, 0], -3.0)  # (1/2) * -6
 
     def test_final_point_may_leave_domain(self):
         cov = plane_covariate(1.0, 0.0, half=2.0)
         track = Track([0.0, 1.0, 2.0], [[0, 0], [1, 1], [50, 50]])
-        build_design(track, [cov])  # ok: gradient never evaluated at the end
+        build_design([track], [cov])  # ok: gradient never evaluated at the end
 
     def test_out_of_domain_reports_index(self):
         cov = plane_covariate(1.0, 0.0, half=2.0)
         track = Track([0.0, 1.0, 2.0], [[0, 0], [50, 50], [0, 1]])
         with pytest.raises(OutOfDomainError) as err:
-            build_design(track, [cov])
-        assert "location 1" in str(err.value)
+            build_design([track], [cov])
+        assert "(track 0: track location 1)" in str(err.value)
+
+    def test_flagged_start_may_leave_domain(self):
+        # domains are checked at the kept starts only
+        cov = plane_covariate(1.0, 0.0, half=2.0)
+        track = Track([0.0, 1.0, 2.0, 3.0], [[0, 0], [50, 50], [0, 1], [1, 1]])
+        des = build_design([track], [cov], [np.array([False, True, False])])
+        assert des.n == 2
+        np.testing.assert_array_equal(des.y, [50.0, 1.0, 50.0, 0.0])
+
+    def test_one_mask_per_track(self):
+        track = Track(np.arange(3.0), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="one mask per track"):
+            build_design([track, track], [SquaredDistance((0, 0))], [np.zeros(2, bool)])
 
     def test_second_covariate_leaving_first_reports_its_location(self):
         # location 1 is outside only the second covariate's domain, location
@@ -105,7 +117,7 @@ class TestBuildDesign:
         track = Track(np.arange(4.0), [[0, 0], [5, 5], [50, 50], [0, 0]])
         for covs in ([wide, narrow], [narrow, wide]):
             with pytest.raises(OutOfDomainError) as err:
-                build_design(track, covs)
+                build_design([track], covs)
             assert "location 1" in str(err.value)
             assert (err.value.x, err.value.y) == (5.0, 5.0)
 
@@ -126,7 +138,7 @@ class TestBuildDesign:
         xy[-1] = (99.0, 99.0)  # the final location may leave every domain
         track = Track(times, xy)
 
-        des = build_design(track, covs)
+        des = build_design([track], covs)
         n = len(track) - 1
         d = np.empty((2 * n, len(covs)))
         for i in range(n):
@@ -140,7 +152,7 @@ class TestBuildDesign:
 
     def test_too_short_track(self):
         with pytest.raises(ValueError):
-            build_design(Track([0.0], [[0.0, 0.0]]), [SquaredDistance((0, 0))])
+            build_design([Track([0.0], [[0.0, 0.0]])], [SquaredDistance((0, 0))])
 
 
 class TestFit:
@@ -252,7 +264,7 @@ class TestPooling:
     def test_single_track_matches_fit(self):
         t1, _ = self.tracks()
         cov = [SquaredDistance((0, 0))]
-        a = fit(build_design(t1, cov))
+        a = fit(build_design([t1], cov))
         b = pooled_fit([t1], cov)
         np.testing.assert_allclose(a.beta_hat, b.beta_hat)
         assert a.gamma2_hat == b.gamma2_hat
@@ -271,7 +283,7 @@ class TestPooling:
         pooled = pooled_fit([t1, t2], cov)
 
         # independent oracle: stack the per-track normal equations
-        d1, d2 = build_design(t1, cov), build_design(t2, cov)
+        d1, d2 = build_design([t1], cov), build_design([t2], cov)
         x = np.vstack([d1.d * d1.t_delta[:, None], d2.d * d2.t_delta[:, None]])
         y = np.concatenate([d1.y, d2.y])
         nu_ref = np.linalg.lstsq(x, y, rcond=None)[0]
@@ -283,20 +295,44 @@ class TestPooling:
             np.concatenate([t1.times, t2.times + t1.times[-1] + 0.05]),
             np.vstack([t1.xy, t2.xy]),
         )
-        res_bridged = fit(build_design(bridged, cov))
+        res_bridged = fit(build_design([bridged], cov))
         assert abs(res_bridged.nu_hat[0] - pooled.nu_hat[0]) > 1e-12
         assert pooled.n == d1.n + d2.n == res_bridged.n - 1
 
+    def test_rows_are_all_x_then_all_y(self):
+        # the pooled blocks are the per-track x blocks, then the y blocks
+        t1, t2 = self.tracks()
+        cov = [SquaredDistance((0, 0)), plane_covariate(1.0, -2.0)]
+        d1, d2 = build_design([t1], cov), build_design([t2], cov)
+        both = build_design([t1, t2], cov)
+        assert both.n == d1.n + d2.n
+        for name in ("y", "d", "t_delta"):
+            a, b = getattr(d1, name), getattr(d2, name)
+            stacked = np.concatenate([a[: d1.n], b[: d2.n], a[d1.n :], b[d2.n :]])
+            assert getattr(both, name).tobytes() == stacked.tobytes()
+
+    def test_rerun_byte_identical(self):
+        t1, t2 = self.tracks()
+        cov = [SquaredDistance((0, 0)), plane_covariate(1.0, -2.0)]
+        a, b = pooled_fit([t1, t2], cov), pooled_fit([t1, t2], cov)
+        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+        for name in ("nu_hat", "beta_hat", "upsilon", "beta_cov", "ci_beta"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
     def test_empty_input(self):
         with pytest.raises(InsufficientDataError):
-            pooled_design([], [SquaredDistance((0, 0))])
+            build_design([], [SquaredDistance((0, 0))])
+        t1, t2 = self.tracks()
+        every = [np.ones(len(t) - 1, bool) for t in (t1, t2)]
+        with pytest.raises(InsufficientDataError):
+            build_design([t1, t2], [SquaredDistance((0, 0))], every)
 
     def test_out_of_domain_names_track_and_location_once(self):
         cov = plane_covariate(1.0, 0.0, half=2.0)
         good = Track([0.0, 1.0], [[0, 0], [1, 1]])
         bad = Track([0.0, 1.0, 2.0, 3.0], [[0, 0], [1, 1], [9, 9], [0, 0]])
         with pytest.raises(OutOfDomainError) as err:
-            pooled_design([good, bad], [cov])
+            build_design([good, bad], [cov])
         assert str(err.value) == (
             "point (9.0, 9.0) is outside the interpolation domain (track 1: track location 2)"
         )
@@ -330,7 +366,7 @@ class TestPseudoLogLikelihood:
         model = RsfModel([SquaredDistance((0, 0))], [-0.4], gamma2=1.3)
         track = simulate(SimConfig(model, (0.0, 0.0), 0.05, 400, seed=16)).track
         cov = [SquaredDistance((0, 0))]
-        res = fit(build_design(track, cov))
+        res = fit(build_design([track], cov))
         m = 2 * res.n - res.J
         gamma2_ml = res.gamma2_hat * m / (2 * res.n)
         best = pseudo_log_likelihood(
@@ -349,7 +385,7 @@ class TestPseudoLogLikelihood:
         model = RsfModel([SquaredDistance((0, 0))], [-0.5], gamma2=0.8)
         track = simulate(SimConfig(model, (0.0, 0.0), 0.1, 80, seed=18)).track
         cov = [SquaredDistance((0, 0))]
-        res = fit(build_design(track, cov))
+        res = fit(build_design([track], cov))
         gamma2_ml = res.gamma2_hat * (2 * res.n - res.J) / (2 * res.n)
         beta_star = res.nu_hat / gamma2_ml
 

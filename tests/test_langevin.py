@@ -14,14 +14,14 @@ from langmove import (
     SimConfig,
     SquaredDistance,
     Track,
+    build_design,
     read_track_csv,
     simulate,
     thin_irregular,
     thin_regular,
     write_track_csv,
 )
-from langmove.errors import NonIncreasingTimesError, OutOfDomainError
-from langmove.langevin import split_at
+from langmove.errors import InsufficientDataError, NonIncreasingTimesError, OutOfDomainError
 from langmove.seeding import derive_rng
 
 
@@ -271,35 +271,83 @@ def clamp_mask(times, clamp_times):
 ESCAPES = np.array([[0, 0], [1, 0], [9, 9], [2, 0], [3, 0], [9, -9], [4, 0]], dtype=float)
 
 
+def inside(n):
+    """``n`` locations inside the domain of ``COVARIATES``."""
+    return np.random.default_rng(n).uniform(-4, 4, (n, 2))
+
+
+# a random raster on [-5, 5]^2 and an analytic covariate
+COVARIATES = [
+    RasterCovariate(
+        GridRaster(GridGeometry(-5, -5, 0.5, 21, 21), derive_rng(9).normal(size=(21, 21)))
+    ),
+    SquaredDistance((0.5, -0.5)),
+]
+# a second track, fitted beside each case: increments 1 and 4 are flagged,
+# which leaves the runs of locations [0, 1] and [2, 3, 4]
+OTHER = Track([0.0, 0.3, 0.7, 1.6, 2.0, 2.2], inside(6))
+OTHER_BAD = [False, True, False, False, True]
+OTHER_RUNS = [[0, 1], [2, 3, 4]]
+
+
+def design_of_runs(tracks, runs, covariates):
+    """Reference ``(y, d, t_delta)`` built one increment at a time from the
+    runs of locations ``runs[k]`` of each track ``k``."""
+    rows = [(t, i) for t, track_runs in zip(tracks, runs) for run in track_runs for i in run[:-1]]
+    n = len(rows)
+    y, d, t_delta = np.empty(2 * n), np.empty((2 * n, len(covariates))), np.empty(2 * n)
+    for r, (track, i) in enumerate(rows):
+        s = math.sqrt(track.times[i + 1] - track.times[i])
+        t_delta[r] = t_delta[n + r] = s
+        y[r] = (track.xy[i + 1, 0] - track.xy[i, 0]) / s
+        y[n + r] = (track.xy[i + 1, 1] - track.xy[i, 1]) / s
+        for j, cov in enumerate(covariates):
+            gx, gy = cov.gradient(track.xy[i])
+            d[r, j], d[n + r, j] = 0.5 * gx, 0.5 * gy
+    return y, d, t_delta
+
+
 class TestSplitAt:
+    """Dropping the increments flagged in ``build_design``'s ``bad`` masks
+    cuts a track at them: the design holds the increments of the runs
+    between the flags and no others."""
+
     @pytest.mark.parametrize(
-        "times, bad, expected",
+        "xy, bad, expected",
         [
             # runs [0,1] (+ escaped point 2 as tail), [3,4] (+5); [6] has no increment
-            (np.arange(7.0), domain_mask(ESCAPES, Extent(-5, 5, -5, 5)), [[0, 1, 2], [3, 4, 5]]),
+            (ESCAPES, domain_mask(ESCAPES, Extent(-5, 5, -5, 5)), [[0, 1, 2], [3, 4, 5]]),
             # clamp at t=3.5 kills increment (3,4]; clamp at t=7 kills (6,7]
             (
-                np.arange(10.0),
+                inside(10),
                 clamp_mask(np.arange(10.0), [3.5, 7.0]),
                 [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]],
             ),
-            (np.arange(5.0), clamp_mask(np.arange(5.0), []), [[0, 1, 2, 3, 4]]),
-            (np.arange(4.0), [True, True, True], []),
-            (np.arange(2.0), [False], [[0, 1]]),
-            (np.arange(2.0), [True], []),
+            (inside(5), clamp_mask(np.arange(5.0), []), [[0, 1, 2, 3, 4]]),
+            (inside(4), [True, True, True], []),
+            (inside(2), [False], [[0, 1]]),
+            (inside(2), [True], []),
         ],
         ids=["domain-tail", "clamp-windows", "no-events", "all-bad", "n2-good", "n2-bad"],
     )
-    def test_split_at(self, times, bad, expected):
-        xy = np.column_stack([times, -times])
-        segs = split_at(Track(times, xy), np.array(bad))
-        assert [s.times.tolist() for s in segs] == expected
-        for s in segs:
-            np.testing.assert_array_equal(s.xy[:, 0], s.times)
+    def test_split_at(self, xy, bad, expected):
+        # beside a second track, the design equals bit for bit the one built
+        # increment by increment from the expected runs of both tracks
+        track = Track(np.arange(float(len(xy))), xy)
+        masks = [np.array(bad), np.array(OTHER_BAD)]
+        des = build_design([track, OTHER], COVARIATES, masks)
+        y, d, t_delta = design_of_runs([track, OTHER], [expected, OTHER_RUNS], COVARIATES)
+        assert des.n == len(y) // 2
+        for got, want in ((des.y, y), (des.d, d), (des.t_delta, t_delta)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if not expected:
+            with pytest.raises(InsufficientDataError):
+                build_design([track], COVARIATES, masks[:1])
 
     def test_mask_length_checked(self):
-        with pytest.raises(ValueError):
-            split_at(Track(np.arange(3.0), np.zeros((3, 2))), np.array([False]))
+        track = Track(np.arange(3.0), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"track 1: need one flag per increment \(2\)"):
+            build_design([OTHER, track], COVARIATES, [np.array(OTHER_BAD), np.array([False])])
 
 
 class TestTrackType:

@@ -44,9 +44,10 @@ class TestInterpolate:
     def test_exact_at_cell_centers(self):
         rng = np.random.default_rng(1)
         r = random_raster(rng)
-        for iy in range(r.n_y):
-            for ix in range(r.n_x):
-                p = (r.x_min + ix * r.cell_size, r.y_min + iy * r.cell_size)
+        g = r.geom
+        for iy in range(g.n_y):
+            for ix in range(g.n_x):
+                p = (g.x_min + ix * g.cell_size, g.y_min + iy * g.cell_size)
                 assert interpolate(r, p) == pytest.approx(r.values[iy, ix], abs=1e-14)
 
     def test_cell_midpoint_is_corner_mean(self):
@@ -57,8 +58,8 @@ class TestInterpolate:
         rng = np.random.default_rng(2)
         r = random_raster(rng)
         for _ in range(50):
-            x = rng.uniform(r.x_min, r.x_min + (r.n_x - 1) * r.cell_size)
-            y = rng.uniform(r.y_min, r.y_min + (r.n_y - 1) * r.cell_size)
+            x = rng.uniform(r.geom.x_min, r.geom.x_max)
+            y = rng.uniform(r.geom.y_min, r.geom.y_max)
             assert interpolate(r, (x, y)) == pytest.approx(bilinear_reference(r, x, y), rel=1e-12)
 
     def test_continuous_across_cell_edges(self):
@@ -66,8 +67,8 @@ class TestInterpolate:
         r = random_raster(rng)
         eps = 1e-13
         for edge_ix in (1, 2, 3):
-            x_edge = r.x_min + edge_ix * r.cell_size
-            for y in rng.uniform(r.y_min, r.y_min + (r.n_y - 1) * r.cell_size, size=5):
+            x_edge = r.geom.x_min + edge_ix * r.cell_size
+            for y in rng.uniform(r.geom.y_min, r.geom.y_max, size=5):
                 left = interpolate(r, (x_edge - eps, y))
                 right = interpolate(r, (x_edge + eps, y))
                 assert left == pytest.approx(right, rel=1e-10, abs=1e-10)
@@ -75,19 +76,18 @@ class TestInterpolate:
     def test_out_of_domain(self):
         rng = np.random.default_rng(4)
         r = random_raster(rng)
-        x_max = r.x_min + (r.n_x - 1) * r.cell_size
-        y_max = r.y_min + (r.n_y - 1) * r.cell_size
+        x_min, y_min, x_max, y_max = r.geom.x_min, r.geom.y_min, r.geom.x_max, r.geom.y_max
         for p in [
-            (r.x_min - 1e-9, r.y_min),
-            (x_max + 1e-9, r.y_min),
-            (r.x_min, r.y_min - 1e-9),
-            (r.x_min, y_max + 1e-9),
-            (float("nan"), r.y_min),
+            (x_min - 1e-9, y_min),
+            (x_max + 1e-9, y_min),
+            (x_min, y_min - 1e-9),
+            (x_min, y_max + 1e-9),
+            (float("nan"), y_min),
         ]:
             with pytest.raises(OutOfDomainError):
                 interpolate(r, p)
         # the four extreme corners are inside
-        for p in [(r.x_min, r.y_min), (x_max, y_max), (r.x_min, y_max), (x_max, r.y_min)]:
+        for p in [(x_min, y_min), (x_max, y_max), (x_min, y_max), (x_max, y_min)]:
             interpolate(r, p)
 
     @settings(max_examples=50, deadline=None)
@@ -126,11 +126,11 @@ class TestGradient:
         h = 1e-6 * r.cell_size
         checked = 0
         while checked < 25:
-            x = rng.uniform(r.x_min, r.x_min + (r.n_x - 1) * r.cell_size)
-            y = rng.uniform(r.y_min, r.y_min + (r.n_y - 1) * r.cell_size)
+            x = rng.uniform(r.geom.x_min, r.geom.x_max)
+            y = rng.uniform(r.geom.y_min, r.geom.y_max)
             # keep away from edges where the gradient jumps
-            u = (x - r.x_min) / r.cell_size
-            w = (y - r.y_min) / r.cell_size
+            u = (x - r.geom.x_min) / r.cell_size
+            w = (y - r.geom.y_min) / r.cell_size
             if min(u % 1, 1 - u % 1) < 1e-3 or min(w % 1, 1 - w % 1) < 1e-3:
                 continue
             gx, gy = interpolate_gradient(r, (x, y))
@@ -149,8 +149,8 @@ class TestAsciiGrid:
             "3 4\n1 2\n"
         )
         r = read_ascii_grid(path)
-        assert r.x_min == 0.5
-        assert r.y_min == 0.5
+        assert r.geom.x_min == 0.5
+        assert r.geom.y_min == 0.5
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
