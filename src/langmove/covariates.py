@@ -2,30 +2,37 @@
 
 Every covariate exposes ``value(p)`` and ``gradient(p)``.  At one point
 ``p = (x, y)`` they return a float and a pair of floats; at an ``(n, 2)``
-array of points they return an ``(n,)`` and an ``(n, 2)`` array whose rows
-equal the one-point calls bit for bit.  The simulator steps one point at a
-time; the design matrix and :func:`rasterize` make one call per covariate.
-Analytic covariates are defined on all of R^2; gridded covariates are
-restricted to their raster's interpolation domain and report it through
-``extent`` (an array call raises for its first row outside it).
+array of points they return an ``(n,)`` and an ``(n, 2)`` array.  One point
+is evaluated as a one-row array, so there is one array code path per
+covariate; the design matrix and :func:`rasterize` make one call per
+covariate.  Analytic covariates are defined on all of R^2; gridded
+covariates are restricted to their raster's interpolation domain and report
+it through ``extent`` (an array call raises for its first row outside it).
 
-The array form is recognized by ``type(p) is np.ndarray and p.ndim == 2``,
-the cheapest test for the one-point call, which runs once per covariate
-and simulation step.
+``point_kernel()`` compiles a covariate's gradient into a function of two
+Python floats, for the simulator, which steps one point at a time.  A
+kernel equals the array form's row bit for bit (the tests check this).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 from scipy.signal import convolve2d
 
 from .errors import DegenerateFieldError
-from .raster import Extent, GridGeometry, GridRaster, interpolate, interpolate_gradient
+from .raster import (
+    Extent,
+    GridGeometry,
+    GridRaster,
+    gradient_kernel,
+    interpolate,
+    interpolate_gradient,
+    one_point_or_rows,
+)
 from .seeding import derive_rng
 
 __all__ = [
@@ -52,16 +59,16 @@ class Covariate:
     def gradient(self, p: Sequence[float] | np.ndarray) -> tuple[float, float] | np.ndarray:
         raise NotImplementedError
 
+    def point_kernel(self):
+        """``kernel(x, y) -> (gx, gy)``: the gradient at one point, on Python
+        floats, bit for bit the row of ``gradient`` at that point."""
+        raise NotImplementedError
+
 
 def _exp_rows(a: np.ndarray) -> np.ndarray:
     """``math.exp`` of each element: ``np.exp`` differs from it in the last
     bit on some inputs."""
     return np.array(list(map(math.exp, a.tolist())))
-
-
-#: The math functions the wavelet applies to an array of points; numpy's
-#: float64 sin and cos equal the math module's (the tests check this).
-_ARRAY_MATH = SimpleNamespace(sin=np.sin, cos=np.cos, exp=_exp_rows)
 
 
 @dataclass(frozen=True)
@@ -107,30 +114,30 @@ class AnalyticWavelet(Covariate):
         self.params = params
         self.second_sine_axis = second_sine_axis
 
-    def _factors(self, p):
-        """The shared factors at ``p``, with ``m`` the math functions used."""
-        if type(p) is np.ndarray and p.ndim == 2:
-            x, y, m = p[:, 0], p[:, 1], _ARRAY_MATH
-        else:
-            x, y, m = float(p[0]), float(p[1]), math
+    def _factors(self, xy: np.ndarray):
+        """The shared factors at each row of ``xy``.  numpy's float64 sin and
+        cos equal the math module's, which the point kernel uses (the tests
+        check this)."""
         q = self.params
-        d1 = x - q.a1
-        d2 = y - q.a2
-        gauss = m.exp(-q.sigma1 * d1 * d1 - q.sigma2 * d2 * d2)
-        s1 = m.sin(q.omega1 * d1)
-        arg2 = q.omega2 * ((x if self.second_sine_axis == "z1" else y) - q.a2)
-        s2 = m.sin(arg2)
-        return m, d1, d2, gauss, s1, s2, arg2
+        d1 = xy[:, 0] - q.a1
+        d2 = xy[:, 1] - q.a2
+        gauss = _exp_rows(-q.sigma1 * d1 * d1 - q.sigma2 * d2 * d2)
+        s1 = np.sin(q.omega1 * d1)
+        arg2 = q.omega2 * (xy[:, 0 if self.second_sine_axis == "z1" else 1] - q.a2)
+        s2 = np.sin(arg2)
+        return d1, d2, gauss, s1, s2, arg2
 
-    def value(self, p: Sequence[float] | np.ndarray) -> float | np.ndarray:
-        _, _, _, gauss, s1, s2, _ = self._factors(p)
+    @one_point_or_rows
+    def value(self, xy: np.ndarray) -> np.ndarray:
+        _, _, gauss, s1, s2, _ = self._factors(xy)
         return self.params.alpha * gauss * s1 * s2
 
-    def gradient(self, p: Sequence[float] | np.ndarray) -> tuple[float, float] | np.ndarray:
+    @one_point_or_rows
+    def gradient(self, xy: np.ndarray) -> np.ndarray:
         q = self.params
-        m, d1, d2, gauss, s1, s2, arg2 = self._factors(p)
-        c1 = m.cos(q.omega1 * d1)
-        c2 = m.cos(arg2)
+        d1, d2, gauss, s1, s2, arg2 = self._factors(xy)
+        c1 = np.cos(q.omega1 * d1)
+        c2 = np.cos(arg2)
         # product rule over the Gaussian window and the two sine factors
         gx = -2.0 * q.sigma1 * d1 * s1 * s2 + q.omega1 * c1 * s2
         gy = -2.0 * q.sigma2 * d2 * s1 * s2
@@ -138,10 +145,34 @@ class AnalyticWavelet(Covariate):
             gx += s1 * q.omega2 * c2
         else:
             gy += s1 * q.omega2 * c2
-        a = self.params.alpha * gauss
-        if m is math:
-            return a * gx, a * gy
+        a = q.alpha * gauss
         return np.column_stack((a * gx, a * gy))
+
+    def point_kernel(self):
+        q = self.params
+        alpha, a1, a2, omega1, omega2 = q.alpha, q.a1, q.a2, q.omega1, q.omega2
+        sigma1, sigma2 = q.sigma1, q.sigma2
+        on_z1 = self.second_sine_axis == "z1"
+        exp, sin, cos = math.exp, math.sin, math.cos
+
+        # the array form's arithmetic, in its order
+        def kernel(x: float, y: float) -> tuple[float, float]:
+            d1 = x - a1
+            d2 = y - a2
+            gauss = exp(-sigma1 * d1 * d1 - sigma2 * d2 * d2)
+            s1 = sin(omega1 * d1)
+            arg2 = omega2 * ((x if on_z1 else y) - a2)
+            s2 = sin(arg2)
+            gx = -2.0 * sigma1 * d1 * s1 * s2 + omega1 * cos(omega1 * d1) * s2
+            gy = -2.0 * sigma2 * d2 * s1 * s2
+            if on_z1:
+                gx += s1 * omega2 * cos(arg2)
+            else:
+                gy += s1 * omega2 * cos(arg2)
+            a = alpha * gauss
+            return a * gx, a * gy
+
+        return kernel
 
 
 class SquaredDistance(Covariate):
@@ -150,22 +181,23 @@ class SquaredDistance(Covariate):
     def __init__(self, center: Sequence[float] = (0.0, 0.0)):
         self.center = (float(center[0]), float(center[1]))
 
-    def value(self, p: Sequence[float] | np.ndarray) -> float | np.ndarray:
-        if type(p) is np.ndarray and p.ndim == 2:
-            dx = p[:, 0] - self.center[0]
-            dy = p[:, 1] - self.center[1]
-        else:
-            dx = float(p[0]) - self.center[0]
-            dy = float(p[1]) - self.center[1]
+    @one_point_or_rows
+    def value(self, xy: np.ndarray) -> np.ndarray:
+        dx = xy[:, 0] - self.center[0]
+        dy = xy[:, 1] - self.center[1]
         return dx * dx + dy * dy
 
-    def gradient(self, p: Sequence[float] | np.ndarray) -> tuple[float, float] | np.ndarray:
-        if type(p) is np.ndarray and p.ndim == 2:
-            return 2.0 * (p - self.center)
-        return (
-            2.0 * (float(p[0]) - self.center[0]),
-            2.0 * (float(p[1]) - self.center[1]),
-        )
+    @one_point_or_rows
+    def gradient(self, xy: np.ndarray) -> np.ndarray:
+        return 2.0 * (xy - self.center)
+
+    def point_kernel(self):
+        cx, cy = self.center
+
+        def kernel(x: float, y: float) -> tuple[float, float]:
+            return 2.0 * (x - cx), 2.0 * (y - cy)
+
+        return kernel
 
 
 class RasterCovariate(Covariate):
@@ -180,6 +212,9 @@ class RasterCovariate(Covariate):
 
     def gradient(self, p: Sequence[float] | np.ndarray) -> tuple[float, float] | np.ndarray:
         return interpolate_gradient(self.raster, p)
+
+    def point_kernel(self):
+        return gradient_kernel(self.raster)
 
 
 def rasterize(cov: Covariate, geometry: GridGeometry) -> GridRaster:

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonIncreasingTimesError, OutOfDomainError
+from .errors import NonFiniteError, NonIncreasingTimesError, OutOfDomainError
+from .raster import Extent
 from .rsf import RsfModel
 from .seeding import derive_rng
 
@@ -56,7 +57,7 @@ class Track:
             raise ValueError("track must contain at least one location")
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(xy)):
             raise ValueError("track contains non-finite entries")
-        if t.shape[0] > 1 and not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise NonIncreasingTimesError("timestamps must be strictly increasing")
         t.setflags(write=False)
         xy.setflags(write=False)
@@ -92,7 +93,10 @@ class SimConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        object.__setattr__(self, "x0", (float(self.x0[0]), float(self.x0[1])))
+        x0 = (float(self.x0[0]), float(self.x0[1]))
+        if not (math.isfinite(x0[0]) and math.isfinite(x0[1])):
+            raise ValueError(f"x0 must be finite, got {x0}")
+        object.__setattr__(self, "x0", x0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +116,11 @@ class SimResult:
         return self.track.times[list(self.clamped)]
 
 
+#: Steps whose noise is turned into Python floats at a time: enough to
+#: amortize the conversion, few enough that memory does not grow with the track.
+BLOCK_STEPS = 256
+
+
 def simulate(cfg: SimConfig) -> SimResult:
     """Simulate a track of ``n_steps + 1`` locations at timestamps ``k * dt``.
 
@@ -124,35 +133,68 @@ def simulate(cfg: SimConfig) -> SimResult:
     proposal is projected onto the domain boundary and its step index is
     recorded in ``SimResult.clamped``.
 
+    The drift is compiled once per call (:meth:`RsfModel.grad_log_pi_kernel`)
+    and the steps run on Python floats, ``BLOCK_STEPS`` noise rows at a
+    time; the result equals stepping with ``grad_log_pi`` bit for bit.
+
     Clamped locations do not follow the model; the studies in
     ``experiments`` drop the increments they affect from their fits (the
     ``bad`` masks of :func:`~langmove.inference.build_design`).
+
+    Raises
+    ------
+    OutOfDomainError
+        If the start point lies outside the model's domain.
+    NonFiniteError
+        If the track diverges (a step too large for the drift), naming the
+        first non-finite location.
     """
     model = cfg.model
     dom = model.domain()
+    if dom is None:
+        # only a NaN leaves these bounds, and a NaN ends the run below
+        dom = Extent(-math.inf, math.inf, -math.inf, math.inf)
     x, y = cfg.x0
-    if dom is not None and not dom.contains(x, y):
+    if not dom.contains(x, y):
         raise OutOfDomainError(x, y, "start point")
+    x_lo, x_hi, y_lo, y_hi = dom.x_lo, dom.x_hi, dom.y_lo, dom.y_hi
 
     rng = derive_rng(cfg.seed)
     noise = rng.standard_normal((cfg.n_steps, 2))
     half = 0.5 * model.gamma2 * cfg.dt
     sig = math.sqrt(model.gamma2 * cfg.dt)
+    grad = model.grad_log_pi_kernel()
 
     pts = np.empty((cfg.n_steps + 1, 2))
-    pts[0, 0] = x
-    pts[0, 1] = y
+    pts[0] = x, y
     clamped: list[int] = []
-    for k in range(cfg.n_steps):
-        gx, gy = model.grad_log_pi((x, y))
-        x = x + half * gx + sig * noise[k, 0]
-        y = y + half * gy + sig * noise[k, 1]
-        if dom is not None and not dom.contains(x, y):
-            x, y = dom.clamp(x, y)
-            clamped.append(k + 1)
-        pts[k + 1, 0] = x
-        pts[k + 1, 1] = y
-    times = np.arange(cfg.n_steps + 1) * cfg.dt
+    for k0 in range(0, cfg.n_steps, BLOCK_STEPS):
+        rows = noise[k0 : k0 + BLOCK_STEPS].tolist()
+        for i, (nx, ny) in enumerate(rows):
+            try:
+                gx, gy = grad(x, y)
+            except ValueError:  # math.sin and math.cos refuse an infinite location
+                if math.isfinite(x) and math.isfinite(y):
+                    raise
+                del rows[i:]  # the check below names the first non-finite one
+                break
+            x = x + half * gx + sig * nx
+            y = y + half * gy + sig * ny
+            if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
+                x, y = dom.clamp(x, y)
+                clamped.append(k0 + i + 1)
+            rows[i] = (x, y)
+        block = pts[k0 + 1 : k0 + 1 + len(rows)]
+        block[:] = rows
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            k = k0 + 1 + int(np.argmin(finite))
+            raise NonFiniteError(
+                f"location {k} of the track is non-finite ({pts[k, 0]}, {pts[k, 1]}): "
+                f"the drift diverges at dt={cfg.dt}"
+            )
+    del noise  # the peak stays at two (n, 2) arrays while the timestamps are made
+    times = np.arange(cfg.n_steps + 1, dtype=float) * cfg.dt
     return SimResult(Track(times, pts), tuple(clamped))
 
 

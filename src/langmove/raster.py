@@ -12,19 +12,21 @@ and has a closed-form gradient that is affine in each coordinate inside a
 cell.  The gradient is discontinuous across cell edges; a point lying
 exactly on an interior edge is assigned to the cell above/right of it.
 
-:func:`interpolate` and :func:`interpolate_gradient` take either one point
-``(x, y)`` and return a float or a pair of floats, or an ``(n, 2)`` array
-of points and return an ``(n,)`` or ``(n, 2)`` array.  Both forms run the
-same arithmetic in the same order, so a row of an array result equals the
-call at that one point bit for bit.
+:func:`interpolate` and :func:`interpolate_gradient` take an ``(n, 2)``
+array of points and return an ``(n,)`` or ``(n, 2)`` array, or one point
+``(x, y)`` and return a float or a pair of floats; one point is evaluated
+as a one-row array (:func:`one_point_or_rows`).  :func:`gradient_kernel`
+compiles the gradient into a function of two Python floats, for callers
+that step one point at a time; it runs the array form's arithmetic in the
+same order, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -168,28 +170,32 @@ class GridRaster:
         return self.geom.extent
 
 
-def _locate(geom: GridGeometry, p: Sequence[float]) -> tuple[int, int, float, float]:
-    """Find the enclosing cell and local coordinates of a point.
+def one_point_or_rows(f):
+    """Let ``f``, written for an ``(n, 2)`` array of points (its last
+    argument), also take one point ``(x, y)``: the point is evaluated as a
+    one-row array and the result returned as a float or a pair of floats."""
 
-    Returns ``(ix, iy, u, w)`` where ``(ix, iy)`` indexes the lower-left
-    node of the cell and ``(u, w)`` in [0, 1] are the local offsets.
-    Interior edge points go to the cell above/right (floor); the top and
-    right domain edges fall back to the last cell.
-    """
-    x, y = float(p[0]), float(p[1])
-    if not (geom.x_min <= x <= geom.x_max and geom.y_min <= y <= geom.y_max):
-        raise OutOfDomainError(x, y)
-    u = (x - geom.x_min) / geom.cell_size
-    w = (y - geom.y_min) / geom.cell_size
-    ix = min(int(u), geom.n_x - 2)
-    iy = min(int(w), geom.n_y - 2)
-    return ix, iy, u - ix, w - iy
+    @functools.wraps(f)
+    def call(*args):
+        *head, p = args
+        xy = np.asarray(p, dtype=float)
+        if xy.ndim == 2:
+            return f(*head, xy)
+        row = f(*head, xy.reshape(1, 2))[0]
+        return float(row) if row.ndim == 0 else (float(row[0]), float(row[1]))
+
+    return call
 
 
 def _locate_rows(geom: GridGeometry, xy: np.ndarray):
-    """:func:`_locate` for each row of an ``(n, 2)`` array, with the same
-    arithmetic; returns four ``(n,)`` arrays.  The first row outside the
-    domain raises."""
+    """Find the enclosing cell and local coordinates of each row of ``xy``.
+
+    Returns four ``(n,)`` arrays ``(ix, iy, u, w)`` where ``(ix, iy)``
+    indexes the lower-left node of the cell and ``(u, w)`` in [0, 1] are
+    the local offsets.  Interior edge points go to the cell above/right
+    (truncation); the top and right domain edges fall back to the last
+    cell.  The first row outside the domain raises.
+    """
     outside = ~geom.extent.contains_points(xy)
     if outside.any():
         i = int(np.argmax(outside))
@@ -201,53 +207,48 @@ def _locate_rows(geom: GridGeometry, xy: np.ndarray):
     return ix, iy, u - ix, w - iy
 
 
-def interpolate(raster: GridRaster, p: Sequence[float] | np.ndarray) -> float | np.ndarray:
-    """Bilinear interpolant of the raster at point ``p = (x, y)``.
+@one_point_or_rows
+def interpolate(raster: GridRaster, xy: np.ndarray) -> np.ndarray:
+    """Bilinear interpolant of the raster at each row of ``xy``, an ``(n, 2)``
+    array of points, as an ``(n,)`` array; at one point ``(x, y)``, a float.
 
-    Exact at cell centers and continuous across cell edges.  For an
-    ``(n, 2)`` array of points, returns the ``(n,)`` array of the values
-    at each row, bit for bit those of the calls at one point.
+    Exact at cell centers and continuous across cell edges.
 
     Raises
     ------
     OutOfDomainError
-        If ``p`` (or a row of it: the first) lies outside the hull of cell
+        If a row of ``xy`` (the first such) lies outside the hull of cell
         centers.
     """
-    rows = type(p) is np.ndarray and p.ndim == 2
-    ix, iy, u, w = (_locate_rows if rows else _locate)(raster.geom, p)
+    ix, iy, u, w = _locate_rows(raster.geom, xy)
     v = raster.values
     v00 = v[iy, ix]
     v10 = v[iy, ix + 1]
     v01 = v[iy + 1, ix]
     v11 = v[iy + 1, ix + 1]
-    value = (
+    return (
         (1.0 - u) * (1.0 - w) * v00
         + u * (1.0 - w) * v10
         + (1.0 - u) * w * v01
         + u * w * v11
     )
-    return value if rows else float(value)
 
 
-def interpolate_gradient(
-    raster: GridRaster, p: Sequence[float] | np.ndarray
-) -> tuple[float, float] | np.ndarray:
-    """Exact gradient ``(d/dx, d/dy)`` of the bilinear interpolant at ``p``.
+@one_point_or_rows
+def interpolate_gradient(raster: GridRaster, xy: np.ndarray) -> np.ndarray:
+    """Exact gradient ``(d/dx, d/dy)`` of the bilinear interpolant at each
+    row of ``xy``, as an ``(n, 2)`` array; at one point ``(x, y)``, a pair.
 
     The interpolant is bilinear per cell, so its gradient is affine in each
     coordinate within the cell.  On a cell edge the cell above/right is used.
-    For an ``(n, 2)`` array of points, returns the ``(n, 2)`` array of the
-    gradients at each row, bit for bit those of the calls at one point.
 
     Raises
     ------
     OutOfDomainError
-        If ``p`` (or a row of it: the first) lies outside the hull of cell
+        If a row of ``xy`` (the first such) lies outside the hull of cell
         centers.
     """
-    rows = type(p) is np.ndarray and p.ndim == 2
-    ix, iy, u, w = (_locate_rows if rows else _locate)(raster.geom, p)
+    ix, iy, u, w = _locate_rows(raster.geom, xy)
     v = raster.values
     v00 = v[iy, ix]
     v10 = v[iy, ix + 1]
@@ -256,9 +257,47 @@ def interpolate_gradient(
     h = raster.geom.cell_size
     gx = ((1.0 - w) * (v10 - v00) + w * (v11 - v01)) / h
     gy = ((1.0 - u) * (v01 - v00) + u * (v11 - v10)) / h
-    if rows:
-        return np.column_stack((gx, gy))
-    return float(gx), float(gy)
+    return np.column_stack((gx, gy))
+
+
+def gradient_kernel(raster: GridRaster):
+    """:func:`interpolate_gradient` compiled for one point at a time.
+
+    Returns ``kernel(x, y) -> (gx, gy)`` on Python floats, bit for bit
+    the array form's row at ``(x, y)``.  The geometry's constants and the
+    values (as nested lists) are bound once, so a call does no attribute
+    lookups and no numpy scalar arithmetic.  The kernel raises
+    :class:`OutOfDomainError` at a point outside the hull of cell centers.
+    """
+    g = raster.geom
+    x_lo, y_lo, x_hi, y_hi, h = g.x_min, g.y_min, g.x_max, g.y_max, g.cell_size
+    ix_last, iy_last = g.n_x - 2, g.n_y - 2
+    rows = raster.values.tolist()
+
+    def kernel(x: float, y: float) -> tuple[float, float]:
+        if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
+            raise OutOfDomainError(x, y)
+        u = (x - x_lo) / h
+        w = (y - y_lo) / h
+        ix = int(u)
+        if ix > ix_last:  # the right domain edge
+            ix = ix_last
+        iy = int(w)
+        if iy > iy_last:  # the top domain edge
+            iy = iy_last
+        u -= ix
+        w -= iy
+        lo = rows[iy]
+        hi = rows[iy + 1]
+        v00 = lo[ix]
+        v10 = lo[ix + 1]
+        v01 = hi[ix]
+        v11 = hi[ix + 1]
+        gx = ((1.0 - w) * (v10 - v00) + w * (v11 - v01)) / h
+        gy = ((1.0 - u) * (v01 - v00) + u * (v11 - v10)) / h
+        return gx, gy
+
+    return kernel
 
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")

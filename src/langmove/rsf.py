@@ -74,6 +74,22 @@ class RsfModel:
             gy += b * cy
         return gx, gy
 
+    def grad_log_pi_kernel(self):
+        """``kernel(x, y) -> (gx, gy)``: :meth:`grad_log_pi` compiled from the
+        covariates' point kernels, on Python floats, summed in the same order."""
+        terms = tuple(zip(self._beta_scalars, [c.point_kernel() for c in self.covariates]))
+
+        def kernel(x: float, y: float) -> tuple[float, float]:
+            gx = 0.0
+            gy = 0.0
+            for b, grad in terms:
+                cx, cy = grad(x, y)
+                gx += b * cx
+                gy += b * cy
+            return gx, gy
+
+        return kernel
+
     def domain(self) -> Extent | None:
         """Intersection of the covariates' domains; None if unrestricted."""
         ext: Extent | None = None

@@ -206,20 +206,55 @@ analytic_points = st.lists(
 ).map(lambda rows: np.array(rows, dtype=float))
 
 
+def kernel_calls(cov, xy):
+    """Reference: the covariate's point kernel at each row of ``xy``."""
+    kernel = cov.point_kernel()
+    return np.array([kernel(x, y) for x, y in xy.tolist()])
+
+
+class TestPointKernels:
+    """The simulator's compiled gradients (their agreement with the array
+    form, bit for bit, is checked in :class:`TestArrayCalls`)."""
+
+    def test_model_kernel_is_grad_log_pi(self):
+        rng = np.random.default_rng(4)
+        geom = GridGeometry(-6, -6, 1.5, 9, 9)
+        covs = [
+            RasterCovariate(GridRaster(geom, rng.normal(size=(9, 9)))),
+            AnalyticWavelet(TABLE_PARAMS_2, "z2"),
+            SquaredDistance((0.3, -0.2)),
+        ]
+        model = RsfModel(covs, [0.8, -1.3, -0.05])
+        kernel = model.grad_log_pi_kernel()
+        for x, y in rng.uniform(-6, 6, size=(50, 2)).tolist():
+            assert kernel(x, y) == model.grad_log_pi((x, y))
+
+    def test_outside_the_raster_raises(self):
+        geom = GridGeometry(0, 0, 1.0, 4, 4)
+        kernel = RasterCovariate(GridRaster(geom, np.ones((4, 4)))).point_kernel()
+        for x, y in ((3.5, 1.0), (-1e-9, 2.0), (1.0, 3.0 + 1e-12)):
+            with pytest.raises(OutOfDomainError) as err:
+                kernel(x, y)
+            assert (err.value.x, err.value.y) == (x, y)
+        with pytest.raises(OutOfDomainError):
+            kernel(math.nan, 1.0)
+
+
 class TestArrayCalls:
-    """An (n, 2) array call equals the one-point calls row by row, bit for bit."""
+    """An (n, 2) array call equals, row by row and bit for bit, the calls at
+    one point and, for gradients, the covariate's point kernel.  The raster
+    points cover cell centers, interior edges and the top and right domain
+    edges; the wavelets both sine axes."""
 
     @settings(max_examples=200, deadline=None)
     @given(raster_and_points())
     def test_raster(self, case):
         raster, xy = case
         cov = RasterCovariate(raster)
-        for f in (
-            lambda p: interpolate(raster, p),
-            lambda p: interpolate_gradient(raster, p),
-            cov.value,
-            cov.gradient,
-        ):
+        for f in (lambda p: interpolate(raster, p), cov.value):
+            assert_same_bits(f(xy), one_point_calls(f, xy))
+        for f in (lambda p: interpolate_gradient(raster, p), cov.gradient):
+            assert_same_bits(f(xy), kernel_calls(cov, xy))
             assert_same_bits(f(xy), one_point_calls(f, xy))
 
     @settings(max_examples=200, deadline=None)
@@ -227,6 +262,7 @@ class TestArrayCalls:
     def test_wavelet(self, params, axis, xy):
         w = AnalyticWavelet(params, axis)
         assert_same_bits(w.value(xy), one_point_calls(w.value, xy))
+        assert_same_bits(w.gradient(xy), kernel_calls(w, xy))
         assert_same_bits(w.gradient(xy), one_point_calls(w.gradient, xy))
 
     @settings(max_examples=100, deadline=None)
@@ -234,6 +270,7 @@ class TestArrayCalls:
     def test_squared_distance(self, center, xy):
         c = SquaredDistance(center)
         assert_same_bits(c.value(xy), one_point_calls(c.value, xy))
+        assert_same_bits(c.gradient(xy), kernel_calls(c, xy))
         assert_same_bits(c.gradient(xy), one_point_calls(c.gradient, xy))
 
     def test_shapes(self):

@@ -1,11 +1,13 @@
 """Simulation, thinning, domain handling, and track I/O."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from langmove import (
+    AnalyticWavelet,
     Extent,
     GridGeometry,
     GridRaster,
@@ -14,6 +16,7 @@ from langmove import (
     SimConfig,
     SquaredDistance,
     Track,
+    WaveletParams,
     build_design,
     read_track_csv,
     simulate,
@@ -21,7 +24,12 @@ from langmove import (
     thin_regular,
     write_track_csv,
 )
-from langmove.errors import InsufficientDataError, NonIncreasingTimesError, OutOfDomainError
+from langmove.errors import (
+    InsufficientDataError,
+    NonFiniteError,
+    NonIncreasingTimesError,
+    OutOfDomainError,
+)
 from langmove.seeding import derive_rng
 
 
@@ -173,6 +181,100 @@ class TestDomainEscape:
     def test_start_point_must_be_inside(self):
         with pytest.raises(OutOfDomainError):
             simulate(SimConfig(self.small_domain_model(), (5.0, 0.0), 0.1, 10, seed=0))
+
+
+def reference_steps(cfg):
+    """The Euler loop one step at a time through ``grad_log_pi``, with numpy
+    noise scalars and ``Extent.clamp``: the locations (non-finite ones
+    included) and the clamp indices."""
+    model = cfg.model
+    dom = model.domain()
+    x, y = cfg.x0
+    noise = derive_rng(cfg.seed).standard_normal((cfg.n_steps, 2))
+    half = 0.5 * model.gamma2 * cfg.dt
+    sig = math.sqrt(model.gamma2 * cfg.dt)
+    pts = np.empty((cfg.n_steps + 1, 2))
+    pts[0] = x, y
+    clamped = []
+    for k in range(cfg.n_steps):
+        gx, gy = model.grad_log_pi((x, y))
+        x = x + half * gx + sig * noise[k, 0]
+        y = y + half * gy + sig * noise[k, 1]
+        if dom is not None and not dom.contains(x, y):
+            x, y = dom.clamp(x, y)
+            clamped.append(k + 1)
+        pts[k + 1] = x, y
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return pts[: k + 2], tuple(clamped)
+    return pts, tuple(clamped)
+
+
+def two_raster_model():
+    rng = np.random.default_rng(12)
+    geom = GridGeometry(-2.0, -2.0, 0.5, 9, 9)
+    covs = [RasterCovariate(GridRaster(geom, rng.normal(size=(9, 9)))) for _ in range(2)]
+    return RsfModel(covs, [1.5, -0.8], gamma2=4.0)
+
+
+def analytic_model():
+    params = WaveletParams(alpha=6, a1=-2, a2=math.pi / 2, omega1=0.1, omega2=0.5, sigma1=0.4, sigma2=0.4)
+    covs = [AnalyticWavelet(params, "z1"), AnalyticWavelet(params, "z2"), SquaredDistance((0.5, -0.3))]
+    return RsfModel(covs, [-1.0, 0.7, -0.05], gamma2=1.3)
+
+
+class TestCompiledStep:
+    """``simulate`` (compiled drift, float steps in blocks) equals the loop
+    one step at a time, byte for byte, on every side of a block edge."""
+
+    @pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("make_model, dt", [(two_raster_model, 0.25), (analytic_model, 0.05)])
+    def test_matches_reference_loop(self, make_model, dt, n_steps):
+        cfg = SimConfig(make_model(), (0.3, -0.4), dt, n_steps, seed=n_steps)
+        res = simulate(cfg)
+        xy, clamped = reference_steps(cfg)
+        assert res.track.xy.tobytes() == xy.tobytes()
+        assert res.clamped == clamped
+        if make_model is two_raster_model and n_steps == 1000:
+            # clamps throughout, the last step of each block included
+            assert res.n_clamped >= 100 and {256, 512, 768} <= set(res.clamped)
+
+    def test_memory_does_not_grow_with_the_track(self):
+        # the peak beyond the noise and location arrays is the same at 10x
+        # the steps: no whole-track list of floats
+        model = analytic_model()
+        simulate(SimConfig(model, (0.0, 0.0), 0.01, 10, seed=1))
+        extra = []
+        for n in (2_490, 24_900):
+            tracemalloc.start()
+            try:
+                simulate(SimConfig(model, (0.0, 0.0), 0.01, n, seed=1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - 16 * n - 16 * (n + 1))
+        assert extra[1] <= 1.1 * extra[0], extra
+
+
+class TestDivergence:
+    def test_non_finite_start_rejected(self):
+        for x0 in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                SimConfig(flat_model(), x0, 0.01, 10, seed=0)
+
+    @pytest.mark.parametrize("beta", [[5.0], [-5.0], [5.0, 1.0]])
+    def test_diverging_track_names_first_non_finite_location(self, beta):
+        # the quadratic well's chain multiplies x by 1 + gamma2 * beta * dt
+        # = 3.5 (or -1.5) per step, so at dt = 0.5 it overflows; a wavelet's
+        # kernel then meets an infinite location
+        params = WaveletParams(alpha=6, a1=0, a2=0, omega1=0.6, omega2=0.2, sigma1=0.4, sigma2=0.4)
+        covs = [SquaredDistance(), AnalyticWavelet(params)][: len(beta)]
+        cfg = SimConfig(RsfModel(covs, beta), (0.1, 0.0), 0.5, 3000, seed=0)
+        with np.errstate(over="ignore"):  # the wavelet's exponent overflows first
+            xy, _ = reference_steps(cfg)
+        k = len(xy) - 1
+        assert k < cfg.n_steps and not np.isfinite(xy[k]).all()
+        with pytest.raises(NonFiniteError, match=rf"location {k} of the track is non-finite"):
+            simulate(cfg)
 
 
 class TestThinRegular:
