@@ -339,8 +339,46 @@ def scenario2_tracks(cfg: Scenario2Config, model: RsfModel | None = None) -> lis
     return sims
 
 
+def _study_tracks(
+    cfg: Scenario2Config, sims: Sequence[SimResult] | None
+) -> tuple[Sequence[SimResult], tuple[Covariate, ...]]:
+    """The fine tracks of a study and the covariates to fit them with.
+
+    Without ``sims`` the tracks are simulated from the config's model.
+    Given ``sims``, the fits use the covariates of the one model they were
+    simulated from, so the fields are not generated again; ``ValueError``
+    is raised if they come from more than one model, or if one was not
+    simulated at ``cfg.fine_dt``.
+    """
+    if sims is None:
+        model = scenario2_model(cfg)
+        return scenario2_tracks(cfg, model), model.covariates
+    models = {id(sim.config.model) for sim in sims}
+    if len(models) != 1:
+        raise ValueError(f"the sims must come from one model, not {len(models)}")
+    for i, sim in enumerate(sims):
+        if sim.config.dt != cfg.fine_dt:
+            raise ValueError(
+                f"sim {i} was simulated at dt={sim.config.dt:g}, not at fine_dt={cfg.fine_dt:g}"
+            )
+    return sims, sims[0].config.model.covariates
+
+
+def _check_kept(thinned: Sequence[Track], n_points: int, what: str) -> None:
+    """Raise ``ValueError`` if a thinned track keeps fewer than ``n_points``."""
+    for i, track in enumerate(thinned):
+        if len(track) < n_points:
+            raise ValueError(
+                f"{what} keeps {len(track)} of {n_points} points of track {i}: the fine "
+                "tracks are too short (scenario2_tracks sizes them for the coarsest level)"
+            )
+
+
 def _clamp_free_fit(
-    sims: Sequence[SimResult], thinned: Sequence[Track], model: RsfModel, alpha: float
+    sims: Sequence[SimResult],
+    thinned: Sequence[Track],
+    covariates: Sequence[Covariate],
+    alpha: float,
 ) -> FitResult:
     """Pooled fit of the thinned tracks without the increments whose time
     window ``(t_i, t_{i+1}]`` holds a clamp of their fine simulation."""
@@ -348,7 +386,7 @@ def _clamp_free_fit(
         np.diff(np.searchsorted(sim.clamp_times, track.times, side="right")) > 0
         for sim, track in zip(sims, thinned)
     ]
-    return fit(build_design(thinned, model.covariates, bad), alpha=alpha)
+    return fit(build_design(thinned, covariates, bad), alpha=alpha)
 
 
 @dataclass
@@ -385,15 +423,20 @@ def run_scenario2(
     """Thin the fine tracks to every level and fit each level by pooling.
 
     ``sims`` can be supplied to reuse simulations (e.g. between this and
-    the irregular study); otherwise they are generated from the config.
+    the irregular study) and the model they came from; otherwise they are
+    generated from the config.  ``ValueError`` is raised before any fit if
+    the sims do not fit the config (see :func:`_study_tracks`), or if a
+    track thinned to a level keeps fewer than ``n_points`` points.
     """
-    model = scenario2_model(cfg)
-    if sims is None:
-        sims = scenario2_tracks(cfg, model)
-    fits: dict[float, FitResult] = {}
+    sims, covariates = _study_tracks(cfg, sims)
+    levels: dict[float, list[Track]] = {}
     for level, stride in zip(cfg.levels, cfg.strides()):
-        thinned = [thin_regular(sim.track, stride)[: cfg.n_points] for sim in sims]
-        fits[level] = _clamp_free_fit(sims, thinned, model, cfg.alpha)
+        levels[level] = [thin_regular(sim.track, stride)[: cfg.n_points] for sim in sims]
+        _check_kept(levels[level], cfg.n_points, f"thinning to level {level:g}")
+    fits = {
+        level: _clamp_free_fit(sims, thinned, covariates, cfg.alpha)
+        for level, thinned in levels.items()
+    }
     return Scenario2Result(cfg, fits, len(sims), sum(s.n_clamped for s in sims))
 
 
@@ -449,15 +492,14 @@ def run_irregular(
     """Compare regular and random thinning on the same fine tracks.
 
     Every mean interval must be a multiple of the fine step, so that the
-    regular scheme thins at exactly that interval, and every thinned track
+    regular scheme thins at exactly that interval, every thinned track
     must keep ``n_points`` points, so that both schemes fit the same number
-    of increments; otherwise ``ValueError`` is raised before any fit.
+    of increments, and given ``sims`` must fit the base config (see
+    :func:`_study_tracks`); otherwise ``ValueError`` is raised before any fit.
     """
     s2 = cfg.base
     strides = [_stride(interval, s2.fine_dt) for interval in cfg.mean_intervals]
-    model = scenario2_model(s2)
-    if sims is None:
-        sims = scenario2_tracks(s2, model)
+    sims, covariates = _study_tracks(s2, sims)
     schedules: dict[float, dict[str, list[Track]]] = {}
     for k, (interval, stride) in enumerate(zip(cfg.mean_intervals, strides)):
         schedules[interval] = {
@@ -468,19 +510,13 @@ def run_irregular(
             ],
         }
         for scheme, thinned in schedules[interval].items():
-            for i, track in enumerate(thinned):
-                if len(track) < s2.n_points:
-                    raise ValueError(
-                        f"{scheme} thinning at mean interval {interval:g} keeps {len(track)} of "
-                        f"{s2.n_points} points of track {i}: the fine tracks, whose length the "
-                        "coarsest of the base levels sets, are too short"
-                    )
+            _check_kept(thinned, s2.n_points, f"{scheme} thinning at mean interval {interval:g}")
     regular: dict[float, FitResult] = {}
     irregular: dict[float, FitResult] = {}
     gap_stats: dict[float, tuple[float, float]] = {}
     for interval, thinned in schedules.items():
-        regular[interval] = _clamp_free_fit(sims, thinned["regular"], model, s2.alpha)
+        regular[interval] = _clamp_free_fit(sims, thinned["regular"], covariates, s2.alpha)
         gaps = np.concatenate([t.intervals for t in thinned["irregular"]])
         gap_stats[interval] = (float(gaps.mean()), float(gaps.std()))
-        irregular[interval] = _clamp_free_fit(sims, thinned["irregular"], model, s2.alpha)
+        irregular[interval] = _clamp_free_fit(sims, thinned["irregular"], covariates, s2.alpha)
     return IrregularResult(cfg, regular, irregular, gap_stats, len(sims))

@@ -101,10 +101,12 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    """A simulated track plus the indices where the proposal was clamped."""
+    """A simulated track, the indices where the proposal was clamped, and
+    the configuration it was simulated from."""
 
     track: Track
     clamped: tuple[int, ...]
+    config: SimConfig
 
     @property
     def n_clamped(self) -> int:
@@ -195,7 +197,7 @@ def simulate(cfg: SimConfig) -> SimResult:
             )
     del noise  # the peak stays at two (n, 2) arrays while the timestamps are made
     times = np.arange(cfg.n_steps + 1, dtype=float) * cfg.dt
-    return SimResult(Track(times, pts), tuple(clamped))
+    return SimResult(Track(times, pts), tuple(clamped), cfg)
 
 
 def thin_regular(track: Track, stride: int) -> Track:
@@ -213,8 +215,11 @@ def thin_irregular(track: Track, mean_interval: float, seed: int) -> Track:
     exponential waiting times, with the rate calibrated so the retained
     intervals have mean exactly ``mean_interval`` (and SD/mean
     ``sqrt(1 - p)``, just under 1, consistent with near-exponential gaps).
-    All ``n - 1`` gaps are drawn in one call; every gap is at least one
-    step, so their running sum covers the whole track.
+    The gaps are drawn in chunks, each the expected count of gaps in the
+    steps left plus a margin, until their running sum reaches the end of
+    the track.  The chunks are a prefix of one draw of all ``n - 1`` gaps
+    (every gap is at least one step, so that draw covers the track), and
+    they keep the same points.
 
     Requires a regular input spacing ``dt`` with ``mean_interval >= dt``.
     """
@@ -227,7 +232,17 @@ def thin_irregular(track: Track, mean_interval: float, seed: int) -> Track:
     if mean_interval < dt:
         raise ValueError(f"mean_interval {mean_interval} is below the track spacing {dt}")
     n = len(track)
-    idx = np.cumsum(derive_rng(seed).geometric(dt / mean_interval, size=n - 1))
+    p = dt / mean_interval
+    rng = derive_rng(seed)
+    gaps = []
+    end = 0
+    while end < n - 1:
+        # the count kept in the steps left is Binomial(steps, p): draw two SDs over its mean
+        left = n - 1 - end
+        chunk = rng.geometric(p, size=min(left, int(left * p + 2.0 * math.sqrt(left * p)) + 1))
+        gaps.append(chunk)
+        end += int(chunk.sum())
+    idx = np.cumsum(np.concatenate(gaps))
     keep = np.concatenate([[0], idx[: np.searchsorted(idx, n - 1, side="right")]])
     return Track(track.times[keep], track.xy[keep])
 

@@ -5,6 +5,13 @@ for covariates ``c_j``.  The normalizing constant over the study region
 has no closed form; it cancels in the gradient, which is all the
 simulation and inference paths need, and is approximated by a midpoint
 Riemann sum when a density map is requested.
+
+The gradient is linear in the covariates, so the drift sums rasters that
+share one grid into one table of ``sum_j beta_j * values_j`` when the model
+is built (:func:`drift_terms`): a step locates its cell once and reads one
+table.  The sum rounds differently from summing the rasters' gradients, so
+tracks simulated from two or more rasters of one grid move in the last
+bits; every other quantity is evaluated covariate by covariate.
 """
 
 from __future__ import annotations
@@ -14,11 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariates import Covariate, rasterize
+from .covariates import Covariate, RasterCovariate, rasterize
 from .errors import NonFiniteError
 from .raster import Extent, GridGeometry, GridRaster
 
-__all__ = ["RsfModel", "ud_raster"]
+__all__ = ["RsfModel", "drift_terms", "ud_raster"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,16 +66,18 @@ class RsfModel:
         object.__setattr__(self, "gamma2", float(self.gamma2))
         # plain-float copy for the per-step hot loops
         object.__setattr__(self, "_beta_scalars", tuple(float(v) for v in b))
+        object.__setattr__(self, "_drift", drift_terms(self._beta_scalars, self.covariates))
 
     def log_pi_unnormalized(self, p: Sequence[float]) -> float:
         """Log space-use density at ``p``, up to the normalizing constant."""
         return sum(b * c.value(p) for b, c in zip(self._beta_scalars, self.covariates))
 
     def grad_log_pi(self, p: Sequence[float]) -> tuple[float, float]:
-        """Gradient of the log density at ``p`` (normalization-free)."""
+        """Gradient of the log density at ``p`` (normalization-free), summed
+        over the drift terms (:func:`drift_terms`)."""
         gx = 0.0
         gy = 0.0
-        for b, c in zip(self._beta_scalars, self.covariates):
+        for b, c in self._drift:
             cx, cy = c.gradient(p)
             gx += b * cx
             gy += b * cy
@@ -76,8 +85,11 @@ class RsfModel:
 
     def grad_log_pi_kernel(self):
         """``kernel(x, y) -> (gx, gy)``: :meth:`grad_log_pi` compiled from the
-        covariates' point kernels, on Python floats, summed in the same order."""
-        terms = tuple(zip(self._beta_scalars, [c.point_kernel() for c in self.covariates]))
+        drift terms' point kernels, on Python floats, summed in the same order.
+        A drift of one merged raster is that raster's kernel."""
+        if len(self._drift) == 1 and self._drift[0][0] == 1.0:
+            return self._drift[0][1].point_kernel()  # 1.0 * g is g
+        terms = tuple((b, c.point_kernel()) for b, c in self._drift)
 
         def kernel(x: float, y: float) -> tuple[float, float]:
             gx = 0.0
@@ -97,6 +109,31 @@ class RsfModel:
             if c.extent is not None:
                 ext = c.extent if ext is None else ext.intersect(c.extent)
         return ext
+
+
+def drift_terms(
+    betas: Sequence[float], covariates: Sequence[Covariate]
+) -> tuple[tuple[float, Covariate], ...]:
+    """The ``(beta, covariate)`` terms whose gradients sum to the drift.
+
+    Raster covariates whose geometries compare equal become one raster of
+    ``sum_j beta_j * values_j`` (summed in covariate order) with ``beta``
+    1.0, at the position of the first of them; every other covariate,
+    including a raster alone on its grid, keeps its own term.
+    """
+    groups: dict[GridGeometry, list[int]] = {}
+    for j, c in enumerate(covariates):
+        if isinstance(c, RasterCovariate):
+            groups.setdefault(c.raster.geom, []).append(j)
+    terms = []
+    for j, (b, c) in enumerate(zip(betas, covariates)):
+        group = groups.get(c.raster.geom) if isinstance(c, RasterCovariate) else [j]
+        if len(group) == 1:
+            terms.append((b, c))
+        elif group[0] == j:
+            table = sum(betas[k] * covariates[k].raster.values for k in group)
+            terms.append((1.0, RasterCovariate(GridRaster(c.raster.geom, table))))
+    return tuple(terms)
 
 
 def ud_raster(model: RsfModel, geometry: GridGeometry) -> GridRaster:

@@ -111,6 +111,22 @@ class TestSimulateCommand:
         for name in ("track_3.csv", "track_4.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_two_raster_rerun_byte_identical(self, tmp_path):
+        # two fields of one grid, which the drift sums into one table
+        spec = {"x_min": -10, "y_min": -10, "cell_size": 1, "n_x": 21, "n_y": 21, "rho": 3}
+        fields = {"fields": [spec | {"name": "c1", "seed": 1}, spec | {"name": "c2", "seed": 2}]}
+        rasters = [{"type": "raster", "path": f"cov/{name}.asc"} for name in ("c1", "c2")]
+        sim = SIM_CONFIG | {"model": {"covariates": rasters, "beta": [2.0, -3.0]}, "n_steps": 400}
+        for run in ("a", "b"):
+            main(["gen-cov", "--config", write_json(tmp_path / "fields.json", fields),
+                  "--out", str(tmp_path / run / "cov")])
+            sim_config = write_json(tmp_path / run / "sim.json", sim)
+            assert main(["simulate", "--config", sim_config, "--out", str(tmp_path / run / "out")]) == 0
+        a, b = tmp_path / "a" / "out", tmp_path / "b" / "out"
+        for name in ("track_3.csv", "track_4.csv", "manifest.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert len((a / "track_3.csv").read_text().splitlines()) == 402
+
     def test_seed_override(self, tmp_path, analytic_sim_config):
         out = tmp_path / "out"
         main(["simulate", "--config", analytic_sim_config, "--out", str(out), "--seed", "9"])

@@ -30,6 +30,7 @@ from langmove.errors import (
     NonIncreasingTimesError,
     OutOfDomainError,
 )
+from langmove import langevin
 from langmove.seeding import derive_rng
 
 
@@ -358,6 +359,32 @@ class TestThinIrregular:
         out = thin_irregular(track, mean_interval, seed=12)
         np.testing.assert_array_equal(out.times, track.times[keep])
         np.testing.assert_array_equal(out.xy, track.xy[keep])
+
+    def test_chunks_extend_to_the_end_of_the_track(self, monkeypatch):
+        # a first chunk of gaps that ends short of the track is extended, and
+        # the kept points are still those of one draw of all n - 1 gaps
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def geometric(self, p, size):
+                self.calls += 1
+                return self.rng.geometric(p, size=size)
+
+        rngs = []
+
+        def counting_rng(seed):
+            rngs.append(CountingRng(derive_rng(seed)))
+            return rngs[-1]
+
+        monkeypatch.setattr(langevin, "derive_rng", counting_rng)
+        track = self.fine_track(3000)
+        for seed in range(50):
+            idx = np.cumsum(derive_rng(seed).geometric(0.02, size=len(track) - 1))
+            keep = np.concatenate([[0], idx[idx <= len(track) - 1]])
+            out = thin_irregular(track, 0.5, seed=seed)
+            np.testing.assert_array_equal(out.times, track.times[keep])
+        assert [seed for seed, rng in enumerate(rngs) if rng.calls > 1]  # seeds 29, 37, 46
 
 
 def domain_mask(xy, extent):

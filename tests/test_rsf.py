@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from langmove import (
+    AnalyticWavelet,
     GridGeometry,
     GridRaster,
     RasterCovariate,
     RsfModel,
     SquaredDistance,
+    WaveletParams,
     ud_raster,
 )
 from langmove.covariates import Covariate
+from langmove.rsf import drift_terms
 from langmove.errors import NonFiniteError
 from langmove.experiments import scenario1_covariates, scenario1_model, Scenario1Config
 
@@ -74,6 +77,77 @@ class TestGradLogPi:
             assert shifted.log_pi_unnormalized(p) == pytest.approx(
                 base.log_pi_unnormalized(p) + 10.0, rel=1e-12
             )
+
+
+def random_rasters(geom, k, seed):
+    rng = np.random.default_rng(seed)
+    return [RasterCovariate(GridRaster(geom, rng.normal(size=(geom.n_y, geom.n_x)))) for _ in range(k)]
+
+
+class TestMergedDrift:
+    """Rasters on one grid enter the drift as one table of ``sum_j beta_j v_j``."""
+
+    def test_merged_gradient_within_the_rounding_bound(self):
+        geom = GridGeometry(-3.0, -2.0, 0.7, 12, 9)
+        covs = random_rasters(geom, 3, seed=5)
+        beta = [2.0, -4.0, 0.3]
+        model = RsfModel(covs, beta)
+        assert len(drift_terms(beta, covs)) == 1
+        # Both paths are exact in real arithmetic, so they differ only by
+        # their roundings, each at most u = 2**-53 times the value rounded;
+        # both locate the cell and its offsets with the same arithmetic.
+        # With J rasters and M = sum_j |beta_j| max|v_j|, every corner value,
+        # partial sum and difference of two corners is at most 2M in size.
+        # - The merged table rounds J products and J - 1 sums per corner:
+        #   (2J - 1) u M per corner, which the gradient's weights (summing to
+        #   2 / h) carry to 2 (2J - 1) u M / h.
+        # - The bilinear gradient formula rounds 1 - w, two differences, two
+        #   products and a sum (each at most 2M, so 2 u M each) and the
+        #   division by h (2 u M / h): 14 u M / h, in each path.
+        # - The reference scales each raster's gradient by beta_j and sums
+        #   J terms (the first onto 0.0 exactly): 2 u M / h + 2 (J - 1) u M / h.
+        # So the paths differ by at most (4J - 2 + 14 + 14 + 2J) u M / h, to
+        # first order in u.
+        J = len(covs)
+        M = sum(abs(b) * np.abs(c.raster.values).max() for b, c in zip(beta, covs))
+        tol = (6 * J + 26) * 2.0**-53 * M / geom.cell_size
+        rng = np.random.default_rng(6)
+        ext = geom.extent
+        pts = rng.uniform((ext.x_lo, ext.y_lo), (ext.x_hi, ext.y_hi), size=(500, 2))
+        expected = sum(b * c.gradient(pts) for b, c in zip(beta, covs))
+        merged = np.array([model.grad_log_pi(p) for p in pts.tolist()])
+        assert np.abs(merged - expected).max() <= tol
+        assert np.abs(merged - expected).max() > 0.0  # the sums do round differently
+
+    def test_different_geometries_stay_separate(self):
+        g1 = GridGeometry(0.0, 0.0, 1.0, 6, 6)
+        g2 = GridGeometry(0.0, 0.0, 1.0, 6, 7)
+        covs = random_rasters(g1, 1, seed=1) + random_rasters(g2, 1, seed=2)
+        terms = drift_terms([1.5, -0.5], covs)
+        assert list(terms) == [(1.5, covs[0]), (-0.5, covs[1])]
+
+    def test_raster_wavelet_raster_merges_the_two_rasters(self):
+        geom = GridGeometry(-4.0, -4.0, 1.0, 9, 9)
+        r1, r2 = random_rasters(geom, 2, seed=3)
+        wavelet = AnalyticWavelet(
+            WaveletParams(alpha=6, a1=0, a2=0, omega1=0.6, omega2=0.2, sigma1=0.4, sigma2=0.4)
+        )
+        model = RsfModel([r1, wavelet, r2], [0.8, -1.3, 2.5])
+        (b0, merged), (b1, wav) = drift_terms(model.beta, model.covariates)
+        assert (b0, b1, wav) == (1.0, -1.3, wavelet)
+        assert merged.raster.geom == geom
+        assert merged.raster.values.tobytes() == (0.8 * r1.raster.values + 2.5 * r2.raster.values).tobytes()
+        kernel = model.grad_log_pi_kernel()
+        for x, y in np.random.default_rng(7).uniform(-4, 4, size=(50, 2)).tolist():
+            assert kernel(x, y) == model.grad_log_pi((x, y))
+
+    def test_single_raster_is_beta_times_its_gradient(self):
+        (cov,) = random_rasters(GridGeometry(-1.0, -1.0, 0.5, 7, 7), 1, seed=4)
+        model = RsfModel([cov], [-2.7])
+        for x, y in np.random.default_rng(8).uniform(-1, 2, size=(50, 2)).tolist():
+            gx, gy = cov.gradient((x, y))
+            assert model.grad_log_pi((x, y)) == (-2.7 * gx, -2.7 * gy)
+            assert model.grad_log_pi_kernel()(x, y) == (-2.7 * gx, -2.7 * gy)
 
 
 class TestUdRaster:
