@@ -30,20 +30,17 @@ ys = geom.y_centers()
 values = np.exp(-0.3 * ((xs[None, :] - 2.5) ** 2 + (ys[:, None] - 2.5) ** 2))
 bump = GridRaster(geom, values)
 
+# queries take an (n, 2) array of points, one row per point, and answer
+# for every row; one point is a one-row array
 print("stored value at center (2, 3):", bump.values[3, 2])
-print("interpolated at the same point:", interpolate(bump, (2.0, 3.0)))
-print("interpolated between centers, (2.5, 2.5):", interpolate(bump, (2.5, 2.5)))
+print("interpolated at the same point:", interpolate(bump, np.array([(2.0, 3.0)]))[0])
+print("interpolated between centers, (2.5, 2.5):", interpolate(bump, np.array([(2.5, 2.5)]))[0])
 
 # the gradient points toward the bump's peak
-for p in [(1.0, 1.0), (4.0, 4.0), (2.5, 1.2)]:
-    gx, gy = interpolate_gradient(bump, p)
-    print(f"gradient at {p}: ({gx:+.4f}, {gy:+.4f})")
-
-# the same functions take an (n, 2) array of points and answer for every
-# row in one call, with the same bits as the one-point calls above
 pts = np.array([(1.0, 1.0), (4.0, 4.0), (2.5, 1.2)])
+for p, (gx, gy) in zip(pts.tolist(), interpolate_gradient(bump, pts)):
+    print(f"gradient at {tuple(p)}: ({gx:+.4f}, {gy:+.4f})")
 print("values at the three points, one call:", np.round(interpolate(bump, pts), 4))
-print("gradients at the three points, one call:", np.round(interpolate_gradient(bump, pts), 4).tolist())
 
 # save and reload: geometry and values survive the text format
 path = out_dir / "bump.asc"

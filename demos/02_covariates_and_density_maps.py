@@ -41,9 +41,11 @@ model = RsfModel(
     gamma2=1.0,
 )
 
+# the model takes an (n, 2) array of points; here one point, as a one-row array
 p = (1.0, -0.5)
-print("log density (unnormalized) at", p, "=", model.log_pi_unnormalized(p))
-print("log-density gradient at", p, "=", model.grad_log_pi(p))
+xy = np.array([p])
+print("log density (unnormalized) at", p, "=", model.log_pi_unnormalized(xy)[0])
+print("log-density gradient at", p, "=", tuple(model.grad_log_pi(xy)[0].tolist()))
 
 # rasterize the normalized density over the field's grid
 ud = ud_raster(model, field.geom)

@@ -53,7 +53,7 @@ from .experiments import (
 from .inference import pooled_fit
 from .langevin import SimConfig, Track, read_track_csv, simulate, write_track_csv
 from .raster import GridGeometry, GridRaster, read_ascii_grid, write_ascii_grid
-from .rsf import RsfModel, ud_raster
+from .rsf import RsfModel, shifted_log_pi, ud_raster
 
 __all__ = ["main"]
 
@@ -82,6 +82,14 @@ def _known_keys(spec: dict, what: str, keys: tuple[str, ...]) -> dict:
     if unknown:
         raise ValueError(f"unknown {what} config keys: {', '.join(unknown)}")
     return spec
+
+
+def _distinct(items: list, what: str) -> list:
+    """``items`` itself, once checked to repeat none: each names an output file."""
+    repeated = sorted({str(v) for v in items if items.count(v) > 1})
+    if repeated:
+        raise ValueError(f"repeated {what}: {', '.join(repeated)}")
+    return items
 
 
 def _dataclass_kwargs(cls, cfg: dict, extra: tuple[str, ...] = ()) -> dict:
@@ -216,7 +224,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     model = _model_from_spec(cfg["model"], base_dir)
     sims = {
         seed: simulate(SimConfig(model, tuple(cfg["x0"]), cfg["dt"], cfg["n_steps"], seed))
-        for seed in cfg["seeds"]
+        for seed in _distinct(cfg["seeds"], "seeds")
     }
     _write_outputs(
         args.out,
@@ -265,11 +273,12 @@ def _cmd_ud(args: argparse.Namespace) -> int:
     base_dir = Path(args.config).parent
     model = _model_from_spec(cfg["model"], base_dir)
     geometry = GridGeometry(**_dataclass_kwargs(GridGeometry, cfg["grid"]))
-    ud = ud_raster(model, geometry)
-    writers = {"ud.asc": partial(write_ascii_grid, ud)}
+    writers = {"ud.asc": partial(write_ascii_grid, ud_raster(model, geometry))}
     if not args.no_log:
-        log_ud = GridRaster(geometry, np.log(ud.values))
-        writers["ud_log.asc"] = partial(write_ascii_grid, log_ud)
+        # from the log density: the density itself may underflow to 0
+        shifted = shifted_log_pi(model, geometry)
+        log_ud = shifted - np.log(np.exp(shifted).sum() * geometry.cell_size**2)
+        writers["ud_log.asc"] = partial(write_ascii_grid, GridRaster(geometry, log_ud))
     _write_outputs(args.out, "ud", cfg, writers)
     print(f"wrote {', '.join(writers)} to {Path(args.out)}")
     return 0
@@ -278,9 +287,10 @@ def _cmd_ud(args: argparse.Namespace) -> int:
 def _cmd_gen_cov(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     specs = _known_keys(cfg, "gen-cov", ("fields",))["fields"] if "fields" in cfg else [cfg]
+    names = _distinct([spec.get("name", f"cov{k + 1}") for k, spec in enumerate(specs)], "field names")
     writers = {
-        spec.get("name", f"cov{k + 1}") + ".asc": partial(write_ascii_grid, _random_field(spec))
-        for k, spec in enumerate(specs)
+        name + ".asc": partial(write_ascii_grid, _random_field(spec))
+        for name, spec in zip(names, specs)
     }
     _write_outputs(args.out, "gen-cov", cfg, writers, seeds=[spec["seed"] for spec in specs])
     print(f"wrote {', '.join(writers)} to {Path(args.out)}")

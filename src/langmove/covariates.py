@@ -1,13 +1,12 @@
 """Covariate sources: analytic fields, gridded fields, random-field generation.
 
-Every covariate exposes ``value(p)`` and ``gradient(p)``.  At one point
-``p = (x, y)`` they return a float and a pair of floats; at an ``(n, 2)``
-array of points they return an ``(n,)`` and an ``(n, 2)`` array.  One point
-is evaluated as a one-row array, so there is one array code path per
-covariate; the design matrix and :func:`rasterize` make one call per
-covariate.  Analytic covariates are defined on all of R^2; gridded
-covariates are restricted to their raster's interpolation domain and report
-it through ``extent`` (an array call raises for its first row outside it).
+Every covariate exposes ``value(xy)`` and ``gradient(xy)``: at an ``(n, 2)``
+array of points they return an ``(n,)`` and an ``(n, 2)`` array, and one
+point is a one-row array, so there is one array code path per covariate;
+the design matrix and :func:`rasterize` make one call per covariate.
+Analytic covariates are defined on all of R^2; gridded covariates are
+restricted to their raster's interpolation domain and report it through
+``extent`` (a call raises for its first row outside it).
 
 ``point_kernel()`` compiles a covariate's gradient into a function of two
 Python floats, for the simulator, which steps one point at a time.  A
@@ -31,7 +30,6 @@ from .raster import (
     gradient_kernel,
     interpolate,
     interpolate_gradient,
-    one_point_or_rows,
 )
 from .seeding import derive_rng
 
@@ -53,10 +51,10 @@ class Covariate:
     #: Domain restriction, or None if defined everywhere.
     extent: Extent | None = None
 
-    def value(self, p: Sequence[float] | np.ndarray) -> float | np.ndarray:
+    def value(self, xy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def gradient(self, p: Sequence[float] | np.ndarray) -> tuple[float, float] | np.ndarray:
+    def gradient(self, xy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def point_kernel(self):
@@ -127,12 +125,10 @@ class AnalyticWavelet(Covariate):
         s2 = np.sin(arg2)
         return d1, d2, gauss, s1, s2, arg2
 
-    @one_point_or_rows
     def value(self, xy: np.ndarray) -> np.ndarray:
         _, _, gauss, s1, s2, _ = self._factors(xy)
         return self.params.alpha * gauss * s1 * s2
 
-    @one_point_or_rows
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         q = self.params
         d1, d2, gauss, s1, s2, arg2 = self._factors(xy)
@@ -181,13 +177,11 @@ class SquaredDistance(Covariate):
     def __init__(self, center: Sequence[float] = (0.0, 0.0)):
         self.center = (float(center[0]), float(center[1]))
 
-    @one_point_or_rows
     def value(self, xy: np.ndarray) -> np.ndarray:
         dx = xy[:, 0] - self.center[0]
         dy = xy[:, 1] - self.center[1]
         return dx * dx + dy * dy
 
-    @one_point_or_rows
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         return 2.0 * (xy - self.center)
 
@@ -207,11 +201,11 @@ class RasterCovariate(Covariate):
         self.raster = raster
         self.extent = raster.extent
 
-    def value(self, p: Sequence[float] | np.ndarray) -> float | np.ndarray:
-        return interpolate(self.raster, p)
+    def value(self, xy: np.ndarray) -> np.ndarray:
+        return interpolate(self.raster, xy)
 
-    def gradient(self, p: Sequence[float] | np.ndarray) -> tuple[float, float] | np.ndarray:
-        return interpolate_gradient(self.raster, p)
+    def gradient(self, xy: np.ndarray) -> np.ndarray:
+        return interpolate_gradient(self.raster, xy)
 
     def point_kernel(self):
         return gradient_kernel(self.raster)
@@ -219,8 +213,7 @@ class RasterCovariate(Covariate):
 
 def rasterize(cov: Covariate, geometry: GridGeometry) -> GridRaster:
     """Sample a covariate at every cell center of ``geometry``, in one array call."""
-    x, y = np.meshgrid(geometry.x_centers(), geometry.y_centers())
-    values = cov.value(np.column_stack((x.ravel(), y.ravel())))
+    values = cov.value(geometry.centers())
     return GridRaster(geometry, values.reshape(geometry.n_y, geometry.n_x))
 
 

@@ -13,6 +13,7 @@ discretization error with model behaviour.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -149,13 +150,13 @@ def simulate(cfg: SimConfig) -> SimResult:
         If the start point lies outside the model's domain.
     NonFiniteError
         If the track diverges (a step too large for the drift), naming the
-        first non-finite location.
+        first non-finite location, inside a restricted domain or not.
     """
     model = cfg.model
     dom = model.domain()
     if dom is None:
-        # only a NaN leaves these bounds, and a NaN ends the run below
-        dom = Extent(-math.inf, math.inf, -math.inf, math.inf)
+        # every finite point is inside, so only an infinite or NaN proposal leaves it
+        dom = Extent(-sys.float_info.max, sys.float_info.max, -sys.float_info.max, sys.float_info.max)
     x, y = cfg.x0
     if not dom.contains(x, y):
         raise OutOfDomainError(x, y, "start point")
@@ -173,28 +174,19 @@ def simulate(cfg: SimConfig) -> SimResult:
     for k0 in range(0, cfg.n_steps, BLOCK_STEPS):
         rows = noise[k0 : k0 + BLOCK_STEPS].tolist()
         for i, (nx, ny) in enumerate(rows):
-            try:
-                gx, gy = grad(x, y)
-            except ValueError:  # math.sin and math.cos refuse an infinite location
-                if math.isfinite(x) and math.isfinite(y):
-                    raise
-                del rows[i:]  # the check below names the first non-finite one
-                break
+            gx, gy = grad(x, y)
             x = x + half * gx + sig * nx
             y = y + half * gy + sig * ny
             if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise NonFiniteError(
+                        f"location {k0 + i + 1} of the track is non-finite ({x}, {y}): "
+                        f"the drift diverges at dt={cfg.dt}"
+                    )
                 x, y = dom.clamp(x, y)
                 clamped.append(k0 + i + 1)
             rows[i] = (x, y)
-        block = pts[k0 + 1 : k0 + 1 + len(rows)]
-        block[:] = rows
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            k = k0 + 1 + int(np.argmin(finite))
-            raise NonFiniteError(
-                f"location {k} of the track is non-finite ({pts[k, 0]}, {pts[k, 1]}): "
-                f"the drift diverges at dt={cfg.dt}"
-            )
+        pts[k0 + 1 : k0 + 1 + len(rows)] = rows
     del noise  # the peak stays at two (n, 2) arrays while the timestamps are made
     times = np.arange(cfg.n_steps + 1, dtype=float) * cfg.dt
     return SimResult(Track(times, pts), tuple(clamped), cfg)

@@ -13,17 +13,15 @@ cell.  The gradient is discontinuous across cell edges; a point lying
 exactly on an interior edge is assigned to the cell above/right of it.
 
 :func:`interpolate` and :func:`interpolate_gradient` take an ``(n, 2)``
-array of points and return an ``(n,)`` or ``(n, 2)`` array, or one point
-``(x, y)`` and return a float or a pair of floats; one point is evaluated
-as a one-row array (:func:`one_point_or_rows`).  :func:`gradient_kernel`
-compiles the gradient into a function of two Python floats, for callers
-that step one point at a time; it runs the array form's arithmetic in the
-same order, so the two agree bit for bit.
+array of points and return an ``(n,)`` or ``(n, 2)`` array; one point is a
+one-row array.  :func:`gradient_kernel` compiles the gradient into a
+function of two Python floats, for callers that step one point at a time;
+it runs the array form's arithmetic in the same order, so the two agree bit
+for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,6 +134,12 @@ class GridGeometry:
     def y_centers(self) -> np.ndarray:
         return self.y_min + self.cell_size * np.arange(self.n_y)
 
+    def centers(self) -> np.ndarray:
+        """Every cell center as an ``(n_y * n_x, 2)`` array, row by row from
+        the lowest y, so a per-center result reshapes to ``(n_y, n_x)``."""
+        x, y = np.meshgrid(self.x_centers(), self.y_centers())
+        return np.column_stack((x.ravel(), y.ravel()))
+
 
 @dataclass(frozen=True, eq=False)
 class GridRaster:
@@ -170,32 +174,16 @@ class GridRaster:
         return self.geom.extent
 
 
-def one_point_or_rows(f):
-    """Let ``f``, written for an ``(n, 2)`` array of points (its last
-    argument), also take one point ``(x, y)``: the point is evaluated as a
-    one-row array and the result returned as a float or a pair of floats."""
+def _corners(raster: GridRaster, xy: np.ndarray):
+    """Find the enclosing cell of each row of ``xy`` and gather its corners.
 
-    @functools.wraps(f)
-    def call(*args):
-        *head, p = args
-        xy = np.asarray(p, dtype=float)
-        if xy.ndim == 2:
-            return f(*head, xy)
-        row = f(*head, xy.reshape(1, 2))[0]
-        return float(row) if row.ndim == 0 else (float(row[0]), float(row[1]))
-
-    return call
-
-
-def _locate_rows(geom: GridGeometry, xy: np.ndarray):
-    """Find the enclosing cell and local coordinates of each row of ``xy``.
-
-    Returns four ``(n,)`` arrays ``(ix, iy, u, w)`` where ``(ix, iy)``
-    indexes the lower-left node of the cell and ``(u, w)`` in [0, 1] are
-    the local offsets.  Interior edge points go to the cell above/right
-    (truncation); the top and right domain edges fall back to the last
-    cell.  The first row outside the domain raises.
+    Returns six ``(n,)`` arrays ``(u, w, v00, v10, v01, v11)``: the local
+    offsets in [0, 1] and the values at the cell's lower-left, lower-right,
+    upper-left and upper-right nodes.  Interior edge points go to the cell
+    above/right (truncation); the top and right domain edges fall back to
+    the last cell.  The first row outside the domain raises.
     """
+    geom = raster.geom
     outside = ~geom.extent.contains_points(xy)
     if outside.any():
         i = int(np.argmax(outside))
@@ -204,13 +192,13 @@ def _locate_rows(geom: GridGeometry, xy: np.ndarray):
     w = (xy[:, 1] - geom.y_min) / geom.cell_size
     ix = np.minimum(u.astype(np.intp), geom.n_x - 2)
     iy = np.minimum(w.astype(np.intp), geom.n_y - 2)
-    return ix, iy, u - ix, w - iy
+    v = raster.values
+    return u - ix, w - iy, v[iy, ix], v[iy, ix + 1], v[iy + 1, ix], v[iy + 1, ix + 1]
 
 
-@one_point_or_rows
 def interpolate(raster: GridRaster, xy: np.ndarray) -> np.ndarray:
     """Bilinear interpolant of the raster at each row of ``xy``, an ``(n, 2)``
-    array of points, as an ``(n,)`` array; at one point ``(x, y)``, a float.
+    array of points, as an ``(n,)`` array.
 
     Exact at cell centers and continuous across cell edges.
 
@@ -220,12 +208,7 @@ def interpolate(raster: GridRaster, xy: np.ndarray) -> np.ndarray:
         If a row of ``xy`` (the first such) lies outside the hull of cell
         centers.
     """
-    ix, iy, u, w = _locate_rows(raster.geom, xy)
-    v = raster.values
-    v00 = v[iy, ix]
-    v10 = v[iy, ix + 1]
-    v01 = v[iy + 1, ix]
-    v11 = v[iy + 1, ix + 1]
+    u, w, v00, v10, v01, v11 = _corners(raster, xy)
     return (
         (1.0 - u) * (1.0 - w) * v00
         + u * (1.0 - w) * v10
@@ -234,10 +217,9 @@ def interpolate(raster: GridRaster, xy: np.ndarray) -> np.ndarray:
     )
 
 
-@one_point_or_rows
 def interpolate_gradient(raster: GridRaster, xy: np.ndarray) -> np.ndarray:
     """Exact gradient ``(d/dx, d/dy)`` of the bilinear interpolant at each
-    row of ``xy``, as an ``(n, 2)`` array; at one point ``(x, y)``, a pair.
+    row of ``xy``, as an ``(n, 2)`` array.
 
     The interpolant is bilinear per cell, so its gradient is affine in each
     coordinate within the cell.  On a cell edge the cell above/right is used.
@@ -248,12 +230,7 @@ def interpolate_gradient(raster: GridRaster, xy: np.ndarray) -> np.ndarray:
         If a row of ``xy`` (the first such) lies outside the hull of cell
         centers.
     """
-    ix, iy, u, w = _locate_rows(raster.geom, xy)
-    v = raster.values
-    v00 = v[iy, ix]
-    v10 = v[iy, ix + 1]
-    v01 = v[iy + 1, ix]
-    v11 = v[iy + 1, ix + 1]
+    u, w, v00, v10, v01, v11 = _corners(raster, xy)
     h = raster.geom.cell_size
     gx = ((1.0 - w) * (v10 - v00) + w * (v11 - v01)) / h
     gy = ((1.0 - u) * (v01 - v00) + u * (v11 - v10)) / h

@@ -1,10 +1,13 @@
 """Habitat-selection model: log-density, its gradient, and gridded density maps.
 
 The space-use density is proportional to ``exp(sum_j beta_j * c_j(p))``
-for covariates ``c_j``.  The normalizing constant over the study region
-has no closed form; it cancels in the gradient, which is all the
-simulation and inference paths need, and is approximated by a midpoint
-Riemann sum when a density map is requested.
+for covariates ``c_j``; the log density and its gradient take an ``(n, 2)``
+array of points and return an ``(n,)`` and an ``(n, 2)`` array, and
+:meth:`RsfModel.grad_log_pi_kernel` compiles the gradient at one point for
+the simulator, bit for bit the array form's row.  The normalizing constant
+over the study region has no closed form; it cancels in the gradient, which
+is all the simulation and inference paths need, and is approximated by a
+midpoint Riemann sum when a density map is requested.
 
 The gradient is linear in the covariates, so the drift sums rasters that
 share one grid into one table of ``sum_j beta_j * values_j`` when the model
@@ -21,11 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariates import Covariate, RasterCovariate, rasterize
+from .covariates import Covariate, RasterCovariate
 from .errors import NonFiniteError
 from .raster import Extent, GridGeometry, GridRaster
 
-__all__ = ["RsfModel", "drift_terms", "ud_raster"]
+__all__ = ["RsfModel", "drift_terms", "shifted_log_pi", "ud_raster"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,20 +71,15 @@ class RsfModel:
         object.__setattr__(self, "_beta_scalars", tuple(float(v) for v in b))
         object.__setattr__(self, "_drift", drift_terms(self._beta_scalars, self.covariates))
 
-    def log_pi_unnormalized(self, p: Sequence[float]) -> float:
-        """Log space-use density at ``p``, up to the normalizing constant."""
-        return sum(b * c.value(p) for b, c in zip(self._beta_scalars, self.covariates))
+    def log_pi_unnormalized(self, xy: np.ndarray) -> np.ndarray:
+        """Log space-use density at each row of an ``(n, 2)`` array, up to
+        the normalizing constant, as an ``(n,)`` array."""
+        return sum(b * c.value(xy) for b, c in zip(self._beta_scalars, self.covariates))
 
-    def grad_log_pi(self, p: Sequence[float]) -> tuple[float, float]:
-        """Gradient of the log density at ``p`` (normalization-free), summed
-        over the drift terms (:func:`drift_terms`)."""
-        gx = 0.0
-        gy = 0.0
-        for b, c in self._drift:
-            cx, cy = c.gradient(p)
-            gx += b * cx
-            gy += b * cy
-        return gx, gy
+    def grad_log_pi(self, xy: np.ndarray) -> np.ndarray:
+        """Gradient of the log density at each row of ``xy`` (normalization-free),
+        as an ``(n, 2)`` array, summed over the drift terms (:func:`drift_terms`)."""
+        return sum(b * c.gradient(xy) for b, c in self._drift)
 
     def grad_log_pi_kernel(self):
         """``kernel(x, y) -> (gx, gy)``: :meth:`grad_log_pi` compiled from the
@@ -136,14 +134,22 @@ def drift_terms(
     return tuple(terms)
 
 
+def shifted_log_pi(model: RsfModel, geometry: GridGeometry) -> np.ndarray:
+    """The log density at the cell centers of ``geometry``, minus its maximum,
+    as an ``(n_y, n_x)`` array.  Raises as :func:`ud_raster` does."""
+    log_v = model.log_pi_unnormalized(geometry.centers()).reshape(geometry.n_y, geometry.n_x)
+    if not np.all(np.isfinite(log_v)):
+        raise NonFiniteError("log density is non-finite on the requested grid")
+    return log_v - log_v.max()
+
+
 def ud_raster(model: RsfModel, geometry: GridGeometry) -> GridRaster:
     """Evaluate the model's space-use density on a grid, normalized to integrate to 1.
 
-    The unnormalized log density ``sum_j beta_j * c_j``, with each covariate
-    sampled at the cell centers by :func:`~langmove.covariates.rasterize`,
-    is shifted by its maximum before exponentiating (overflow safety), and
-    divided by the midpoint-rule integral ``sum * cell_size**2``, so the
-    returned raster integrates to 1 over its own extent.
+    The log density at the cell centers is shifted by its maximum before
+    exponentiating (overflow safety, :func:`shifted_log_pi`), and divided by
+    the midpoint-rule integral ``sum * cell_size**2``, so the returned raster
+    integrates to 1 over its own extent.
 
     Raises
     ------
@@ -152,9 +158,6 @@ def ud_raster(model: RsfModel, geometry: GridGeometry) -> GridRaster:
     NonFiniteError
         If any log-density value is non-finite.
     """
-    log_v = sum(b * rasterize(c, geometry).values for b, c in zip(model.beta, model.covariates))
-    if not np.all(np.isfinite(log_v)):
-        raise NonFiniteError("log density is non-finite on the requested grid")
-    dens = np.exp(log_v - log_v.max())
+    dens = np.exp(shifted_log_pi(model, geometry))
     dens /= dens.sum() * geometry.cell_size**2
     return GridRaster(geometry, dens)

@@ -468,9 +468,12 @@ class TestCriterion6NumericalProperties:
         model = RsfModel(scenario1_covariates(), [-1.0, 0.5, -0.05])
 
         def fd_ok(value, gradient, p, h=1e-6):
-            gx, gy = gradient(p)
-            fx = (value((p[0] + h, p[1])) - value((p[0] - h, p[1]))) / (2 * h)
-            fy = (value((p[0], p[1] + h)) - value((p[0], p[1] - h))) / (2 * h)
+            gx, gy = gradient(np.array([p]))[0]
+            x, y = p
+            steps = np.array([(x + h, y), (x - h, y), (x, y + h), (x, y - h)])
+            right, left, up, down = value(steps)
+            fx = (right - left) / (2 * h)
+            fy = (up - down) / (2 * h)
             ref = max(abs(fx), abs(fy), 1e-8)
             return abs(gx - fx) / ref < 1e-4 and abs(gy - fy) / ref < 1e-4
 
@@ -513,7 +516,7 @@ class TestCriterion6NumericalProperties:
                 + (1 - uu) * ww * v[iy + 1, ix]
                 + uu * ww * v[iy + 1, ix + 1]
             )
-            bil_ok &= abs(interpolate(r, (x, y)) - ref) <= 1e-12 * max(1.0, abs(ref))
+            bil_ok &= abs(interpolate(r, np.array([(x, y)]))[0] - ref) <= 1e-12 * max(1.0, abs(ref))
         clauses.append(("bilinear matches direct formula", bool(bil_ok), "50 random points"))
 
         # ASCII grid round-trip

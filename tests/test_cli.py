@@ -127,6 +127,14 @@ class TestSimulateCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
         assert len((a / "track_3.csv").read_text().splitlines()) == 402
 
+    def test_repeated_seed_rejected(self, tmp_path):
+        # one track file per seed: a repeated seed would write one track for two
+        out = tmp_path / "out"
+        cfg = write_json(tmp_path / "sim.json", SIM_CONFIG | {"seeds": [3, 4, 3]})
+        with pytest.raises(ValueError, match="repeated seeds: 3"):
+            main(["simulate", "--config", cfg, "--out", str(out)])
+        assert not out.exists()
+
     def test_seed_override(self, tmp_path, analytic_sim_config):
         out = tmp_path / "out"
         main(["simulate", "--config", analytic_sim_config, "--out", str(out), "--seed", "9"])
@@ -214,6 +222,21 @@ class TestUdCommand:
         log_ud = read_ascii_grid(out / "ud_log.asc")
         np.testing.assert_allclose(log_ud.values, np.log(ud.values), rtol=1e-12)
 
+    def test_log_grid_where_the_density_underflows(self, tmp_path):
+        # log pi = -(x^2 + y^2) spans 1800 over the grid, so exp underflows to
+        # 0 at the edges; the log grid comes from the log density and is finite
+        grid = {"x_min": -30, "y_min": -30, "cell_size": 1, "n_x": 61, "n_y": 61}
+        model = {"covariates": [{"type": "squared_distance", "center": [0, 0]}], "beta": [-1]}
+        out = tmp_path / "ud"
+        main(["ud", "--config", write_json(tmp_path / "ud.json", {"model": model, "grid": grid}),
+              "--out", str(out)])
+        ud = read_ascii_grid(out / "ud.asc").values
+        log_ud = read_ascii_grid(out / "ud_log.asc").values
+        assert ud.min() == 0.0
+        k = np.arange(-30, 31)
+        log_z = 2 * np.log(np.exp(-(k * k)).sum())  # the sum over the grid factors into x and y
+        np.testing.assert_allclose(log_ud, -(k[:, None] ** 2 + k[None, :] ** 2) - log_z, rtol=1e-13)
+
     def test_no_log_flag(self, tmp_path):
         cfg = write_json(
             tmp_path / "ud.json",
@@ -251,6 +274,15 @@ class TestGenCovCommand:
         assert c1.values.min() == 0.0 and c1.values.max() == 1.0
         c2 = read_ascii_grid(out1 / "c2.asc")
         assert not np.array_equal(c1.values, c2.values)
+
+    def test_repeated_name_rejected(self, tmp_path):
+        # one file per name: a repeated name would keep one field of two
+        field = {"x_min": 0, "y_min": 0, "cell_size": 1, "n_x": 11, "n_y": 11, "rho": 2}
+        fields = {"fields": [field | {"name": "a", "seed": 1}, field | {"name": "a", "seed": 2}]}
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="repeated field names: a"):
+            main(["gen-cov", "--config", write_json(tmp_path / "f.json", fields), "--out", str(out)])
+        assert not out.exists()
 
 
 class TestStudyCommands:

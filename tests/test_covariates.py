@@ -32,21 +32,21 @@ TABLE_PARAMS_2 = WaveletParams(
 
 def finite_difference_gradient(cov, p, h=1e-6):
     x, y = p
-    fx = (cov.value((x + h, y)) - cov.value((x - h, y))) / (2 * h)
-    fy = (cov.value((x, y + h)) - cov.value((x, y - h))) / (2 * h)
-    return fx, fy
+    fx = (cov.value(np.array([(x + h, y)])) - cov.value(np.array([(x - h, y)]))) / (2 * h)
+    fy = (cov.value(np.array([(x, y + h)])) - cov.value(np.array([(x, y - h)]))) / (2 * h)
+    return fx[0], fy[0]
 
 
 class TestWavelet:
     def test_zero_on_first_sine_axis(self):
         w = AnalyticWavelet(TABLE_PARAMS_2)
         # z1 = a1 makes the first sine factor vanish
-        assert w.value((-2.0, 3.3)) == 0.0
+        assert w.value(np.array([(-2.0, 3.3)])).tolist() == [0.0]
 
     def test_reference_value(self):
         # 6 * exp(-0.4) * sin(0.6) * sin(0.2), evaluated independently
         w = AnalyticWavelet(TABLE_PARAMS_1)
-        assert w.value((1.0, 0.0)) == pytest.approx(0.45116752325614478, rel=1e-14)
+        assert w.value(np.array([(1.0, 0.0)])) == pytest.approx([0.45116752325614478], rel=1e-14)
 
     def test_z2_dependence_is_gaussian_only(self):
         # in the default form both sines take z1, so two points differing
@@ -59,8 +59,7 @@ class TestWavelet:
             y1, y2 = rng.uniform(-4, 4, size=2)
             g1 = math.exp(-q.sigma2 * (y1 - q.a2) ** 2)
             g2 = math.exp(-q.sigma2 * (y2 - q.a2) ** 2)
-            v1 = w.value((x, y1))
-            v2 = w.value((x, y2))
+            v1, v2 = w.value(np.array([(x, y1), (x, y2)]))
             assert v1 * g2 == pytest.approx(v2 * g1, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("axis", ["z1", "z2"])
@@ -70,7 +69,7 @@ class TestWavelet:
             w = AnalyticWavelet(params, axis)
             for _ in range(25):
                 p = tuple(rng.uniform(-4, 4, size=2))
-                gx, gy = w.gradient(p)
+                gx, gy = w.gradient(np.array([p]))[0]
                 fx, fy = finite_difference_gradient(w, p)
                 assert gx == pytest.approx(fx, rel=1e-6, abs=1e-9)
                 assert gy == pytest.approx(fy, rel=1e-6, abs=1e-9)
@@ -79,7 +78,7 @@ class TestWavelet:
         # with a1 == a2, both sine factors vanish at the Gaussian center
         params = WaveletParams(alpha=3, a1=1.5, a2=1.5, omega1=0.7, omega2=0.3, sigma1=0.2, sigma2=0.5)
         w = AnalyticWavelet(params)
-        gx, gy = w.gradient((1.5, 1.5))
+        gx, gy = w.gradient(np.array([(1.5, 1.5)]))[0]
         assert gy == 0.0
 
     def test_axis_validation(self):
@@ -92,39 +91,38 @@ class TestWavelet:
 class TestSquaredDistance:
     def test_value_and_gradient(self):
         c = SquaredDistance((0.0, 0.0))
-        assert c.value((3.0, 4.0)) == 25.0
-        assert c.gradient((3.0, 4.0)) == (6.0, 8.0)
-        assert c.gradient((0.0, 0.0)) == (0.0, 0.0)
+        assert c.value(np.array([(3.0, 4.0)])).tolist() == [25.0]
+        assert c.gradient(np.array([(3.0, 4.0), (0.0, 0.0)])).tolist() == [[6.0, 8.0], [0.0, 0.0]]
 
     def test_offset_center(self):
         c = SquaredDistance((1.0, -2.0))
-        p = (4.0, 2.0)
-        assert c.value(p) == 9.0 + 16.0
-        assert c.gradient(p) == (2 * 3.0, 2 * 4.0)
+        p = np.array([(4.0, 2.0)])
+        assert c.value(p).tolist() == [9.0 + 16.0]
+        assert c.gradient(p).tolist() == [[2 * 3.0, 2 * 4.0]]
 
 
 class TestDispatch:
     def test_value_and_gradient_squared_distance(self):
         # the model's log density and its gradient dispatch to the covariate
         model = RsfModel([SquaredDistance((0, 0))], [1.0])
-        assert model.log_pi_unnormalized((3, 4)) == 25.0
-        assert model.grad_log_pi((3, 4)) == (6.0, 8.0)
+        assert model.log_pi_unnormalized(np.array([(3, 4)])).tolist() == [25.0]
+        assert model.grad_log_pi(np.array([(3, 4)])).tolist() == [[6.0, 8.0]]
 
     def test_raster_variant_reproduces_nodes(self):
         rng = np.random.default_rng(2)
         geom = GridGeometry(-1, -1, 0.5, 4, 4)
         raster = GridRaster(geom, rng.normal(size=(4, 4)))
         cov = RasterCovariate(raster)
-        assert cov.value((-0.5, 0.0)) == pytest.approx(raster.values[2, 1], abs=1e-15)
+        assert cov.value(np.array([(-0.5, 0.0)])) == pytest.approx([raster.values[2, 1]], abs=1e-15)
         with pytest.raises(OutOfDomainError):
-            cov.value((10.0, 0.0))
+            cov.value(np.array([(10.0, 0.0)]))
 
     def test_wavelet_variant_delegates(self):
         w = AnalyticWavelet(TABLE_PARAMS_1)
         model = RsfModel([w], [1.0])
-        p = (0.7, -0.3)
-        assert model.log_pi_unnormalized(p) == w.value(p)
-        assert model.grad_log_pi(p) == w.gradient(p)
+        p = np.array([(0.7, -0.3)])
+        assert model.log_pi_unnormalized(p).tobytes() == w.value(p).tobytes()
+        assert model.grad_log_pi(p).tobytes() == w.gradient(p).tobytes()
 
     def test_raster_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -135,7 +133,7 @@ class TestDispatch:
             p = tuple(rng.uniform(0.1, 4.9, size=2))
             if min(p[0] % 1, 1 - p[0] % 1, p[1] % 1, 1 - p[1] % 1) < 1e-3:
                 continue
-            gx, gy = cov.gradient(p)
+            gx, gy = cov.gradient(np.array([p]))[0]
             fx, fy = finite_difference_gradient(cov, p)
             assert gx == pytest.approx(fx, rel=1e-4, abs=1e-8)
             assert gy == pytest.approx(fy, rel=1e-4, abs=1e-8)
@@ -144,8 +142,8 @@ class TestDispatch:
         w = AnalyticWavelet(TABLE_PARAMS_1)
         geom = GridGeometry(-2, -2, 1.0, 5, 5)
         raster = rasterize(w, geom)
-        assert raster.values[2, 2] == w.value((0.0, 0.0))
-        assert raster.values[0, 4] == w.value((2.0, -2.0))
+        xy = np.array([(0.0, 0.0), (2.0, -2.0)])
+        assert [raster.values[2, 2], raster.values[0, 4]] == w.value(xy).tolist()
 
 
 def assert_same_bits(actual, expected):
@@ -155,9 +153,9 @@ def assert_same_bits(actual, expected):
     np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
-def one_point_calls(f, xy):
-    """Reference: ``f`` called at each row of ``xy`` as a tuple of floats."""
-    return np.array([f(tuple(p)) for p in xy.tolist()])
+def one_row_calls(f, xy):
+    """Reference: ``f`` called at each row of ``xy`` as a one-row array."""
+    return np.concatenate([f(xy[i : i + 1]) for i in range(len(xy))])
 
 
 @st.composite
@@ -227,7 +225,7 @@ class TestPointKernels:
         model = RsfModel(covs, [0.8, -1.3, -0.05])
         kernel = model.grad_log_pi_kernel()
         for x, y in rng.uniform(-6, 6, size=(50, 2)).tolist():
-            assert kernel(x, y) == model.grad_log_pi((x, y))
+            assert kernel(x, y) == tuple(model.grad_log_pi(np.array([(x, y)]))[0])
 
     def test_outside_the_raster_raises(self):
         geom = GridGeometry(0, 0, 1.0, 4, 4)
@@ -241,8 +239,8 @@ class TestPointKernels:
 
 
 class TestArrayCalls:
-    """An (n, 2) array call equals, row by row and bit for bit, the calls at
-    one point and, for gradients, the covariate's point kernel.  The raster
+    """An (n, 2) array call equals, row by row and bit for bit, the calls
+    with one row and, for gradients, the covariate's point kernel.  The raster
     points cover cell centers, interior edges and the top and right domain
     edges; the wavelets both sine axes."""
 
@@ -252,26 +250,26 @@ class TestArrayCalls:
         raster, xy = case
         cov = RasterCovariate(raster)
         for f in (lambda p: interpolate(raster, p), cov.value):
-            assert_same_bits(f(xy), one_point_calls(f, xy))
+            assert_same_bits(f(xy), one_row_calls(f, xy))
         for f in (lambda p: interpolate_gradient(raster, p), cov.gradient):
             assert_same_bits(f(xy), kernel_calls(cov, xy))
-            assert_same_bits(f(xy), one_point_calls(f, xy))
+            assert_same_bits(f(xy), one_row_calls(f, xy))
 
     @settings(max_examples=200, deadline=None)
     @given(wavelet_params, st.sampled_from(["z1", "z2"]), analytic_points)
     def test_wavelet(self, params, axis, xy):
         w = AnalyticWavelet(params, axis)
-        assert_same_bits(w.value(xy), one_point_calls(w.value, xy))
+        assert_same_bits(w.value(xy), one_row_calls(w.value, xy))
         assert_same_bits(w.gradient(xy), kernel_calls(w, xy))
-        assert_same_bits(w.gradient(xy), one_point_calls(w.gradient, xy))
+        assert_same_bits(w.gradient(xy), one_row_calls(w.gradient, xy))
 
     @settings(max_examples=100, deadline=None)
     @given(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), analytic_points)
     def test_squared_distance(self, center, xy):
         c = SquaredDistance(center)
-        assert_same_bits(c.value(xy), one_point_calls(c.value, xy))
+        assert_same_bits(c.value(xy), one_row_calls(c.value, xy))
         assert_same_bits(c.gradient(xy), kernel_calls(c, xy))
-        assert_same_bits(c.gradient(xy), one_point_calls(c.gradient, xy))
+        assert_same_bits(c.gradient(xy), one_row_calls(c.gradient, xy))
 
     def test_shapes(self):
         xy = np.zeros((3, 2))
@@ -291,7 +289,7 @@ class TestArrayCalls:
     def test_rasterize_matches_one_point_calls(self):
         geom = GridGeometry(-3.3, -1.7, 0.7, 9, 6)
         for cov in (AnalyticWavelet(TABLE_PARAMS_2, "z1"), AnalyticWavelet(TABLE_PARAMS_2, "z2")):
-            expected = [[cov.value((x, y)) for x in geom.x_centers().tolist()]
+            expected = [[cov.value(np.array([(x, y)]))[0] for x in geom.x_centers().tolist()]
                         for y in geom.y_centers().tolist()]
             assert_same_bits(rasterize(cov, geom).values, expected)
 

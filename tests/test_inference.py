@@ -143,7 +143,7 @@ class TestBuildDesign:
         d = np.empty((2 * n, len(covs)))
         for i in range(n):
             for j, cov in enumerate(covs):
-                gx, gy = cov.gradient(track.xy[i])
+                gx, gy = cov.gradient(track.xy[i : i + 1])[0]
                 d[i, j] = 0.5 * gx
                 d[n + i, j] = 0.5 * gy
         assert np.abs(xy[:-1]).max() < 20
@@ -415,7 +415,7 @@ class TestPseudoLogLikelihood:
         g2 = model.gamma2
         expected = 0.0
         for i, dt in enumerate(track.intervals):
-            gx, gy = model.grad_log_pi(track.xy[i])
+            gx, gy = model.grad_log_pi(track.xy[i : i + 1])[0]
             s2 = g2 * dt
             dx = track.xy[i + 1, 0] - (track.xy[i, 0] + 0.5 * s2 * gx)
             dy = track.xy[i + 1, 1] - (track.xy[i, 1] + 0.5 * s2 * gy)

@@ -63,7 +63,7 @@ class TestEulerStep:
         x0, dt, n_steps, seed = (0.7, -1.1), 0.01, 50, 17
         res = simulate(SimConfig(m, x0, dt, n_steps, seed=seed))
         n = derive_rng(seed).standard_normal((n_steps, 2))
-        gx, gy = m.grad_log_pi(x0)
+        gx, gy = m.grad_log_pi(np.array([x0]))[0]
         half = 0.5 * m.gamma2 * dt
         sig = math.sqrt(m.gamma2 * dt)
         assert res.track.xy[1, 0] == x0[0] + half * gx + sig * n[0, 0]
@@ -198,7 +198,7 @@ def reference_steps(cfg):
     pts[0] = x, y
     clamped = []
     for k in range(cfg.n_steps):
-        gx, gy = model.grad_log_pi((x, y))
+        gx, gy = model.grad_log_pi(np.array([(x, y)]))[0]
         x = x + half * gx + sig * noise[k, 0]
         y = y + half * gy + sig * noise[k, 1]
         if dom is not None and not dom.contains(x, y):
@@ -276,6 +276,15 @@ class TestDivergence:
         assert k < cfg.n_steps and not np.isfinite(xy[k]).all()
         with pytest.raises(NonFiniteError, match=rf"location {k} of the track is non-finite"):
             simulate(cfg)
+
+    def test_infinite_step_in_a_raster_domain_raises(self):
+        # columns of alternating +-1e308 give a gradient of +-2e308, which
+        # overflows: the first step is infinite, and not a clamp to the boundary
+        geom = GridGeometry(0.0, 0.0, 1.0, 4, 4)
+        values = np.tile([1e308, -1e308, 1e308, -1e308], (4, 1))
+        model = RsfModel([RasterCovariate(GridRaster(geom, values))], [1.0])
+        with pytest.raises(NonFiniteError, match=r"location 1 of the track is non-finite \(inf, "):
+            simulate(SimConfig(model, (1.5, 1.5), 0.01, 50, seed=0))
 
 
 class TestThinRegular:
@@ -431,7 +440,7 @@ def design_of_runs(tracks, runs, covariates):
         y[r] = (track.xy[i + 1, 0] - track.xy[i, 0]) / s
         y[n + r] = (track.xy[i + 1, 1] - track.xy[i, 1]) / s
         for j, cov in enumerate(covariates):
-            gx, gy = cov.gradient(track.xy[i])
+            gx, gy = cov.gradient(track.xy[i : i + 1])[0]
             d[r, j], d[n + r, j] = 0.5 * gx, 0.5 * gy
     return y, d, t_delta
 

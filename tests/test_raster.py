@@ -48,11 +48,11 @@ class TestInterpolate:
         for iy in range(g.n_y):
             for ix in range(g.n_x):
                 p = (g.x_min + ix * g.cell_size, g.y_min + iy * g.cell_size)
-                assert interpolate(r, p) == pytest.approx(r.values[iy, ix], abs=1e-14)
+                assert interpolate(r, np.array([p]))[0] == pytest.approx(r.values[iy, ix], abs=1e-14)
 
     def test_cell_midpoint_is_corner_mean(self):
         r = GridRaster(GridGeometry(0, 0, 1, 2, 2), [[0.0, 0.0], [0.0, 4.0]])
-        assert interpolate(r, (0.5, 0.5)) == 1.0
+        assert interpolate(r, np.array([(0.5, 0.5)])).tolist() == [1.0]
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(2)
@@ -60,7 +60,8 @@ class TestInterpolate:
         for _ in range(50):
             x = rng.uniform(r.geom.x_min, r.geom.x_max)
             y = rng.uniform(r.geom.y_min, r.geom.y_max)
-            assert interpolate(r, (x, y)) == pytest.approx(bilinear_reference(r, x, y), rel=1e-12)
+            (v,) = interpolate(r, np.array([(x, y)]))
+            assert v == pytest.approx(bilinear_reference(r, x, y), rel=1e-12)
 
     def test_continuous_across_cell_edges(self):
         rng = np.random.default_rng(3)
@@ -69,8 +70,7 @@ class TestInterpolate:
         for edge_ix in (1, 2, 3):
             x_edge = r.geom.x_min + edge_ix * r.cell_size
             for y in rng.uniform(r.geom.y_min, r.geom.y_max, size=5):
-                left = interpolate(r, (x_edge - eps, y))
-                right = interpolate(r, (x_edge + eps, y))
+                left, right = interpolate(r, np.array([(x_edge - eps, y), (x_edge + eps, y)]))
                 assert left == pytest.approx(right, rel=1e-10, abs=1e-10)
 
     def test_out_of_domain(self):
@@ -85,10 +85,9 @@ class TestInterpolate:
             (float("nan"), y_min),
         ]:
             with pytest.raises(OutOfDomainError):
-                interpolate(r, p)
+                interpolate(r, np.array([p]))
         # the four extreme corners are inside
-        for p in [(x_min, y_min), (x_max, y_max), (x_min, y_max), (x_max, y_min)]:
-            interpolate(r, p)
+        interpolate(r, np.array([(x_min, y_min), (x_max, y_max), (x_min, y_max), (x_max, y_min)]))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -100,14 +99,14 @@ class TestInterpolate:
     )
     def test_value_within_corner_hull(self, values, u, w):
         r = GridRaster(GridGeometry(0, 0, 1, 3, 3), np.reshape(values, (3, 3)))
-        v = interpolate(r, (2 * u, 2 * w))
+        (v,) = interpolate(r, np.array([(2 * u, 2 * w)]))
         assert r.values.min() - 1e-9 <= v <= r.values.max() + 1e-9
 
 
 class TestGradient:
     def test_constant_field(self):
         r = GridRaster(GridGeometry(0, 0, 1, 4, 4), np.full((4, 4), 3.7))
-        assert interpolate_gradient(r, (1.3, 2.2)) == (0.0, 0.0)
+        assert interpolate_gradient(r, np.array([(1.3, 2.2)])).tolist() == [[0.0, 0.0]]
 
     def test_linear_plane(self):
         geom = GridGeometry(0, 0, 0.5, 6, 5)
@@ -116,7 +115,7 @@ class TestGradient:
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = (rng.uniform(0, 2.5), rng.uniform(0, 2))
-            gx, gy = interpolate_gradient(r, p)
+            gx, gy = interpolate_gradient(r, np.array([p]))[0]
             assert gx == pytest.approx(1.0, abs=1e-12)
             assert gy == pytest.approx(0.0, abs=1e-12)
 
@@ -133,9 +132,11 @@ class TestGradient:
             w = (y - r.geom.y_min) / r.cell_size
             if min(u % 1, 1 - u % 1) < 1e-3 or min(w % 1, 1 - w % 1) < 1e-3:
                 continue
-            gx, gy = interpolate_gradient(r, (x, y))
-            fx = (interpolate(r, (x + h, y)) - interpolate(r, (x - h, y))) / (2 * h)
-            fy = (interpolate(r, (x, y + h)) - interpolate(r, (x, y - h))) / (2 * h)
+            gx, gy = interpolate_gradient(r, np.array([(x, y)]))[0]
+            steps = np.array([(x + h, y), (x - h, y), (x, y + h), (x, y - h)])
+            right, left, up, down = interpolate(r, steps)
+            fx = (right - left) / (2 * h)
+            fy = (up - down) / (2 * h)
             assert gx == pytest.approx(fx, rel=1e-4, abs=1e-8)
             assert gy == pytest.approx(fy, rel=1e-4, abs=1e-8)
             checked += 1
@@ -171,7 +172,7 @@ class TestAsciiGrid:
         r = read_ascii_grid(path)
         np.testing.assert_array_equal(r.values, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         # value 9 sits at the top-right center (10+2*2.5=15, 20+2*2.5=25) -> (15, 25)
-        assert interpolate(r, (15.0, 25.0)) == 9.0
+        assert interpolate(r, np.array([(15.0, 25.0)])).tolist() == [9.0]
 
     def test_scientific_notation_accepted(self, tmp_path):
         path = tmp_path / "g.asc"

@@ -13,21 +13,50 @@ from langmove import (
     WaveletParams,
     ud_raster,
 )
-from langmove.covariates import Covariate
+from langmove.covariates import Covariate, rasterize
 from langmove.rsf import drift_terms
 from langmove.errors import NonFiniteError
 from langmove.experiments import scenario1_covariates, scenario1_model, Scenario1Config
 
 
+def random_rasters(geom, k, seed):
+    rng = np.random.default_rng(seed)
+    return [RasterCovariate(GridRaster(geom, rng.normal(size=(geom.n_y, geom.n_x)))) for _ in range(k)]
+
+
+def mixed_model():
+    """A raster, both wavelet forms and a squared distance: four drift terms."""
+    (raster,) = random_rasters(GridGeometry(-6.0, -6.0, 1.5, 9, 9), 1, seed=9)
+    params = WaveletParams(alpha=6, a1=-2, a2=1.5, omega1=0.1, omega2=0.5, sigma1=0.4, sigma2=0.4)
+    wavelets = [AnalyticWavelet(params, "z1"), AnalyticWavelet(params, "z2")]
+    covs = [raster, *wavelets, SquaredDistance((0.5, 0.0))]
+    return RsfModel(covs, [0.8, -1.3, 0.6, -0.05])
+
+
+def merged_model():
+    """Two rasters of one grid: one merged drift term."""
+    return RsfModel(random_rasters(GridGeometry(-6.0, -6.0, 1.5, 9, 9), 2, seed=10), [2.0, -3.0])
+
+
+def grid_points(seed):
+    """Points across [-6, 6]^2: random ones, cell centers and edges, the domain
+    corners, and the squared distance's center (a zero gradient)."""
+    rng = np.random.default_rng(seed)
+    nodes = np.linspace(-6.0, 6.0, 9)
+    lattice = np.stack(np.meshgrid(nodes, nodes), axis=-1).reshape(-1, 2)
+    return np.vstack([rng.uniform(-6, 6, size=(200, 2)), lattice, [(0.5, 0.0), (0.5, 6.0)]])
+
+
 class TestLogPi:
     def test_zero_coefficients(self):
         m = RsfModel([SquaredDistance((0, 0))], [0.0])
-        assert m.log_pi_unnormalized((3.7, -1.2)) == 0.0
-        assert m.grad_log_pi((3.7, -1.2)) == (0.0, 0.0)
+        p = np.array([(3.7, -1.2)])
+        assert m.log_pi_unnormalized(p).tolist() == [0.0]
+        assert m.grad_log_pi(p).tolist() == [[0.0, 0.0]]
 
     def test_single_covariate_arithmetic(self):
         m = RsfModel([SquaredDistance((0, 0))], [-0.05])
-        assert m.log_pi_unnormalized((2.0, 0.0)) == pytest.approx(-0.2, rel=1e-14)
+        assert m.log_pi_unnormalized(np.array([(2.0, 0.0)])) == pytest.approx([-0.2], rel=1e-14)
 
     def test_node_values_from_rasters(self):
         # log pi at a cell center is the beta-weighted sum of stored values
@@ -37,9 +66,9 @@ class TestLogPi:
         r2 = GridRaster(geom, rng.random((7, 7)))
         m = RsfModel([RasterCovariate(r1), RasterCovariate(r2)], [2.0, 4.0])
         for iy, ix in [(0, 0), (3, 2), (6, 6)]:
-            p = (geom.x_min + ix, geom.y_min + iy)
+            p = np.array([(geom.x_min + ix, geom.y_min + iy)])
             expected = 2.0 * r1.values[iy, ix] + 4.0 * r2.values[iy, ix]
-            assert m.log_pi_unnormalized(p) == pytest.approx(expected, rel=1e-14)
+            assert m.log_pi_unnormalized(p) == pytest.approx([expected], rel=1e-14)
 
 
 class TestGradLogPi:
@@ -49,19 +78,31 @@ class TestGradLogPi:
         h = 1e-6
         for _ in range(25):
             x, y = rng.uniform(-4, 4, size=2)
-            gx, gy = m.grad_log_pi((x, y))
-            fx = (m.log_pi_unnormalized((x + h, y)) - m.log_pi_unnormalized((x - h, y))) / (2 * h)
-            fy = (m.log_pi_unnormalized((x, y + h)) - m.log_pi_unnormalized((x, y - h))) / (2 * h)
+            gx, gy = m.grad_log_pi(np.array([(x, y)]))[0]
+            right, left, up, down = m.log_pi_unnormalized(
+                np.array([(x + h, y), (x - h, y), (x, y + h), (x, y - h)])
+            )
+            fx = (right - left) / (2 * h)
+            fy = (up - down) / (2 * h)
             assert gx == pytest.approx(fx, rel=1e-4, abs=1e-8)
             assert gy == pytest.approx(fy, rel=1e-4, abs=1e-8)
+
+    @pytest.mark.parametrize("make_model", [mixed_model, merged_model])
+    def test_rows_are_the_kernel_bit_for_bit(self, make_model):
+        # compared as bytes, so that a -0.0 against a 0.0 shows
+        model = make_model()
+        xy = grid_points(11)
+        kernel = model.grad_log_pi_kernel()
+        expected = np.array([kernel(x, y) for x, y in xy.tolist()])
+        assert model.grad_log_pi(xy).tobytes() == expected.tobytes()
 
     def test_linear_in_beta(self):
         covs = scenario1_covariates()
         m1 = RsfModel(covs, [-1.0, 0.5, -0.05])
         m2 = RsfModel(covs, [-2.0, 1.0, -0.1])
-        p = (0.8, -1.1)
-        g1 = m1.grad_log_pi(p)
-        g2 = m2.grad_log_pi(p)
+        p = np.array([(0.8, -1.1)])
+        g1 = m1.grad_log_pi(p)[0]
+        g2 = m2.grad_log_pi(p)[0]
         assert g2[0] == pytest.approx(2 * g1[0], rel=1e-14)
         assert g2[1] == pytest.approx(2 * g1[1], rel=1e-14)
 
@@ -72,16 +113,11 @@ class TestGradLogPi:
         const = RasterCovariate(GridRaster(geom, np.full((5, 5), 2.5)))
         base = RsfModel([SquaredDistance((1, 0))], [-0.3])
         shifted = RsfModel([SquaredDistance((1, 0)), const], [-0.3, 4.0])
-        for p in [(0.0, 0.0), (2.0, -3.0), (-4.0, 4.0)]:
-            assert shifted.grad_log_pi(p) == pytest.approx(base.grad_log_pi(p), abs=1e-12)
-            assert shifted.log_pi_unnormalized(p) == pytest.approx(
-                base.log_pi_unnormalized(p) + 10.0, rel=1e-12
-            )
-
-
-def random_rasters(geom, k, seed):
-    rng = np.random.default_rng(seed)
-    return [RasterCovariate(GridRaster(geom, rng.normal(size=(geom.n_y, geom.n_x)))) for _ in range(k)]
+        p = np.array([(0.0, 0.0), (2.0, -3.0), (-4.0, 4.0)])
+        np.testing.assert_allclose(shifted.grad_log_pi(p), base.grad_log_pi(p), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            shifted.log_pi_unnormalized(p), base.log_pi_unnormalized(p) + 10.0, rtol=1e-12
+        )
 
 
 class TestMergedDrift:
@@ -115,7 +151,7 @@ class TestMergedDrift:
         ext = geom.extent
         pts = rng.uniform((ext.x_lo, ext.y_lo), (ext.x_hi, ext.y_hi), size=(500, 2))
         expected = sum(b * c.gradient(pts) for b, c in zip(beta, covs))
-        merged = np.array([model.grad_log_pi(p) for p in pts.tolist()])
+        merged = model.grad_log_pi(pts)
         assert np.abs(merged - expected).max() <= tol
         assert np.abs(merged - expected).max() > 0.0  # the sums do round differently
 
@@ -138,16 +174,18 @@ class TestMergedDrift:
         assert merged.raster.geom == geom
         assert merged.raster.values.tobytes() == (0.8 * r1.raster.values + 2.5 * r2.raster.values).tobytes()
         kernel = model.grad_log_pi_kernel()
-        for x, y in np.random.default_rng(7).uniform(-4, 4, size=(50, 2)).tolist():
-            assert kernel(x, y) == model.grad_log_pi((x, y))
+        xy = np.random.default_rng(7).uniform(-4, 4, size=(50, 2))
+        expected = list(map(tuple, model.grad_log_pi(xy).tolist()))
+        assert [kernel(x, y) for x, y in xy.tolist()] == expected
 
     def test_single_raster_is_beta_times_its_gradient(self):
         (cov,) = random_rasters(GridGeometry(-1.0, -1.0, 0.5, 7, 7), 1, seed=4)
         model = RsfModel([cov], [-2.7])
-        for x, y in np.random.default_rng(8).uniform(-1, 2, size=(50, 2)).tolist():
-            gx, gy = cov.gradient((x, y))
-            assert model.grad_log_pi((x, y)) == (-2.7 * gx, -2.7 * gy)
-            assert model.grad_log_pi_kernel()(x, y) == (-2.7 * gx, -2.7 * gy)
+        xy = np.random.default_rng(8).uniform(-1, 2, size=(50, 2))
+        expected = -2.7 * cov.gradient(xy)
+        assert np.array_equal(model.grad_log_pi(xy), expected)
+        kernel = model.grad_log_pi_kernel()
+        assert [kernel(x, y) for x, y in xy.tolist()] == list(map(tuple, expected.tolist()))
 
 
 class TestUdRaster:
@@ -192,6 +230,16 @@ class TestUdRaster:
         averaged = fine.values.reshape(n, 2, n, 2).mean(axis=(1, 3))
         rel = np.abs(averaged - coarse.values) / coarse.values
         assert rel.max() < 0.01
+
+    def test_equals_the_sum_of_rasterized_covariates(self):
+        # the density from the model's log density at the cell centers is,
+        # bit for bit, the one from summing beta_j times each covariate's raster
+        geom = GridGeometry(-6.0, -6.0, 0.5, 25, 25)
+        for model in (mixed_model(), merged_model()):
+            log_v = sum(b * rasterize(c, geom).values for b, c in zip(model.beta, model.covariates))
+            dens = np.exp(log_v - log_v.max())
+            dens /= dens.sum() * geom.cell_size**2
+            assert ud_raster(model, geom).values.tobytes() == dens.tobytes()
 
     def test_nonfinite_log_density_rejected(self):
         class ExplodingCovariate(Covariate):
