@@ -53,7 +53,7 @@ from .experiments import (
 from .inference import pooled_fit
 from .langevin import SimConfig, Track, read_track_csv, simulate, write_track_csv
 from .raster import GridGeometry, GridRaster, read_ascii_grid, write_ascii_grid
-from .rsf import RsfModel, shifted_log_pi, ud_raster
+from .rsf import RsfModel, density_maps
 
 __all__ = ["main"]
 
@@ -273,12 +273,8 @@ def _cmd_ud(args: argparse.Namespace) -> int:
     base_dir = Path(args.config).parent
     model = _model_from_spec(cfg["model"], base_dir)
     geometry = GridGeometry(**_dataclass_kwargs(GridGeometry, cfg["grid"]))
-    writers = {"ud.asc": partial(write_ascii_grid, ud_raster(model, geometry))}
-    if not args.no_log:
-        # from the log density: the density itself may underflow to 0
-        shifted = shifted_log_pi(model, geometry)
-        log_ud = shifted - np.log(np.exp(shifted).sum() * geometry.cell_size**2)
-        writers["ud_log.asc"] = partial(write_ascii_grid, GridRaster(geometry, log_ud))
+    names = ("ud.asc",) if args.no_log else ("ud.asc", "ud_log.asc")
+    writers = {name: partial(write_ascii_grid, r) for name, r in zip(names, density_maps(model, geometry))}
     _write_outputs(args.out, "ud", cfg, writers)
     print(f"wrote {', '.join(writers)} to {Path(args.out)}")
     return 0

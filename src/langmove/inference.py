@@ -246,14 +246,15 @@ def fit(design: DesignMatrices, alpha: float = 0.05) -> FitResult:
         raise SingularDesignError(cond2)
     cond2 = float((svals[0] / svals[-1]) ** 2)
 
-    nu_hat = solve_triangular(r, q.T @ design.y)
+    # sums over increments by einsum, not BLAS: BLAS rounds by its thread count
+    nu_hat = solve_triangular(r, np.einsum("ij,i->j", q, design.y))
     r_inv = solve_triangular(r, np.eye(J))
     upsilon = r_inv @ r_inv.T
 
     resid = design.y - x @ nu_hat
-    rss = float(resid @ resid)
+    rss = float(np.einsum("i,i->", resid, resid))
     gamma2_hat = rss / m
-    yty = float(design.y @ design.y)
+    yty = float(np.einsum("i,i->", design.y, design.y))
     if gamma2_hat == 0.0 or rss <= 100.0 * np.finfo(float).eps ** 2 * yty:
         raise DegenerateFitError(nu_hat)
 
@@ -318,5 +319,5 @@ def pseudo_log_likelihood(track: Track, model: RsfModel) -> float:
     return float(
         -design.n * math.log(2.0 * math.pi * g2)
         - np.log(track.intervals).sum()
-        - (resid @ resid) / (2.0 * g2)
+        - np.einsum("i,i->", resid, resid) / (2.0 * g2)
     )

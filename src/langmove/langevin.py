@@ -119,9 +119,9 @@ class SimResult:
         return self.track.times[list(self.clamped)]
 
 
-#: Steps whose noise is turned into Python floats at a time: enough to
-#: amortize the conversion, few enough that memory does not grow with the track.
-BLOCK_STEPS = 256
+#: Rows turned into Python floats at a time, by simulate and write_track_csv: enough
+#: to amortize the conversion, few enough that memory does not grow with the track.
+BLOCK_ROWS = 256
 
 
 def simulate(cfg: SimConfig) -> SimResult:
@@ -137,7 +137,7 @@ def simulate(cfg: SimConfig) -> SimResult:
     recorded in ``SimResult.clamped``.
 
     The drift is compiled once per call (:meth:`RsfModel.grad_log_pi_kernel`)
-    and the steps run on Python floats, ``BLOCK_STEPS`` noise rows at a
+    and the steps run on Python floats, ``BLOCK_ROWS`` noise rows at a
     time; the result equals stepping with ``grad_log_pi`` bit for bit.
 
     Clamped locations do not follow the model; the studies in
@@ -171,8 +171,8 @@ def simulate(cfg: SimConfig) -> SimResult:
     pts = np.empty((cfg.n_steps + 1, 2))
     pts[0] = x, y
     clamped: list[int] = []
-    for k0 in range(0, cfg.n_steps, BLOCK_STEPS):
-        rows = noise[k0 : k0 + BLOCK_STEPS].tolist()
+    for k0 in range(0, cfg.n_steps, BLOCK_ROWS):
+        rows = noise[k0 : k0 + BLOCK_ROWS].tolist()
         for i, (nx, ny) in enumerate(rows):
             gx, gy = grad(x, y)
             x = x + half * gx + sig * nx
@@ -240,20 +240,25 @@ def thin_irregular(track: Track, mean_interval: float, seed: int) -> Track:
 
 
 def write_track_csv(track: Track, path: str | Path) -> None:
-    """Write a track as CSV with header ``t,x,y`` at full float precision."""
+    """Write a track as CSV with header ``t,x,y`` at full float precision (``repr``)."""
     with open(path, "w") as fh:
         fh.write("t,x,y\n")
-        for t, (x, y) in zip(track.times, track.xy):
-            fh.write(f"{float(t)!r},{float(x)!r},{float(y)!r}\n")
+        for k in range(0, len(track), BLOCK_ROWS):
+            block = slice(k, k + BLOCK_ROWS)
+            rows = zip(track.times[block].tolist(), *track.xy[block].T.tolist())
+            fh.write("".join([f"{t!r},{x!r},{y!r}\n" for t, x, y in rows]))
 
 
 def read_track_csv(path: str | Path) -> Track:
-    """Read a ``t,x,y`` CSV written by :func:`write_track_csv`.
+    """Read a ``t,x,y`` CSV written by :func:`write_track_csv`, skipping blank
+    lines.  One ``np.loadtxt`` parses the rows, equal to ``float()`` bit for
+    bit but rejecting underscores (``1_0``); ``#`` starts no comment.
 
     Raises
     ------
     ValueError
-        On a malformed header or row.
+        On a malformed header, no data rows, or a ragged or non-numeric row
+        (naming the file).
     NonIncreasingTimesError
         If timestamps are not strictly increasing.
     """
@@ -261,16 +266,11 @@ def read_track_csv(path: str | Path) -> Track:
         header = fh.readline().strip()
         if [c.strip() for c in header.split(",")] != ["t", "x", "y"]:
             raise ValueError(f"{path}: expected header 't,x,y', got {header!r}")
-        times = []
-        xy = []
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 columns")
-            times.append(float(parts[0]))
-            xy.append((float(parts[1]), float(parts[2])))
-    if not times:
+        rows = [line for line in fh if line.strip()]
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Track(np.asarray(times), np.asarray(xy))
+    try:
+        t, x, y = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, unpack=True)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    return Track(t.copy(), np.column_stack((x, y)))

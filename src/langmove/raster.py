@@ -320,7 +320,7 @@ def read_ascii_grid(path: str | Path) -> GridRaster:
                             raise GridParseError(line_no, f"missing header key {key!r}")
                 data_line_count += 1
                 try:
-                    data.extend(float(t) for t in tokens)
+                    data.extend(map(float, tokens))
                 except ValueError:
                     raise GridParseError(line_no, f"bad value in row: {line.rstrip()!r}") from None
     if not data:
@@ -351,9 +351,9 @@ def read_ascii_grid(path: str | Path) -> GridRaster:
 def write_ascii_grid(raster: GridRaster, path: str | Path) -> None:
     """Write a raster as an ESRI ASCII grid (.asc) file.
 
-    Values are written in scientific notation with 15 significant digits,
-    top row first; cell-center origin is converted to the format's
-    lower-left corner convention.
+    Values are written with ``%.14e`` (15 significant digits), top row
+    first; cell-center origin is converted to the format's lower-left
+    corner convention.
 
     Raises
     ------
@@ -372,6 +372,6 @@ def write_ascii_grid(raster: GridRaster, path: str | Path) -> None:
         fh.write(f"yllcorner {g.y_min - g.cell_size / 2.0!r}\n")
         fh.write(f"cellsize {g.cell_size!r}\n")
         fh.write(f"NODATA_value {NODATA_SENTINEL!r}\n")
-        for iy in range(g.n_y - 1, -1, -1):
-            fh.write(" ".join(f"{v:.14e}" for v in raster.values[iy]))
-            fh.write("\n")
+        row_format = " ".join(["%.14e"] * g.n_x) + "\n"
+        for row in raster.values[::-1]:
+            fh.write(row_format % tuple(row.tolist()))

@@ -28,7 +28,7 @@ from .covariates import Covariate, RasterCovariate
 from .errors import NonFiniteError
 from .raster import Extent, GridGeometry, GridRaster
 
-__all__ = ["RsfModel", "drift_terms", "shifted_log_pi", "ud_raster"]
+__all__ = ["RsfModel", "density_maps", "drift_terms", "ud_raster"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,22 +134,15 @@ def drift_terms(
     return tuple(terms)
 
 
-def shifted_log_pi(model: RsfModel, geometry: GridGeometry) -> np.ndarray:
-    """The log density at the cell centers of ``geometry``, minus its maximum,
-    as an ``(n_y, n_x)`` array.  Raises as :func:`ud_raster` does."""
-    log_v = model.log_pi_unnormalized(geometry.centers()).reshape(geometry.n_y, geometry.n_x)
-    if not np.all(np.isfinite(log_v)):
-        raise NonFiniteError("log density is non-finite on the requested grid")
-    return log_v - log_v.max()
-
-
-def ud_raster(model: RsfModel, geometry: GridGeometry) -> GridRaster:
-    """Evaluate the model's space-use density on a grid, normalized to integrate to 1.
+def density_maps(model: RsfModel, geometry: GridGeometry) -> tuple[GridRaster, GridRaster]:
+    """The model's space-use density on a grid, normalized to integrate to 1,
+    and its log, from one evaluation of the log density.
 
     The log density at the cell centers is shifted by its maximum before
-    exponentiating (overflow safety, :func:`shifted_log_pi`), and divided by
-    the midpoint-rule integral ``sum * cell_size**2``, so the returned raster
-    integrates to 1 over its own extent.
+    exponentiating (overflow safety), and divided by the midpoint-rule
+    integral ``sum * cell_size**2``, so the density integrates to 1 over the
+    grid's extent.  The log is the shifted log density minus the log of that
+    integral, so it stays finite where the density underflows to 0.
 
     Raises
     ------
@@ -158,6 +151,16 @@ def ud_raster(model: RsfModel, geometry: GridGeometry) -> GridRaster:
     NonFiniteError
         If any log-density value is non-finite.
     """
-    dens = np.exp(shifted_log_pi(model, geometry))
-    dens /= dens.sum() * geometry.cell_size**2
-    return GridRaster(geometry, dens)
+    log_v = model.log_pi_unnormalized(geometry.centers()).reshape(geometry.n_y, geometry.n_x)
+    if not np.all(np.isfinite(log_v)):
+        raise NonFiniteError("log density is non-finite on the requested grid")
+    shifted = log_v - log_v.max()
+    dens = np.exp(shifted)
+    mass = dens.sum() * geometry.cell_size**2
+    dens /= mass
+    return GridRaster(geometry, dens), GridRaster(geometry, shifted - np.log(mass))
+
+
+def ud_raster(model: RsfModel, geometry: GridGeometry) -> GridRaster:
+    """The first raster of :func:`density_maps`: the density, integrating to 1 on the grid."""
+    return density_maps(model, geometry)[0]

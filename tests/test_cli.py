@@ -1,6 +1,9 @@
 """Command-line surface: configs in, deterministic files out."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +204,33 @@ class TestFitCommand:
         assert all(len(ci) == 2 for ci in doc["ci_beta"])
         assert doc["J"] == 4
 
+    def test_fit_json_independent_of_blas_threads(self, tmp_path):
+        """``fit.json`` of a pooled fit of 12,000 increments has the same bytes
+        at one and at two BLAS threads.
+
+        OpenBLAS splits a dot product of more than 10,000 elements between
+        threads, and the split sum rounds differently.  The test needs at
+        least 2 CPUs to show that fault: OpenBLAS uses no more threads than
+        there are CPUs, so on one CPU both runs are single-threaded.
+        """
+        field = generate_random_field(
+            RandomFieldSpec(x_min=-25, y_min=-25, cell_size=1.0, n_x=51, n_y=51, rho=5.0, seed=21)
+        )
+        write_ascii_grid(field, tmp_path / "c1.asc")
+        model = RsfModel([RasterCovariate(field)], [3.0], gamma2=1.0)
+        write_track_csv(simulate(SimConfig(model, (0.0, 0.0), 0.01, 12_000, seed=5)).track, tmp_path / "track.csv")
+        covs = write_json(tmp_path / "covs.json", {"covariates": [{"type": "raster", "path": "c1.asc"}]})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for threads in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-m", "langmove.cli", "fit", "--tracks", "track.csv",
+                 "--covariates", covs, "--out", f"fit_{threads}"],
+                cwd=tmp_path, env=env | {"OPENBLAS_NUM_THREADS": threads}, check=True, capture_output=True,
+            )
+        assert json.loads((tmp_path / "fit_1" / "fit.json").read_text())["n"] == 12_000
+        assert (tmp_path / "fit_1" / "fit.json").read_bytes() == (tmp_path / "fit_2" / "fit.json").read_bytes()
+
 
 class TestUdCommand:
     def test_uniform_density_and_round_trip(self, tmp_path):
@@ -252,6 +282,15 @@ class TestUdCommand:
         main(["ud", "--config", cfg, "--out", str(out), "--no-log"])
         assert (out / "ud.asc").exists()
         assert not (out / "ud_log.asc").exists()
+
+    def test_no_log_writes_the_same_density(self, tmp_path):
+        # ud.asc is the same with and without the log grid beside it
+        grid = {"x_min": -30, "y_min": -30, "cell_size": 1, "n_x": 61, "n_y": 61}
+        model = {"covariates": [{"type": "squared_distance", "center": [0.5, 0]}], "beta": [-0.7]}
+        cfg = write_json(tmp_path / "ud.json", {"model": model, "grid": grid})
+        main(["ud", "--config", cfg, "--out", str(tmp_path / "a")])
+        main(["ud", "--config", cfg, "--out", str(tmp_path / "b"), "--no-log"])
+        assert (tmp_path / "a" / "ud.asc").read_bytes() == (tmp_path / "b" / "ud.asc").read_bytes()
 
 
 class TestGenCovCommand:

@@ -2,9 +2,12 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langmove import (
     AnalyticWavelet,
@@ -528,3 +531,164 @@ class TestTrackType:
         path.write_text("t,x,y\n1.0,0,0\n0.5,0,0\n")
         with pytest.raises(NonIncreasingTimesError):
             read_track_csv(path)
+
+
+def reference_write_track_csv(track, path):
+    """The earlier one-row-at-a-time writer, kept as the reference for the bytes."""
+    with open(path, "w") as fh:
+        fh.write("t,x,y\n")
+        for t, (x, y) in zip(track.times, track.xy):
+            fh.write(f"{float(t)!r},{float(x)!r},{float(y)!r}\n")
+
+
+def reference_read_track_csv(path):
+    """The earlier one-row-at-a-time reader, kept as the reference for what is accepted."""
+    with open(path, "r") as fh:
+        header = fh.readline().strip()
+        if [c.strip() for c in header.split(",")] != ["t", "x", "y"]:
+            raise ValueError(f"{path}: expected header 't,x,y', got {header!r}")
+        times = []
+        xy = []
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{line_no}: expected 3 columns")
+            times.append(float(parts[0]))
+            xy.append((float(parts[1]), float(parts[2])))
+    if not times:
+        raise ValueError(f"{path}: no data rows")
+    return Track(np.asarray(times), np.asarray(xy))
+
+
+# where repr changes notation (1e-4 / 1e-5, 1e16), the smallest subnormal,
+# signed zero, integral floats and negatives
+SPECIAL_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e-300, 2.2250738585072014e-308, 1e-4, 9.999999999999999e-05,
+    1e-5, 0.0001234, 1e15, 9999999999999998.0, 1e16, 1.2345e16, -1e16, 3.0, -7.0, 1e300,
+    -0.1, 0.30000000000000004, 1.7976931348623157e308,
+]
+
+
+def special_track():
+    values = np.array(SPECIAL_VALUES)
+    times = np.unique(values)  # strictly increasing; -0.0 and 0.0 are one time
+    xy = np.column_stack((values, -values[::-1]))[: len(times)]
+    return Track(times, xy)
+
+
+class TestTrackCsv:
+    """The block writer and the one-``loadtxt`` reader against the earlier
+    per-row ones: the same bytes out, the same values and errors in."""
+
+    def test_special_values_write_the_reference_bytes(self, tmp_path):
+        track = special_track()
+        write_track_csv(track, tmp_path / "new.csv")
+        reference_write_track_csv(track, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back = read_track_csv(tmp_path / "new.csv")
+        assert back.times.tobytes() == track.times.tobytes()
+        assert back.xy.tobytes() == track.xy.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    def test_block_edges_write_the_reference_bytes(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        scale = 10.0 ** rng.integers(-8, 18, size=(n, 2))
+        track = Track(np.cumsum(rng.uniform(1e-3, 2.0, n)), rng.normal(size=(n, 2)) * scale)
+        write_track_csv(track, tmp_path / "new.csv")
+        reference_write_track_csv(track, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, times, data):
+        times = np.unique(times)
+        coords = st.floats(allow_nan=False, allow_infinity=False)
+        xy = data.draw(st.lists(st.tuples(coords, coords), min_size=len(times), max_size=len(times)))
+        track = Track(times, np.array(xy, dtype=float).reshape(-1, 2))
+        path = tmp_path_factory.mktemp("csv") / "track.csv"
+        write_track_csv(track, path)
+        back = read_track_csv(path)
+        assert back.times.tobytes() == track.times.tobytes()
+        assert back.xy.tobytes() == track.xy.tobytes()
+        assert back.xy.flags.c_contiguous and back.times.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0,1,2\n\n1,3,4\n",
+            "0,1,2\n   \n\t\n1,3,4\n\n",
+            "0.5,-1e-5,2\n",
+            " 0 , 1e16 ,-0.0 \n1,5e-324,3\n",
+            "0,1,2",
+        ],
+        ids=["blank", "whitespace-only", "one-row", "padded", "no-final-newline"],
+    )
+    def test_accepts_what_the_reference_accepts(self, tmp_path, body):
+        path = tmp_path / "track.csv"
+        path.write_text("t,x,y\n" + body)
+        back, ref = read_track_csv(path), reference_read_track_csv(path)
+        assert back.times.tobytes() == ref.times.tobytes()
+        assert back.xy.tobytes() == ref.xy.tobytes()
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "track.csv"
+        path.write_bytes(b"t,x,y\r\n0,1,2\r\n\r\n1,3.5,-4\r\n")
+        back, ref = read_track_csv(path), reference_read_track_csv(path)
+        assert back.xy.tolist() == ref.xy.tolist() == [[1.0, 2.0], [3.5, -4.0]]
+        assert back.times.tolist() == ref.times.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("body", ["", "\n", "  \n\n"], ids=["empty", "blank", "whitespace"])
+    def test_header_only_raises_without_warning(self, tmp_path, body):
+        path = tmp_path / "track.csv"
+        path.write_text("t,x,y\n" + body)
+        with pytest.raises(ValueError, match="no data rows"):
+            reference_read_track_csv(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no data rows"):
+                read_track_csv(path)
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "body",
+        ["0,1,2\n1,2\n", "0,1\n1,2\n", "0,1,2,3\n", "0,1,2,\n", "0,1,abc\n", "0,,2\n",
+         "# a comment\n0,1,2\n", "0,1,2 # note\n"],
+        ids=["ragged", "two-columns", "four-columns", "trailing-comma", "non-numeric", "empty-field",
+             "hash-line", "hash-after-value"],
+    )
+    def test_rejects_what_the_reference_rejects_naming_the_file(self, tmp_path, body):
+        path = tmp_path / "track.csv"
+        path.write_text("t,x,y\n" + body)
+        with pytest.raises(ValueError):
+            reference_read_track_csv(path)
+        with pytest.raises(ValueError, match="track.csv"):
+            read_track_csv(path)
+
+    def test_underscores_rejected_unlike_float(self, tmp_path):
+        # the one documented difference from the earlier float()-per-value reader
+        path = tmp_path / "track.csv"
+        path.write_text("t,x,y\n1_0,1,2\n")
+        assert reference_read_track_csv(path).times.tolist() == [10.0]
+        with pytest.raises(ValueError, match="track.csv"):
+            read_track_csv(path)
+
+    def test_writer_memory_does_not_grow_with_the_track(self, tmp_path):
+        # the track's arrays exist before tracing starts, so the peak is the
+        # writer's own: a block of rows, not a whole-track list of floats
+        rng = np.random.default_rng(3)
+        tracks = [Track(np.arange(n) * 0.01, rng.normal(size=(n, 2))) for n in (3_000, 30_000)]
+        write_track_csv(tracks[0], tmp_path / "warm.csv")
+        peaks = []
+        for track in tracks:
+            tracemalloc.start()
+            try:
+                write_track_csv(track, tmp_path / f"track_{len(track)}.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks

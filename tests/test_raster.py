@@ -219,6 +219,74 @@ class TestAsciiGrid:
             write_ascii_grid(r, tmp_path / "g.asc")
 
 
+def reference_write_ascii_grid(raster, path):
+    """The earlier one-value-at-a-time writer, kept as the reference for the bytes."""
+    g = raster.geom
+    with open(path, "w") as fh:
+        fh.write(f"ncols {g.n_x}\n")
+        fh.write(f"nrows {g.n_y}\n")
+        fh.write(f"xllcorner {g.x_min - g.cell_size / 2.0!r}\n")
+        fh.write(f"yllcorner {g.y_min - g.cell_size / 2.0!r}\n")
+        fh.write(f"cellsize {g.cell_size!r}\n")
+        fh.write(f"NODATA_value {-9999.0!r}\n")
+        for iy in range(g.n_y - 1, -1, -1):
+            fh.write(" ".join(f"{v:.14e}" for v in raster.values[iy]))
+            fh.write("\n")
+
+
+# signed zero, the smallest subnormal, values where notation switches in
+# other formats (1e-4 / 1e-5, 1e16), integral floats and negatives
+SPECIAL_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e-4, 9.999999999999999e-05, 1e-5, 1e15,
+    9999999999999998.0, 1e16, -1e16, 3.0, -7.0, 1e300, -0.1, 0.30000000000000004, 2.5,
+]
+
+
+class TestAsciiGridBytes:
+    """The row-format writer against the earlier per-value one, and values
+    read back equal to ``float()`` of the written text."""
+
+    @pytest.mark.parametrize("n_x, n_y", [(2, 9), (9, 2), (6, 3)])
+    def test_special_values_write_the_reference_bytes(self, tmp_path, n_x, n_y):
+        values = np.resize(np.array(SPECIAL_VALUES), n_x * n_y).reshape(n_y, n_x)
+        r = GridRaster(GridGeometry(-3.25, 1e16, 0.1, n_x, n_y), values)
+        write_ascii_grid(r, tmp_path / "new.asc")
+        reference_write_ascii_grid(r, tmp_path / "ref.asc")
+        assert (tmp_path / "new.asc").read_bytes() == (tmp_path / "ref.asc").read_bytes()
+
+    def test_random_raster_writes_the_reference_bytes(self, tmp_path):
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(31, 47)) * 10.0 ** rng.integers(-310, 300, size=(31, 47))
+        r = GridRaster(GridGeometry(0.5, -7.0, 0.25, 47, 31), values)
+        write_ascii_grid(r, tmp_path / "new.asc")
+        reference_write_ascii_grid(r, tmp_path / "ref.asc")
+        assert (tmp_path / "new.asc").read_bytes() == (tmp_path / "ref.asc").read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != -9999.0),
+            min_size=6,
+            max_size=6,
+        )
+    )
+    def test_read_back_equals_float_of_the_text(self, tmp_path_factory, cells):
+        r = GridRaster(GridGeometry(0.0, 0.0, 1.0, 3, 2), np.array(cells).reshape(2, 3))
+        path = tmp_path_factory.mktemp("asc") / "g.asc"
+        write_ascii_grid(r, path)
+        rows = path.read_text().splitlines()[6:]
+        expected = np.array([[float(tok) for tok in row.split()] for row in rows[::-1]])
+        if not np.all(np.isfinite(expected)):
+            # a cell above 1.797693134862315e308 in magnitude rounds to
+            # 1.79769313486232e+308 at 15 digits, which reads as infinity
+            with pytest.raises(NonFiniteError):
+                read_ascii_grid(path)
+            return
+        back = read_ascii_grid(path)
+        assert back.values.tobytes() == expected.tobytes()
+        assert back.geom == r.geom
+
+
 class TestValidation:
     def test_geometry_invariants(self):
         with pytest.raises(ValueError):

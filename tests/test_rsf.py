@@ -14,7 +14,7 @@ from langmove import (
     ud_raster,
 )
 from langmove.covariates import Covariate, rasterize
-from langmove.rsf import drift_terms
+from langmove.rsf import density_maps, drift_terms
 from langmove.errors import NonFiniteError
 from langmove.experiments import scenario1_covariates, scenario1_model, Scenario1Config
 
@@ -240,6 +240,26 @@ class TestUdRaster:
             dens = np.exp(log_v - log_v.max())
             dens /= dens.sum() * geom.cell_size**2
             assert ud_raster(model, geom).values.tobytes() == dens.tobytes()
+
+    @pytest.mark.parametrize("beta", [-0.5, -40.0], ids=["gentle", "underflowing"])
+    def test_density_maps_evaluate_the_log_density_once(self, monkeypatch, beta):
+        # the density is ud_raster's and the log the earlier two-pass formula,
+        # bit for bit, from one evaluation of the log density
+        model = RsfModel([SquaredDistance((0.3, -0.2))], [beta])
+        geom = GridGeometry(-6.0, -6.0, 0.5, 25, 25)
+        log_v = model.log_pi_unnormalized(geom.centers()).reshape(25, 25)
+        shifted = log_v - log_v.max()
+        expected_log = shifted - np.log(np.exp(shifted).sum() * geom.cell_size**2)
+        calls = []
+        evaluate = RsfModel.log_pi_unnormalized
+        monkeypatch.setattr(RsfModel, "log_pi_unnormalized", lambda m, xy: calls.append(1) or evaluate(m, xy))
+        dens, log_dens = density_maps(model, geom)
+        assert len(calls) == 1
+        assert dens.values.tobytes() == ud_raster(model, geom).values.tobytes()
+        assert log_dens.values.tobytes() == expected_log.tobytes()
+        assert np.all(np.isfinite(log_dens.values))
+        if beta == -40.0:
+            assert dens.values.min() == 0.0
 
     def test_nonfinite_log_density_rejected(self):
         class ExplodingCovariate(Covariate):
