@@ -8,9 +8,10 @@ Analytic covariates are defined on all of R^2; gridded covariates are
 restricted to their raster's interpolation domain and report it through
 ``extent`` (a call raises for its first row outside it).
 
-``point_kernel()`` compiles a covariate's gradient into a function of two
-Python floats, for the simulator, which steps one point at a time.  A
-kernel equals the array form's row bit for bit (the tests check this).
+``point_kernel(beta)`` compiles ``beta`` times a covariate's gradient into a
+function of two Python floats, for the simulator, which steps one point at
+a time.  A kernel equals ``beta`` times the array form's row bit for bit
+(the tests check this).
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ class Covariate:
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def point_kernel(self):
-        """``kernel(x, y) -> (gx, gy)``: the gradient at one point, on Python
-        floats, bit for bit the row of ``gradient`` at that point."""
+    def point_kernel(self, beta: float = 1.0):
+        """``kernel(x, y) -> (gx, gy)``: ``beta`` times the gradient at one
+        point, on Python floats, bit for bit ``beta`` times the row of
+        ``gradient`` at that point."""
         raise NotImplementedError
 
 
@@ -144,29 +146,41 @@ class AnalyticWavelet(Covariate):
         a = q.alpha * gauss
         return np.column_stack((a * gx, a * gy))
 
-    def point_kernel(self):
+    def point_kernel(self, beta: float = 1.0):
         q = self.params
-        alpha, a1, a2, omega1, omega2 = q.alpha, q.a1, q.a2, q.omega1, q.omega2
-        sigma1, sigma2 = q.sigma1, q.sigma2
-        on_z1 = self.second_sine_axis == "z1"
+        alpha, a1, a2, omega1, omega2, sigma2 = q.alpha, q.a1, q.a2, q.omega1, q.omega2, q.sigma2
+        # -s * d is (-s) * d, and -2.0 * s * d is (-2.0 * s) * d: the same roundings
+        neg_sigma1, m2_sigma1, m2_sigma2 = -q.sigma1, -2.0 * q.sigma1, -2.0 * q.sigma2
         exp, sin, cos = math.exp, math.sin, math.cos
 
         # the array form's arithmetic, in its order
-        def kernel(x: float, y: float) -> tuple[float, float]:
-            d1 = x - a1
-            d2 = y - a2
-            gauss = exp(-sigma1 * d1 * d1 - sigma2 * d2 * d2)
-            s1 = sin(omega1 * d1)
-            arg2 = omega2 * ((x if on_z1 else y) - a2)
-            s2 = sin(arg2)
-            gx = -2.0 * sigma1 * d1 * s1 * s2 + omega1 * cos(omega1 * d1) * s2
-            gy = -2.0 * sigma2 * d2 * s1 * s2
-            if on_z1:
-                gx += s1 * omega2 * cos(arg2)
-            else:
-                gy += s1 * omega2 * cos(arg2)
-            a = alpha * gauss
-            return a * gx, a * gy
+        if self.second_sine_axis == "z1":
+
+            def kernel(x: float, y: float) -> tuple[float, float]:
+                d1 = x - a1
+                d2 = y - a2
+                a = alpha * exp(neg_sigma1 * d1 * d1 - sigma2 * d2 * d2)
+                w1 = omega1 * d1
+                s1 = sin(w1)
+                arg2 = omega2 * (x - a2)
+                s2 = sin(arg2)
+                gx = m2_sigma1 * d1 * s1 * s2 + omega1 * cos(w1) * s2 + s1 * omega2 * cos(arg2)
+                gy = m2_sigma2 * d2 * s1 * s2
+                return beta * (a * gx), beta * (a * gy)
+
+        else:
+
+            def kernel(x: float, y: float) -> tuple[float, float]:
+                d1 = x - a1
+                d2 = y - a2
+                a = alpha * exp(neg_sigma1 * d1 * d1 - sigma2 * d2 * d2)
+                w1 = omega1 * d1
+                s1 = sin(w1)
+                arg2 = omega2 * d2
+                s2 = sin(arg2)
+                gx = m2_sigma1 * d1 * s1 * s2 + omega1 * cos(w1) * s2
+                gy = m2_sigma2 * d2 * s1 * s2 + s1 * omega2 * cos(arg2)
+                return beta * (a * gx), beta * (a * gy)
 
         return kernel
 
@@ -185,11 +199,11 @@ class SquaredDistance(Covariate):
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         return 2.0 * (xy - self.center)
 
-    def point_kernel(self):
+    def point_kernel(self, beta: float = 1.0):
         cx, cy = self.center
 
         def kernel(x: float, y: float) -> tuple[float, float]:
-            return 2.0 * (x - cx), 2.0 * (y - cy)
+            return beta * (2.0 * (x - cx)), beta * (2.0 * (y - cy))
 
         return kernel
 
@@ -207,8 +221,8 @@ class RasterCovariate(Covariate):
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         return interpolate_gradient(self.raster, xy)
 
-    def point_kernel(self):
-        return gradient_kernel(self.raster)
+    def point_kernel(self, beta: float = 1.0):
+        return gradient_kernel(self.raster, beta)
 
 
 def rasterize(cov: Covariate, geometry: GridGeometry) -> GridRaster:
@@ -244,6 +258,25 @@ class RandomFieldSpec:
         return GridGeometry(self.x_min, self.y_min, self.cell_size, self.n_x, self.n_y)
 
 
+def _window_counts(kernel: np.ndarray, n_y: int, n_x: int) -> np.ndarray:
+    """``convolve2d(ones((n_y, n_x)), kernel, mode="same")`` for a disc of
+    ones, without the convolution: the grid cells under the disc at each cell.
+
+    Row ``a`` of the disc (offset ``a - r``) spans the columns ``-s_a .. s_a``,
+    so it counts, at cell ``(i, j)``, whether row ``i + a - r`` is on the grid
+    times the cells of ``j - s_a .. j + s_a`` on it.  The count is the sum of
+    these outer products, in integers, which add exactly in any order.
+    """
+    r = kernel.shape[0] // 2
+    span = (np.count_nonzero(kernel, axis=1) - 1) // 2  # -1 for an empty row
+    row = np.arange(n_y)[None, :] + np.arange(-r, r + 1)[:, None]
+    on_grid = ((row >= 0) & (row < n_y)).astype(np.int64)
+    j = np.arange(n_x)[None, :]
+    s = span[:, None]
+    cols = np.maximum(np.minimum(j + s, n_x - 1) - np.maximum(j - s, 0) + 1, 0)
+    return (on_grid.T @ cols).astype(float)
+
+
 def generate_random_field(spec: RandomFieldSpec) -> GridRaster:
     """Generate a spatially autocorrelated field on [0, 1].
 
@@ -269,8 +302,7 @@ def generate_random_field(spec: RandomFieldSpec) -> GridRaster:
     kernel = ((di * di + dj * dj) * geom.cell_size**2 <= spec.rho**2).astype(float)
 
     total = convolve2d(raw, kernel, mode="same", boundary="fill", fillvalue=0.0)
-    count = convolve2d(np.ones_like(raw), kernel, mode="same", boundary="fill", fillvalue=0.0)
-    smoothed = total / count
+    smoothed = total / _window_counts(kernel, geom.n_y, geom.n_x)
 
     lo = smoothed.min()
     hi = smoothed.max()

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.stats import chi2, norm
+from scipy.special import gammaincinv, ndtri
 
 from .covariates import Covariate
 from .errors import (
@@ -267,12 +267,15 @@ def fit(design: DesignMatrices, alpha: float = 0.05) -> FitResult:
     beta_cov = 2.0 * np.outer(beta_hat, beta_hat) / (m - 4) + (upsilon / gamma2_hat) * (
         1.0 + 2.0 / (m - 4)
     )
-    z = norm.ppf(alpha / 2.0)  # negative
+    # the normal and chi-square quantiles, as scipy.stats computes them
+    # (norm.ppf is ndtri, chi2.ppf(p, m) is 2 * gammaincinv(m / 2, p))
+    # without its per-call dispatch
+    z = ndtri(alpha / 2.0)  # negative
     se = np.sqrt(np.diag(beta_cov))
     ci_beta = np.column_stack([beta_hat + z * se, beta_hat - z * se])
     ci_gamma2 = (
-        float(gamma2_hat * m / chi2.ppf(1.0 - alpha / 2.0, m)),
-        float(gamma2_hat * m / chi2.ppf(alpha / 2.0, m)),
+        float(gamma2_hat * m / (2.0 * gammaincinv(m / 2.0, 1.0 - alpha / 2.0))),
+        float(gamma2_hat * m / (2.0 * gammaincinv(m / 2.0, alpha / 2.0))),
     )
 
     return FitResult(

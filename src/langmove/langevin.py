@@ -138,7 +138,10 @@ def simulate(cfg: SimConfig) -> SimResult:
 
     The drift is compiled once per call (:meth:`RsfModel.grad_log_pi_kernel`)
     and the steps run on Python floats, ``BLOCK_ROWS`` noise rows at a
-    time; the result equals stepping with ``grad_log_pi`` bit for bit.
+    time.  The noise is scaled by ``sqrt(gamma2 * dt)`` in numpy first (the
+    same product per element), and each block's locations go into the track
+    from one flat list of floats; the result equals stepping with
+    ``grad_log_pi`` bit for bit.
 
     Clamped locations do not follow the model; the studies in
     ``experiments`` drop the increments they affect from their fits (the
@@ -164,29 +167,33 @@ def simulate(cfg: SimConfig) -> SimResult:
 
     rng = derive_rng(cfg.seed)
     noise = rng.standard_normal((cfg.n_steps, 2))
+    noise *= math.sqrt(model.gamma2 * cfg.dt)  # the product each step would round
     half = 0.5 * model.gamma2 * cfg.dt
-    sig = math.sqrt(model.gamma2 * cfg.dt)
     grad = model.grad_log_pi_kernel()
 
     pts = np.empty((cfg.n_steps + 1, 2))
     pts[0] = x, y
+    flat = pts.reshape(-1)
     clamped: list[int] = []
     for k0 in range(0, cfg.n_steps, BLOCK_ROWS):
-        rows = noise[k0 : k0 + BLOCK_ROWS].tolist()
-        for i, (nx, ny) in enumerate(rows):
+        block: list[float] = []  # x, y, x, y, ... of the block's locations
+        push = block.append
+        for nx, ny in zip(*noise[k0 : k0 + BLOCK_ROWS].T.tolist()):
             gx, gy = grad(x, y)
-            x = x + half * gx + sig * nx
-            y = y + half * gy + sig * ny
+            x = x + half * gx + nx
+            y = y + half * gy + ny
             if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
+                k = k0 + len(block) // 2 + 1
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise NonFiniteError(
-                        f"location {k0 + i + 1} of the track is non-finite ({x}, {y}): "
+                        f"location {k} of the track is non-finite ({x}, {y}): "
                         f"the drift diverges at dt={cfg.dt}"
                     )
                 x, y = dom.clamp(x, y)
-                clamped.append(k0 + i + 1)
-            rows[i] = (x, y)
-        pts[k0 + 1 : k0 + 1 + len(rows)] = rows
+                clamped.append(k)
+            push(x)
+            push(y)
+        flat[2 * k0 + 2 : 2 * k0 + 2 + len(block)] = block
     del noise  # the peak stays at two (n, 2) arrays while the timestamps are made
     times = np.arange(cfg.n_steps + 1, dtype=float) * cfg.dt
     return SimResult(Track(times, pts), tuple(clamped), cfg)

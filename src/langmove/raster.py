@@ -44,6 +44,12 @@ __all__ = [
 #: rejected on both read and write (missing data is unsupported).
 NODATA_SENTINEL = -9999.0
 
+#: The largest magnitude :func:`write_ascii_grid` writes: its ``%.14e`` text,
+#: 1.79769313486231e+308, reads back finite, while every larger float's
+#: rounds up (the rounding is monotone) to 1.79769313486232e+308, which
+#: reads back as infinity.
+ASC_MAX = 1.797693134862315e308
+
 
 @dataclass(frozen=True)
 class Extent:
@@ -237,14 +243,16 @@ def interpolate_gradient(raster: GridRaster, xy: np.ndarray) -> np.ndarray:
     return np.column_stack((gx, gy))
 
 
-def gradient_kernel(raster: GridRaster):
-    """:func:`interpolate_gradient` compiled for one point at a time.
+def gradient_kernel(raster: GridRaster, beta: float = 1.0):
+    """:func:`interpolate_gradient` compiled for one point at a time and
+    scaled by ``beta``.
 
     Returns ``kernel(x, y) -> (gx, gy)`` on Python floats, bit for bit
-    the array form's row at ``(x, y)``.  The geometry's constants and the
-    values (as nested lists) are bound once, so a call does no attribute
-    lookups and no numpy scalar arithmetic.  The kernel raises
-    :class:`OutOfDomainError` at a point outside the hull of cell centers.
+    ``beta`` times the array form's row at ``(x, y)``.  The geometry's
+    constants and the values (as nested lists) are bound once, so a call
+    does no attribute lookups and no numpy scalar arithmetic.  The kernel
+    raises :class:`OutOfDomainError` at a point outside the hull of cell
+    centers.
     """
     g = raster.geom
     x_lo, y_lo, x_hi, y_hi, h = g.x_min, g.y_min, g.x_max, g.y_max, g.cell_size
@@ -272,7 +280,7 @@ def gradient_kernel(raster: GridRaster):
         v11 = hi[ix + 1]
         gx = ((1.0 - w) * (v10 - v00) + w * (v11 - v01)) / h
         gy = ((1.0 - u) * (v01 - v00) + u * (v11 - v10)) / h
-        return gx, gy
+        return beta * gx, beta * gy
 
     return kernel
 
@@ -359,10 +367,21 @@ def write_ascii_grid(raster: GridRaster, path: str | Path) -> None:
     ------
     NoDataError
         If any value equals the NODATA sentinel (would be unreadable).
+    NonFiniteError
+        If a value is larger in magnitude than ``ASC_MAX`` (its text would
+        read back as infinity), naming the first such cell.
     """
     if np.any(raster.values == NODATA_SENTINEL):
         raise NoDataError(
             f"raster contains the NODATA sentinel value {NODATA_SENTINEL}"
+        )
+    too_large = np.abs(raster.values) > ASC_MAX
+    if too_large.any():
+        iy, ix = np.argwhere(too_large)[0].tolist()
+        v = float(raster.values[iy, ix])
+        raise NonFiniteError(
+            f"cell values[{iy}, {ix}] = {v!r} would be written as {v:.14e}, "
+            f"which reads back as infinity"
         )
     g = raster.geom
     with open(path, "w") as fh:

@@ -83,19 +83,22 @@ class RsfModel:
 
     def grad_log_pi_kernel(self):
         """``kernel(x, y) -> (gx, gy)``: :meth:`grad_log_pi` compiled from the
-        drift terms' point kernels, on Python floats, summed in the same order.
-        A drift of one merged raster is that raster's kernel."""
-        if len(self._drift) == 1 and self._drift[0][0] == 1.0:
-            return self._drift[0][1].point_kernel()  # 1.0 * g is g
-        terms = tuple((b, c.point_kernel()) for b, c in self._drift)
+        drift terms' point kernels, each scaled by its ``beta``, on Python
+        floats, summed in the same order onto ``0.0``.  A drift of one merged
+        raster is that raster's kernel: its coefficient is 1.0 and, its table
+        summed onto 0, its gradient is never -0.0, which ``0.0 +`` would turn
+        into 0.0."""
+        if len(self._drift) == 1 < len(self.covariates):
+            return self._drift[0][1].point_kernel()
+        kernels = tuple(c.point_kernel(b) for b, c in self._drift)
 
         def kernel(x: float, y: float) -> tuple[float, float]:
             gx = 0.0
             gy = 0.0
-            for b, grad in terms:
+            for grad in kernels:
                 cx, cy = grad(x, y)
-                gx += b * cx
-                gy += b * cy
+                gx += cx
+                gy += cy
             return gx, gy
 
         return kernel

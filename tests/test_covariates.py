@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import convolve2d
 
 from langmove import (
     AnalyticWavelet,
@@ -20,7 +21,7 @@ from langmove import (
     WaveletParams,
     generate_random_field,
 )
-from langmove.covariates import rasterize
+from langmove.covariates import _window_counts, rasterize
 from langmove.errors import DegenerateFieldError, OutOfDomainError
 from langmove.seeding import derive_rng
 
@@ -329,6 +330,25 @@ class TestRandomField:
         spec = RandomFieldSpec(x_min=0, y_min=0, cell_size=1.0, n_x=2, n_y=2, rho=10.0, seed=8)
         with pytest.raises(DegenerateFieldError):
             generate_random_field(spec)
+
+    @pytest.mark.parametrize(
+        "cell_size, n_x, n_y, rho",
+        [
+            (1.0, 101, 101, 10.0),  # the scenario-2 fields
+            (1.0, 7, 5, 3.0),
+            (1.0, 9, 6, 30.0),  # a disc wider than the grid
+            (1.0, 4, 4, 0.5),  # rho < cell_size: the disc is one cell
+            (0.1, 13, 20, 0.3),
+            (0.7, 2, 2, 2.5),
+            (0.1, 30, 12, 0.5),  # rho / cell_size rounds up: the disc's end rows are empty
+        ],
+    )
+    def test_window_counts_equal_a_convolution_of_ones(self, cell_size, n_x, n_y, rho):
+        r = int(rho / cell_size)
+        di, dj = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
+        kernel = ((di * di + dj * dj) * cell_size**2 <= rho**2).astype(float)
+        expected = convolve2d(np.ones((n_y, n_x)), kernel, mode="same", boundary="fill", fillvalue=0.0)
+        assert _window_counts(kernel, n_y, n_x).tobytes() == expected.tobytes()
 
     def test_rho_validation(self):
         with pytest.raises(ValueError):

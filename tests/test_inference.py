@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2, norm
 
 from langmove import (
     DesignMatrices,
@@ -219,6 +220,24 @@ class TestFit:
         assert narrow.ci_gamma2[0] < narrow.gamma2_hat < narrow.ci_gamma2[1]
         assert np.all(wide.ci_beta[:, 0] < narrow.ci_beta[:, 0])
         assert np.all(wide.ci_beta[:, 1] > narrow.ci_beta[:, 1])
+
+    @pytest.mark.parametrize("n, J", [(3, 1), (29, 1), (300, 2), (2000, 1), (25000, 2)])
+    def test_intervals_use_the_scipy_stats_quantiles(self, n, J):
+        # fit takes its quantiles from scipy.special: bit for bit norm.ppf
+        # and chi2.ppf, at 2n - J = 5, 57, 598, 3999 and 49998
+        des = synthetic_design(np.random.default_rng(n), n=n, J=J, nu=(1.0, -2.0)[:J])
+        m = 2 * n - J
+        for alpha in (0.01, 0.05, 0.1, 0.2):
+            res = fit(des, alpha=alpha)
+            z = norm.ppf(alpha / 2.0)
+            se = np.sqrt(np.diag(res.beta_cov))
+            ci_beta = np.column_stack([res.beta_hat + z * se, res.beta_hat - z * se])
+            ci_gamma2 = (
+                float(res.gamma2_hat * m / chi2.ppf(1.0 - alpha / 2.0, m)),
+                float(res.gamma2_hat * m / chi2.ppf(alpha / 2.0, m)),
+            )
+            assert res.ci_beta.tobytes() == ci_beta.tobytes()
+            assert np.array(res.ci_gamma2).tobytes() == np.array(ci_gamma2).tobytes()
 
     def test_singular_design_detected(self):
         rng = np.random.default_rng(9)

@@ -226,12 +226,22 @@ def analytic_model():
     return RsfModel(covs, [-1.0, 0.7, -0.05], gamma2=1.3)
 
 
+def one_raster_model():
+    """One raster with beta != 1: the compiled drift with a single term."""
+    rng = np.random.default_rng(13)
+    geom = GridGeometry(-2.0, -2.0, 0.5, 9, 9)
+    return RsfModel([RasterCovariate(GridRaster(geom, rng.normal(size=(9, 9))))], [-1.7], gamma2=4.0)
+
+
 class TestCompiledStep:
     """``simulate`` (compiled drift, float steps in blocks) equals the loop
     one step at a time, byte for byte, on every side of a block edge."""
 
     @pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 1000])
-    @pytest.mark.parametrize("make_model, dt", [(two_raster_model, 0.25), (analytic_model, 0.05)])
+    @pytest.mark.parametrize(
+        "make_model, dt",
+        [(two_raster_model, 0.25), (one_raster_model, 0.25), (analytic_model, 0.05)],
+    )
     def test_matches_reference_loop(self, make_model, dt, n_steps):
         cfg = SimConfig(make_model(), (0.3, -0.4), dt, n_steps, seed=n_steps)
         res = simulate(cfg)
@@ -241,6 +251,30 @@ class TestCompiledStep:
         if make_model is two_raster_model and n_steps == 1000:
             # clamps throughout, the last step of each block included
             assert res.n_clamped >= 100 and {256, 512, 768} <= set(res.clamped)
+
+    def test_clamp_indices_at_every_step(self):
+        # a noise scale of 1000 on a 2 x 2 domain: every proposal leaves it,
+        # so each step index, on both sides of the block edges, is a clamp
+        geom = GridGeometry(-1.0, -1.0, 1.0, 3, 3)
+        model = RsfModel([RasterCovariate(GridRaster(geom, np.zeros((3, 3))))], [1.0], gamma2=1e6)
+        cfg = SimConfig(model, (0.0, 0.0), 1.0, 600, seed=3)
+        res = simulate(cfg)
+        xy, clamped = reference_steps(cfg)
+        assert res.clamped == clamped == tuple(range(1, 601))
+        assert res.track.xy.tobytes() == xy.tobytes()
+
+    @pytest.mark.parametrize("k", [255, 256, 257])
+    def test_non_finite_location_at_a_block_edge(self, k):
+        # at gamma2 = dt = 1 the well's step doubles x (unit noise is below
+        # its last bit), so 1.5 * 2**(1024 - k) is 1.5 * 2**1023 after k - 1
+        # steps, still finite, and overflows at step k
+        model = RsfModel([SquaredDistance()], [1.0])
+        cfg = SimConfig(model, (1.5 * 2.0 ** (1024 - k), 0.0), 1.0, 300, seed=0)
+        with np.errstate(over="ignore"):  # the gradient overflows at step k - 1
+            xy, _ = reference_steps(cfg)
+        assert len(xy) == k + 1 and not np.isfinite(xy[k]).all()
+        with pytest.raises(NonFiniteError, match=rf"location {k} of the track is non-finite \(inf, "):
+            simulate(cfg)
 
     def test_memory_does_not_grow_with_the_track(self):
         # the peak beyond the noise and location arrays is the same at 10x

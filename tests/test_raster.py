@@ -1,5 +1,9 @@
 """Gridded-field storage, interpolation, gradients, and ASCII I/O."""
 
+import math
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,18 +277,34 @@ class TestAsciiGridBytes:
     def test_read_back_equals_float_of_the_text(self, tmp_path_factory, cells):
         r = GridRaster(GridGeometry(0.0, 0.0, 1.0, 3, 2), np.array(cells).reshape(2, 3))
         path = tmp_path_factory.mktemp("asc") / "g.asc"
+        if not all(math.isfinite(float(f"{v:.14e}")) for v in cells):
+            # a cell above 1.797693134862315e308 in magnitude rounds to
+            # 1.79769313486232e+308 at 15 digits, which reads as infinity
+            with pytest.raises(NonFiniteError, match="reads back as infinity"):
+                write_ascii_grid(r, path)
+            return
         write_ascii_grid(r, path)
         rows = path.read_text().splitlines()[6:]
         expected = np.array([[float(tok) for tok in row.split()] for row in rows[::-1]])
-        if not np.all(np.isfinite(expected)):
-            # a cell above 1.797693134862315e308 in magnitude rounds to
-            # 1.79769313486232e+308 at 15 digits, which reads as infinity
-            with pytest.raises(NonFiniteError):
-                read_ascii_grid(path)
-            return
         back = read_ascii_grid(path)
         assert back.values.tobytes() == expected.tobytes()
         assert back.geom == r.geom
+
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_largest_writable_magnitude(self, tmp_path, sign):
+        # 1.797693134862315e308 is written as 1.79769313486231e+308; the next
+        # float up, and the largest float, as 1.79769313486232e+308 (infinity)
+        ok = sign * 1.797693134862315e308
+        for bad in (sign * 1.7976931348623151e308, sign * sys.float_info.max):
+            values = np.array([[1.0, 2.0, 3.0], [ok, bad, bad]])
+            r = GridRaster(GridGeometry(0.0, 0.0, 1.0, 3, 2), values)
+            with pytest.raises(NonFiniteError, match=re.escape(f"cell values[1, 1] = {bad!r} ")):
+                write_ascii_grid(r, tmp_path / "g.asc")
+        r = GridRaster(GridGeometry(0.0, 0.0, 1.0, 3, 2), [[1.0, 2.0, 3.0], [ok, 0.0, -ok]])
+        write_ascii_grid(r, tmp_path / "g.asc")
+        back = read_ascii_grid(tmp_path / "g.asc").values
+        assert back[1].tolist() == [sign * 1.79769313486231e308, 0.0, -sign * 1.79769313486231e308]
 
 
 class TestValidation:

@@ -38,6 +38,18 @@ def merged_model():
     return RsfModel(random_rasters(GridGeometry(-6.0, -6.0, 1.5, 9, 9), 2, seed=10), [2.0, -3.0])
 
 
+def well_model():
+    """One squared distance with beta < 0: at its center the term is -0.0."""
+    return RsfModel([SquaredDistance((0.5, 0.0))], [-0.05])
+
+
+def narrow_wavelet_model():
+    """One wavelet with beta 1.0 whose window underflows to 0.0 beyond about
+    5 from its center: there its gradient is -0.0 where the sines are negative."""
+    params = WaveletParams(alpha=6, a1=0, a2=0, omega1=0.6, omega2=0.2, sigma1=30, sigma2=30)
+    return RsfModel([AnalyticWavelet(params)], [1.0])
+
+
 def grid_points(seed):
     """Points across [-6, 6]^2: random ones, cell centers and edges, the domain
     corners, and the squared distance's center (a zero gradient)."""
@@ -87,9 +99,12 @@ class TestGradLogPi:
             assert gx == pytest.approx(fx, rel=1e-4, abs=1e-8)
             assert gy == pytest.approx(fy, rel=1e-4, abs=1e-8)
 
-    @pytest.mark.parametrize("make_model", [mixed_model, merged_model])
+    @pytest.mark.parametrize(
+        "make_model", [mixed_model, merged_model, well_model, narrow_wavelet_model]
+    )
     def test_rows_are_the_kernel_bit_for_bit(self, make_model):
-        # compared as bytes, so that a -0.0 against a 0.0 shows
+        # compared as bytes, so that a -0.0 against a 0.0 shows: the sums
+        # start from 0 (0.0 in the kernel), and 0.0 + -0.0 is 0.0
         model = make_model()
         xy = grid_points(11)
         kernel = model.grad_log_pi_kernel()
