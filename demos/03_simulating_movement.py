@@ -5,7 +5,9 @@ distribution is the habitat density: drift along the log-density gradient,
 isotropic diffusion, one speed parameter scaling both.  Two animals with
 different speeds share the same long-run space use but explore it at very
 different rates.  Fine simulated tracks are thinned, regularly or at
-random, to emulate real observation schedules.
+random, to emulate real observation schedules: thinning picks the indices
+of the fine steps to keep, and the observed track is the fine track at
+those indices.
 """
 
 from pathlib import Path
@@ -16,6 +18,7 @@ from langmove import (
     RsfModel,
     SimConfig,
     SquaredDistance,
+    Track,
     simulate,
     thin_irregular,
     thin_regular,
@@ -44,8 +47,10 @@ print(f"movement-rate ratio: {step_msd[100.0] / step_msd[1.0]:.1f}x for a 100x s
 # thin a fine track to a half-unit schedule, and to random gap lengths
 model = RsfModel([SquaredDistance((0, 0))], [-0.05], gamma2=1.0)
 fine = simulate(SimConfig(model, (0.0, 0.0), 0.01, 20_000, seed=7)).track
-regular = thin_regular(fine, 50)
-irregular = thin_irregular(fine, mean_interval=0.5, seed=8)
+keep_regular = thin_regular(fine, 50)
+keep_irregular = thin_irregular(fine, mean_interval=0.5, seed=8)
+regular = Track(fine.times[keep_regular], fine.xy[keep_regular])
+irregular = Track(fine.times[keep_irregular], fine.xy[keep_irregular])
 print(f"fine track: {len(fine)} points at spacing {fine.intervals[0]:.2f}")
 print(f"regular thinning: {len(regular)} points at spacing {regular.intervals[0]:.2f}")
 print(

@@ -15,6 +15,7 @@ from langmove import (
     RsfModel,
     SimConfig,
     SquaredDistance,
+    Track,
     build_design,
     fit,
     pooled_fit,
@@ -29,7 +30,8 @@ covariates = list(truth.covariates)
 tracks = []
 for seed in (1, 2, 3):
     fine = simulate(SimConfig(truth, x0=(0.5, -0.5), dt=0.01, n_steps=30_000, seed=seed)).track
-    tracks.append(thin_regular(fine, 10))
+    keep = thin_regular(fine, 10)  # the indices of every 10th fine step
+    tracks.append(Track(fine.times[keep], fine.xy[keep]))
 
 single = fit(build_design(tracks[:1], covariates))
 print("single track:")

@@ -354,6 +354,7 @@ def _cmd_scenario2(args: argparse.Namespace) -> int:
         rows,
         {"seed": s2.seed},
         n_clamp_events=result.n_clamp_events,
+        dropped_increments={str(level): n for level, n in result.dropped_increments.items()},
     )
     for row in rows:
         print(
@@ -377,6 +378,8 @@ def _cmd_irregular(args: argparse.Namespace) -> int:
         list(rows[0]),
         rows,
         {"seed": s2.seed},
+        n_clamp_events=result.n_clamp_events,
+        dropped_increments={str(k): n for k, n in result.dropped_increments.items()},
     )
     for row in rows:
         print(

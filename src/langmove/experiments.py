@@ -70,6 +70,11 @@ def _stride(interval: float, fine_dt: float) -> int:
     return stride
 
 
+def _thinned(sim: SimResult, keep: np.ndarray) -> Track:
+    """The locations of ``sim``'s fine track at the step indices ``keep``."""
+    return Track(sim.track.times[keep], sim.track.xy[keep])
+
+
 def _beta_columns(**stats: np.ndarray) -> dict:
     """Table columns ``beta{j}_{stat}``, coefficient by coefficient, each in
     the order the stats are given."""
@@ -228,9 +233,8 @@ def run_scenario1(cfg: Scenario1Config) -> Scenario1Result:
     for rep in range(cfg.replications):
         sim = simulate(SimConfig(model, cfg.x0, cfg.fine_dt, n_steps, derive_seed(cfg.seed, rep)))
         n_clamped += sim.n_clamped
-        thinned = thin_regular(sim.track, stride)
-        # a copy: the strided view would keep the whole fine track in memory
-        tracks.append(Track(thinned.times.copy(), thinned.xy.copy()))
+        thinned = _thinned(sim, thin_regular(sim.track, stride))
+        tracks.append(thinned)
         try:
             res = fit(build_design([thinned], covs), alpha=cfg.alpha)
             analytic[rep] = [*res.beta_hat, res.gamma2_hat]
@@ -364,39 +368,44 @@ def _study_tracks(
     return sims, sims[0].config.model.covariates
 
 
-def _check_kept(thinned: Sequence[Track], n_points: int, what: str) -> None:
-    """Raise ``ValueError`` if a thinned track keeps fewer than ``n_points``."""
-    for i, track in enumerate(thinned):
-        if len(track) < n_points:
+def _check_kept(schedules: Sequence[np.ndarray], n_points: int, what: str) -> None:
+    """Raise ``ValueError`` if a schedule keeps fewer than ``n_points`` indices."""
+    for i, keep in enumerate(schedules):
+        if len(keep) < n_points:
             raise ValueError(
-                f"{what} keeps {len(track)} of {n_points} points of track {i}: the fine "
+                f"{what} keeps {len(keep)} of {n_points} points of track {i}: the fine "
                 "tracks are too short (scenario2_tracks sizes them for the coarsest level)"
             )
 
 
 def _clamp_free_fit(
     sims: Sequence[SimResult],
-    thinned: Sequence[Track],
+    schedules: Sequence[np.ndarray],
     covariates: Sequence[Covariate],
     alpha: float,
-) -> FitResult:
-    """Pooled fit of the thinned tracks without the increments whose time
-    window ``(t_i, t_{i+1}]`` holds a clamp of their fine simulation."""
+) -> tuple[FitResult, int]:
+    """Pooled fit of the sims thinned to the step indices ``schedules``,
+    without the increments whose steps ``(keep[i], keep[i+1]]`` hold a clamp
+    of their fine simulation, and the count of increments so dropped."""
     bad = [
-        np.diff(np.searchsorted(sim.clamp_times, track.times, side="right")) > 0
-        for sim, track in zip(sims, thinned)
+        np.diff(np.searchsorted(np.asarray(sim.clamped, dtype=np.int64), keep, side="right")) > 0
+        for sim, keep in zip(sims, schedules)
     ]
-    return fit(build_design(thinned, covariates, bad), alpha=alpha)
+    thinned = [_thinned(sim, keep) for sim, keep in zip(sims, schedules)]
+    return fit(build_design(thinned, covariates, bad), alpha=alpha), sum(int(b.sum()) for b in bad)
 
 
 @dataclass
 class Scenario2Result:
-    """One pooled fit per sampling interval, plus clamp bookkeeping."""
+    """One pooled fit per sampling interval, plus clamp bookkeeping:
+    the clamps of the fine tracks, and per interval the increments dropped
+    from the fit because their window holds one."""
 
     config: Scenario2Config
     fits: dict[float, FitResult]
     n_tracks: int
     n_clamp_events: int
+    dropped_increments: dict[float, int]
 
     def to_rows(self) -> list[dict]:
         rows = []
@@ -429,15 +438,15 @@ def run_scenario2(
     track thinned to a level keeps fewer than ``n_points`` points.
     """
     sims, covariates = _study_tracks(cfg, sims)
-    levels: dict[float, list[Track]] = {}
+    schedules: dict[float, list[np.ndarray]] = {}
     for level, stride in zip(cfg.levels, cfg.strides()):
-        levels[level] = [thin_regular(sim.track, stride)[: cfg.n_points] for sim in sims]
-        _check_kept(levels[level], cfg.n_points, f"thinning to level {level:g}")
-    fits = {
-        level: _clamp_free_fit(sims, thinned, covariates, cfg.alpha)
-        for level, thinned in levels.items()
-    }
-    return Scenario2Result(cfg, fits, len(sims), sum(s.n_clamped for s in sims))
+        schedules[level] = [thin_regular(sim.track, stride, cfg.n_points) for sim in sims]
+        _check_kept(schedules[level], cfg.n_points, f"thinning to level {level:g}")
+    fits: dict[float, FitResult] = {}
+    dropped: dict[float, int] = {}
+    for level, keeps in schedules.items():
+        fits[level], dropped[level] = _clamp_free_fit(sims, keeps, covariates, cfg.alpha)
+    return Scenario2Result(cfg, fits, len(sims), sum(s.n_clamped for s in sims), dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +468,17 @@ class IrregularConfig:
 
 @dataclass
 class IrregularResult:
-    """Pooled fits per interval and scheme, with realized gap statistics."""
+    """Pooled fits per interval and scheme, with realized gap statistics and
+    clamp bookkeeping: the clamps of the fine tracks, and per interval and
+    scheme the increments dropped from the fit because their window holds one."""
 
     config: IrregularConfig
     regular: dict[float, FitResult]
     irregular: dict[float, FitResult]
     gap_stats: dict[float, tuple[float, float]]
     n_tracks: int
+    n_clamp_events: int
+    dropped_increments: dict[float, dict[str, int]]
 
     def to_rows(self) -> list[dict]:
         rows = []
@@ -500,23 +513,28 @@ def run_irregular(
     s2 = cfg.base
     strides = [_stride(interval, s2.fine_dt) for interval in cfg.mean_intervals]
     sims, covariates = _study_tracks(s2, sims)
-    schedules: dict[float, dict[str, list[Track]]] = {}
+    schedules: dict[float, dict[str, list[np.ndarray]]] = {}
     for k, (interval, stride) in enumerate(zip(cfg.mean_intervals, strides)):
         schedules[interval] = {
-            "regular": [thin_regular(sim.track, stride)[: s2.n_points] for sim in sims],
+            "regular": [thin_regular(sim.track, stride, s2.n_points) for sim in sims],
             "irregular": [
-                thin_irregular(sim.track, interval, derive_seed(s2.seed, 3, k, i))[: s2.n_points]
+                thin_irregular(sim.track, interval, derive_seed(s2.seed, 3, k, i), s2.n_points)
                 for i, sim in enumerate(sims)
             ],
         }
-        for scheme, thinned in schedules[interval].items():
-            _check_kept(thinned, s2.n_points, f"{scheme} thinning at mean interval {interval:g}")
-    regular: dict[float, FitResult] = {}
-    irregular: dict[float, FitResult] = {}
+        for scheme, keeps in schedules[interval].items():
+            _check_kept(keeps, s2.n_points, f"{scheme} thinning at mean interval {interval:g}")
+    fits: dict[str, dict[float, FitResult]] = {"regular": {}, "irregular": {}}
+    dropped: dict[float, dict[str, int]] = {interval: {} for interval in schedules}
     gap_stats: dict[float, tuple[float, float]] = {}
-    for interval, thinned in schedules.items():
-        regular[interval] = _clamp_free_fit(sims, thinned["regular"], covariates, s2.alpha)
-        gaps = np.concatenate([t.intervals for t in thinned["irregular"]])
+    for interval, by_scheme in schedules.items():
+        for scheme, keeps in by_scheme.items():
+            res, dropped[interval][scheme] = _clamp_free_fit(sims, keeps, covariates, s2.alpha)
+            fits[scheme][interval] = res
+        keeps = by_scheme["irregular"]
+        gaps = np.concatenate([np.diff(sim.track.times[keep]) for sim, keep in zip(sims, keeps)])
         gap_stats[interval] = (float(gaps.mean()), float(gaps.std()))
-        irregular[interval] = _clamp_free_fit(sims, thinned["irregular"], covariates, s2.alpha)
-    return IrregularResult(cfg, regular, irregular, gap_stats, len(sims))
+    n_clamp_events = sum(s.n_clamped for s in sims)
+    return IrregularResult(
+        cfg, fits["regular"], fits["irregular"], gap_stats, len(sims), n_clamp_events, dropped
+    )

@@ -51,6 +51,13 @@ __all__ = [
 ]
 
 
+#: Kept increments per group of :func:`build_design`: consecutive tracks share
+#: one domain check and one gradient call per covariate up to this many rows,
+#: and a longer track is a group of its own, so the working memory stays
+#: that of one long track.
+GROUP_ROWS = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class DesignMatrices:
     """Regression blocks for the increments of one or more tracks.
@@ -80,9 +87,11 @@ def build_design(
     covariate's domain), and it is dropped.  Each transition density is
     conditioned on its own start, so dropping an increment is the same as
     cutting the track there.  Gradients are evaluated at the kept starts
-    only, in one array call per covariate and track, so any other location
-    may lie outside gridded covariate domains, and the working memory is
-    that of one track.
+    only, so any other location may lie outside gridded covariate domains.
+    Consecutive tracks are pooled into groups of at most ``GROUP_ROWS``
+    kept increments, or one longer track, with one domain check and one
+    array call per covariate each; every row is computed on its own, so the
+    grouping does not change a bit of the design.
 
     Raises
     ------
@@ -114,27 +123,53 @@ def build_design(
         raise InsufficientDataError("no usable increments to fit")
     J = len(covariates)
 
-    # each track fills its rows of the x block [0, n) and of the y block [n, 2n)
+    # each group fills its rows of the x block [0, n) and of the y block [n, 2n)
     y, d, t_delta = np.empty(2 * n), np.empty((2 * n, J)), np.empty(2 * n)
     lo = 0
-    for k, (track, keep) in enumerate(zip(tracks, kept)):
-        x_rows = slice(lo, lo + len(keep))
-        y_rows = slice(n + lo, n + lo + len(keep))
-        lo += len(keep)
-        starts = track.xy[keep]
-        outside = np.zeros(len(keep), dtype=bool)
+    for group in _groups(kept):
+        rows = sum(len(kept[k]) for k in group)
+        x_rows = slice(lo, lo + rows)
+        y_rows = slice(n + lo, n + lo + rows)
+        lo += rows
+        starts = _stack([tracks[k].xy[kept[k]] for k in group])
+        outside = np.zeros(rows, dtype=bool)
         for cov in covariates:
             if cov.extent is not None:
                 outside |= ~cov.extent.contains_points(starts)
         if outside.any():
             i = int(np.argmax(outside))
-            raise OutOfDomainError(*starts[i], f"track {k}: track location {keep[i]}")
-        sqrt_d = np.sqrt(track.intervals[keep])
+            for k in group:  # the track of row i, and its location
+                if i < len(kept[k]):
+                    break
+                i -= len(kept[k])
+            loc = kept[k][i]
+            raise OutOfDomainError(*tracks[k].xy[loc], f"track {k}: track location {loc}")
+        sqrt_d = np.sqrt(_stack([tracks[k].intervals[kept[k]] for k in group]))
+        steps = _stack([np.diff(tracks[k].xy, axis=0)[kept[k]] for k in group])
         t_delta[x_rows] = t_delta[y_rows] = sqrt_d
-        y[x_rows], y[y_rows] = (np.diff(track.xy, axis=0)[keep] / sqrt_d[:, None]).T
+        y[x_rows], y[y_rows] = (steps / sqrt_d[:, None]).T
         for j, cov in enumerate(covariates):
             d[x_rows, j], d[y_rows, j] = 0.5 * cov.gradient(starts).T
     return DesignMatrices(y=y, d=d, t_delta=t_delta, n=n, J=J)
+
+
+def _groups(kept: Sequence[np.ndarray]) -> list[range]:
+    """Consecutive track indices in groups of at most ``GROUP_ROWS`` kept
+    rows, or of one track with more."""
+    groups: list[range] = []
+    first = rows = 0
+    for k, keep in enumerate(kept):
+        if k > first and rows + len(keep) > GROUP_ROWS:
+            groups.append(range(first, k))
+            first, rows = k, 0
+        rows += len(keep)
+    groups.append(range(first, len(kept)))
+    return groups
+
+
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts end to end, without a copy of a lone part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass(frozen=True, eq=False)

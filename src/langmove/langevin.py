@@ -113,11 +113,6 @@ class SimResult:
     def n_clamped(self) -> int:
         return len(self.clamped)
 
-    @property
-    def clamp_times(self) -> np.ndarray:
-        """Timestamps of the clamped locations (sorted)."""
-        return self.track.times[list(self.clamped)]
-
 
 #: Rows turned into Python floats at a time, by simulate and write_track_csv: enough
 #: to amortize the conversion, few enough that memory does not grow with the track.
@@ -199,15 +194,29 @@ def simulate(cfg: SimConfig) -> SimResult:
     return SimResult(Track(times, pts), tuple(clamped), cfg)
 
 
-def thin_regular(track: Track, stride: int) -> Track:
-    """Keep every ``stride``-th location (indices 0, stride, 2*stride, ...)."""
+def _check_cap(n_points: int | None) -> None:
+    if n_points is not None and n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
+
+
+def thin_regular(track: Track, stride: int, n_points: int | None = None) -> np.ndarray:
+    """Indices of every ``stride``-th location (0, stride, 2*stride, ...),
+    the first ``n_points`` of them if given.
+
+    The thinned track is ``Track(track.times[keep], track.xy[keep])``.
+    """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    return Track(track.times[::stride], track.xy[::stride])
+    _check_cap(n_points)
+    stop = len(track) if n_points is None else min(len(track), n_points * stride)
+    return np.arange(0, stop, stride)
 
 
-def thin_irregular(track: Track, mean_interval: float, seed: int) -> Track:
-    """Randomly thin a regularly sampled track to a target mean interval.
+def thin_irregular(
+    track: Track, mean_interval: float, seed: int, n_points: int | None = None
+) -> np.ndarray:
+    """Indices of the locations kept by randomly thinning a regularly sampled
+    track to a target mean interval, the first ``n_points`` of them if given.
 
     Keeps location 0, then draws i.i.d. gaps of ``Geometric(p)`` fine steps
     with ``p = dt / mean_interval`` -- the fine-grid discretization of
@@ -216,34 +225,40 @@ def thin_irregular(track: Track, mean_interval: float, seed: int) -> Track:
     ``sqrt(1 - p)``, just under 1, consistent with near-exponential gaps).
     The gaps are drawn in chunks, each the expected count of gaps in the
     steps left plus a margin, until their running sum reaches the end of
-    the track.  The chunks are a prefix of one draw of all ``n - 1`` gaps
-    (every gap is at least one step, so that draw covers the track), and
-    they keep the same points.
+    the track or ``n_points - 1`` gaps are drawn.  The chunks are a prefix
+    of one draw of all ``n - 1`` gaps (every gap is at least one step, so
+    that draw covers the track), and they keep the same points; so the cap
+    keeps a prefix of the uncapped indices.
 
-    Requires a regular input spacing ``dt`` with ``mean_interval >= dt``.
+    Requires a regular input spacing ``dt`` (every interval within
+    ``1e-9 * dt`` of the first) with ``mean_interval >= dt``.
     """
-    if len(track) < 2:
-        return track
+    _check_cap(n_points)
+    n = len(track)
+    if n < 2:
+        return np.zeros(1, dtype=np.int64)
     dt_all = track.intervals
     dt = float(dt_all[0])
-    if not np.allclose(dt_all, dt, rtol=1e-9, atol=0.0):
+    # |a - dt| <= 1e-9 dt for every interval a; a - dt rounds monotonically in a
+    if not (dt_all.max() - dt <= 1e-9 * dt and dt - dt_all.min() <= 1e-9 * dt):
         raise ValueError("thin_irregular requires a regularly sampled track")
     if mean_interval < dt:
         raise ValueError(f"mean_interval {mean_interval} is below the track spacing {dt}")
-    n = len(track)
     p = dt / mean_interval
     rng = derive_rng(seed)
-    gaps = []
+    gaps = [np.zeros(1, dtype=np.int64)]  # location 0
+    todo = n - 1 if n_points is None else n_points - 1  # gaps that may still be kept
     end = 0
-    while end < n - 1:
+    while end < n - 1 and todo > 0:
         # the count kept in the steps left is Binomial(steps, p): draw two SDs over its mean
         left = n - 1 - end
-        chunk = rng.geometric(p, size=min(left, int(left * p + 2.0 * math.sqrt(left * p)) + 1))
+        size = min(left, todo, int(left * p + 2.0 * math.sqrt(left * p)) + 1)
+        chunk = rng.geometric(p, size=size)
         gaps.append(chunk)
         end += int(chunk.sum())
+        todo -= size
     idx = np.cumsum(np.concatenate(gaps))
-    keep = np.concatenate([[0], idx[: np.searchsorted(idx, n - 1, side="right")]])
-    return Track(track.times[keep], track.xy[keep])
+    return idx[: np.searchsorted(idx, n - 1, side="right")]
 
 
 def write_track_csv(track: Track, path: str | Path) -> None:

@@ -16,6 +16,7 @@ from langmove import (
     RasterCovariate,
     RsfModel,
     SimConfig,
+    Track,
     read_ascii_grid,
     read_track_csv,
     simulate,
@@ -155,7 +156,8 @@ class TestFitCommand:
         model = RsfModel([RasterCovariate(field)], [3.0], gamma2=1.0)
         sim = simulate(SimConfig(model, (0.0, 0.0), 0.01, 20_000, seed=5))
         assert sim.n_clamped == 0
-        track = thin_regular(sim.track, 10)
+        keep = thin_regular(sim.track, 10)
+        track = Track(sim.track.times[keep], sim.track.xy[keep])
         write_track_csv(track, tmp_path / "track.csv")
         covs = write_json(tmp_path / "covs.json", {"covariates": [{"type": "raster", "path": "c1.asc"}]})
         out = tmp_path / "fit"
@@ -372,6 +374,9 @@ class TestStudyCommands:
             if not ln.startswith("#")
         ]
         assert len(lines) == 1 + 2  # header + one row per level
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["dropped_increments"]) == {"0.05", "0.1"}
+        assert isinstance(manifest["n_clamp_events"], int)
 
     @pytest.mark.parametrize("command", ["scenario1", "scenario2", "irregular"])
     def test_rerun_byte_identical(self, tmp_path, command):
@@ -395,6 +400,12 @@ class TestStudyCommands:
         header = lines[0].split(",")
         for col in ("scheme", "mean_interval", "beta1_hat", "beta1_se", "gap_mean"):
             assert col in header
+        manifest = json.loads((out / "manifest.json").read_text())
+        intervals = [str(float(v)) for v in TINY_STUDIES["irregular"]["mean_intervals"]]
+        assert list(manifest["dropped_increments"]) == intervals
+        for dropped in manifest["dropped_increments"].values():
+            assert set(dropped) == {"regular", "irregular"}
+        assert isinstance(manifest["n_clamp_events"], int)
 
     def test_irregular_short_tracks_rejected(self, tmp_path):
         # with levels up to 0.1 the fine tracks span 39 x 0.1 time units, and

@@ -15,6 +15,8 @@ from langmove.experiments import (
     run_scenario2,
     scenario2_tracks,
 )
+from langmove.langevin import thin_irregular
+from langmove.seeding import derive_seed
 
 # two tracks of 40 points on a small grid; the coarsest level sets the
 # fine tracks to 39 x 0.1 time units
@@ -91,3 +93,57 @@ class TestGivenSims:
         sims = scenario2_tracks(replace(TINY, levels=(0.05,)))
         with pytest.raises(ValueError, match="level 0.1 keeps 20 of 40 points of track 0"):
             run_scenario2(TINY, sims)
+
+
+# tracks started at the grid's edge with a fast diffusion: they clamp often
+CLAMPING = Scenario2Config(
+    n_tracks=6, n_points=120, start_margin=0.0, gamma2=4.0, seed=3,
+    grid_x_min=-20, grid_y_min=-20, grid_n_x=41, grid_n_y=41, rho=4.0,
+)
+
+
+def windows_with_a_clamp(sim, times):
+    """Reference count: windows ``(t_i, t_{i+1}]`` of ``times`` holding a
+    clamp time of ``sim``."""
+    clamp_times = sim.track.times[list(sim.clamped)]
+    return sum(any(a < c <= b for c in clamp_times) for a, b in zip(times, times[1:]))
+
+
+class TestDroppedIncrements:
+    """The studies count the increments their clamp masks drop: the count of
+    windows of the thinned times that hold a clamp time, and the increments
+    missing from each fit."""
+
+    def test_scenario2(self):
+        sims = scenario2_tracks(CLAMPING)
+        result = run_scenario2(CLAMPING, sims)
+        assert result.n_clamp_events == sum(s.n_clamped for s in sims) > 0
+        for level, stride in zip(CLAMPING.levels, CLAMPING.strides()):
+            expected = sum(
+                windows_with_a_clamp(s, s.track.times[::stride][: CLAMPING.n_points]) for s in sims
+            )
+            assert result.dropped_increments[level] == expected
+            full = CLAMPING.n_tracks * (CLAMPING.n_points - 1)
+            assert result.fits[level].n == full - expected
+        assert sum(result.dropped_increments.values()) > 0
+
+    def test_irregular(self):
+        sims = scenario2_tracks(CLAMPING)
+        cfg = IrregularConfig(base=CLAMPING, mean_intervals=(0.05, 0.5))
+        result = run_irregular(cfg, sims)
+        assert result.n_clamp_events == sum(s.n_clamped for s in sims)
+        full = CLAMPING.n_tracks * (CLAMPING.n_points - 1)
+        for k, interval in enumerate(cfg.mean_intervals):
+            stride = round(interval / CLAMPING.fine_dt)
+            regular = [s.track.times[::stride][: CLAMPING.n_points] for s in sims]
+            irregular = []
+            for i, s in enumerate(sims):
+                keep = thin_irregular(s.track, interval, derive_seed(CLAMPING.seed, 3, k, i))
+                irregular.append(s.track.times[keep][: CLAMPING.n_points])
+            for scheme, times, fits in (
+                ("regular", regular, result.regular), ("irregular", irregular, result.irregular)
+            ):
+                expected = sum(windows_with_a_clamp(s, t) for s, t in zip(sims, times))
+                assert result.dropped_increments[interval][scheme] == expected
+                assert fits[interval].n == full - expected
+        assert result.dropped_increments[0.5]["irregular"] > 0

@@ -26,6 +26,7 @@ from langmove import (
     pseudo_log_likelihood,
     simulate,
     thin_irregular,
+    thin_regular,
 )
 from langmove.errors import (
     DegenerateFitError,
@@ -33,7 +34,8 @@ from langmove.errors import (
     OutOfDomainError,
     SingularDesignError,
 )
-from langmove.experiments import scenario1_covariates
+from langmove.experiments import Scenario2Config, scenario1_covariates, scenario2_tracks
+from langmove.inference import GROUP_ROWS
 
 
 def plane_covariate(gx, gy, half=100.0):
@@ -357,6 +359,147 @@ class TestPooling:
         )
 
 
+class CountingCovariate:
+    """A covariate that counts its gradient calls and the rows they take."""
+
+    def __init__(self, cov):
+        self.cov, self.extent, self.calls = cov, cov.extent, []
+
+    def gradient(self, xy):
+        self.calls.append(len(xy))
+        return self.cov.gradient(xy)
+
+
+def walk(rng, n, half=9.0):
+    """A track of ``n`` locations inside ``[-half, half]^2`` at irregular times."""
+    times = np.cumsum(rng.uniform(0.01, 0.2, n))
+    return Track(times, rng.uniform(-half, half, (n, 2)))
+
+
+def stacked_per_track(tracks, covariates, bad):
+    """Reference ``(y, d, t_delta)``: the per-track designs ``build_design([t])``
+    laid out as all x blocks, then all y blocks."""
+    blocks = [build_design([t], covariates, [b]) for t, b in zip(tracks, bad) if not np.all(b)]
+    stacked = []
+    for name in ("y", "d", "t_delta"):
+        x_blocks = [getattr(b, name)[: b.n] for b in blocks]
+        y_blocks = [getattr(b, name)[b.n :] for b in blocks]
+        stacked.append(np.concatenate(x_blocks + y_blocks))
+    return stacked
+
+
+class TestGroupedDesign:
+    """Consecutive tracks share a domain check and one gradient call per
+    covariate up to ``GROUP_ROWS`` kept rows; the design is that of the
+    tracks one at a time, byte for byte."""
+
+    def covariates(self):
+        geom = GridGeometry(-10, -10, 0.5, 41, 41)
+        raster = RasterCovariate(GridRaster(geom, np.random.default_rng(30).normal(size=(41, 41))))
+        return [CountingCovariate(raster), CountingCovariate(SquaredDistance((1.0, -2.0)))]
+
+    @pytest.mark.parametrize(
+        "kept_rows, groups",
+        [
+            # short and long tracks; the long one is a group of its own
+            (
+                [40, 300, GROUP_ROWS + 900, 7, 250, 0, 120],
+                [[40, 300], [GROUP_ROWS + 900], [7, 250, 0, 120]],
+            ),
+            # a group that ends exactly at the constant
+            ([GROUP_ROWS // 2, GROUP_ROWS // 2, 1], [[GROUP_ROWS // 2, GROUP_ROWS // 2], [1]]),
+            ([GROUP_ROWS - 1, 1, 1], [[GROUP_ROWS - 1, 1], [1]]),
+            ([GROUP_ROWS, GROUP_ROWS + 1, 3], [[GROUP_ROWS], [GROUP_ROWS + 1], [3]]),
+        ],
+        ids=["mixed", "two-halves", "one-short", "at-and-over"],
+    )
+    def test_matches_the_per_track_designs(self, kept_rows, groups):
+        rng = np.random.default_rng(len(kept_rows) + kept_rows[0])
+        tracks, bad = [], []
+        for rows in kept_rows:
+            # about half as many flagged increments as kept ones; a track
+            # that keeps none has three, all flagged
+            n_flagged = rows // 2 if rows else 3
+            flags = np.zeros(rows + n_flagged, dtype=bool)
+            flags[rng.choice(len(flags), n_flagged, replace=False)] = True
+            tracks.append(walk(rng, len(flags) + 1))
+            bad.append(flags)
+        covs = self.covariates()
+        des = build_design(tracks, covs, bad)
+        for cov in covs:
+            assert cov.calls == [sum(g) for g in groups]
+        ref = stacked_per_track(tracks, covs, bad)
+        assert des.n == sum(kept_rows)
+        for got, want in zip((des.y, des.d, des.t_delta), ref):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "track, location",
+        [(1, 5), (2, 3), (3, GROUP_ROWS - 2), (5, 4)],
+        ids=["second-of-a-pooled-group", "third-of-a-pooled-group", "long-track", "later-group"],
+    )
+    def test_out_of_domain_names_track_and_location(self, track, location):
+        # groups [0, 1, 2], [3], [4, 5]; the first three increments of every
+        # track are flagged, and a flagged start outside the domain is ignored
+        rng = np.random.default_rng(31)
+        lengths = [30, 20, 40, GROUP_ROWS + 10, GROUP_ROWS - 60, 25]
+        tracks = [walk(rng, n) for n in lengths]
+        bad = [np.arange(n - 1) < 3 for n in lengths]
+        xy = [t.xy.copy() for t in tracks]
+        xy[0][1] = xy[4][0] = (50.0, 0.0)  # flagged starts
+        xy[track][location] = (0.0, -30.0)
+        xy[track][location + 1] = (40.0, 40.0)  # a second bad start: the first is named
+        tracks = [Track(t.times, p) for t, p in zip(tracks, xy)]
+        with pytest.raises(OutOfDomainError) as err:
+            build_design(tracks, self.covariates(), bad)
+        assert str(err.value) == (
+            f"point (0.0, -30.0) is outside the interpolation domain "
+            f"(track {track}: track location {location})"
+        )
+
+
+class TestMetamorphic:
+    """Exact rescalings of the data rescale the estimates exactly: powers of
+    two scale every rounding step of the design and of the QR solve, so the
+    estimates move bit for bit.  Eight short tracks share one pooled group."""
+
+    def data(self):
+        cfg = Scenario2Config(
+            n_tracks=8, n_points=200, levels=(0.1,), grid_n_x=41, grid_n_y=41,
+            grid_x_min=-20, grid_y_min=-20, rho=4.0, start_margin=4.0, seed=7,
+        )
+        sims = scenario2_tracks(cfg)
+        keeps = [thin_regular(sim.track, 10, cfg.n_points) for sim in sims]
+        tracks = [Track(sim.track.times[k], sim.track.xy[k]) for sim, k in zip(sims, keeps)]
+        bad = [
+            np.diff(np.searchsorted(np.asarray(sim.clamped), k, side="right")) > 0
+            for sim, k in zip(sims, keeps)
+        ]
+        assert sum(int(b.sum()) for b in bad) > 0  # the clamp masks drop increments
+        covs = sims[0].config.model.covariates
+        return tracks, bad, covs
+
+    @pytest.mark.parametrize("factor", [4.0, 0.25])
+    def test_time_scaling(self, factor):
+        tracks, bad, covs = self.data()
+        base = fit(build_design(tracks, covs, bad))
+        scaled_tracks = [Track(t.times * factor, t.xy) for t in tracks]
+        scaled = fit(build_design(scaled_tracks, covs, bad))
+        assert np.array_equal(scaled.beta_hat, base.beta_hat)
+        assert scaled.gamma2_hat == base.gamma2_hat / factor
+
+    @pytest.mark.parametrize("factor", [2.0, 0.5])
+    def test_covariate_scaling(self, factor):
+        tracks, bad, covs = self.data()
+        base = fit(build_design(tracks, covs, bad))
+        scaled_covs = [
+            RasterCovariate(GridRaster(c.raster.geom, factor * c.raster.values)) for c in covs
+        ]
+        scaled = fit(build_design(tracks, scaled_covs, bad))
+        assert np.array_equal(scaled.beta_hat, base.beta_hat / factor)
+        assert scaled.gamma2_hat == base.gamma2_hat
+
+
 class TestPseudoLogLikelihood:
     def test_brownian_reduction(self):
         # beta = 0, gamma2 = 1: sum of -log(2 pi dt) - ||dx||^2 / (2 dt)
@@ -428,9 +571,9 @@ class TestPseudoLogLikelihood:
             model = RsfModel(covs, [0.8, -0.5], gamma2=1.7)
         else:
             model = RsfModel(scenario1_covariates(), [-1.0, 0.5, -0.05], gamma2=0.6)
-        track = thin_irregular(
-            simulate(SimConfig(model, (0.0, 0.0), 0.01, 3000, seed=20)).track, 0.1, seed=21
-        )
+        fine = simulate(SimConfig(model, (0.0, 0.0), 0.01, 3000, seed=20)).track
+        keep = thin_irregular(fine, 0.1, seed=21)
+        track = Track(fine.times[keep], fine.xy[keep])
         g2 = model.gamma2
         expected = 0.0
         for i, dt in enumerate(track.intervals):

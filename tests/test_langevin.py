@@ -34,6 +34,7 @@ from langmove.errors import (
     OutOfDomainError,
 )
 from langmove import langevin
+from langmove.experiments import Scenario2Config, scenario2_model
 from langmove.seeding import derive_rng
 
 
@@ -180,7 +181,6 @@ class TestDomainEscape:
         for idx in res.clamped:
             x, y = res.track.xy[idx]
             assert x in (ext.x_lo, ext.x_hi) or y in (ext.y_lo, ext.y_hi)
-        np.testing.assert_array_equal(res.clamp_times, res.track.times[list(res.clamped)])
 
     def test_start_point_must_be_inside(self):
         with pytest.raises(OutOfDomainError):
@@ -324,30 +324,44 @@ class TestDivergence:
             simulate(SimConfig(model, (1.5, 1.5), 0.01, 50, seed=0))
 
 
+def thinned(track, keep):
+    return Track(track.times[keep], track.xy[keep])
+
+
 class TestThinRegular:
     def test_stride_one_is_identity(self):
         res = simulate(SimConfig(flat_model(), (0.0, 0.0), 0.01, 60, seed=5))
-        out = thin_regular(res.track, 1)
+        out = thinned(res.track, thin_regular(res.track, 1))
         np.testing.assert_array_equal(out.times, res.track.times)
         np.testing.assert_array_equal(out.xy, res.track.xy)
 
     def test_point_count_and_spacing(self):
         track = Track(np.arange(3001) * 0.01, np.zeros((3001, 2)))
-        out = thin_regular(track, 50)
+        out = thinned(track, thin_regular(track, 50))
         assert len(out) == 61
         np.testing.assert_allclose(out.intervals, 0.5)
 
     def test_composition(self):
         track = Track(np.arange(1201) * 0.01, np.random.default_rng(6).normal(size=(1201, 2)))
-        a = thin_regular(thin_regular(track, 4), 3)
-        b = thin_regular(track, 12)
-        np.testing.assert_array_equal(a.times, b.times)
-        np.testing.assert_array_equal(a.xy, b.xy)
+        keep4 = thin_regular(track, 4)
+        a = keep4[thin_regular(thinned(track, keep4), 3)]
+        np.testing.assert_array_equal(a, thin_regular(track, 12))
 
     def test_stride_validation(self):
         track = Track([0.0, 1.0], [[0, 0], [1, 1]])
         with pytest.raises(ValueError):
             thin_regular(track, 0)
+        with pytest.raises(ValueError, match="n_points must be >= 1"):
+            thin_regular(track, 1, n_points=0)
+
+    def test_indices_are_the_capped_arange(self):
+        for n in (1, 2, 99, 100, 101, 1000):
+            track = Track(np.arange(n) * 0.01, np.zeros((n, 2)))
+            for stride in (1, 3, 100):
+                for cap in (None, 1, 7, 10, 34, 250, 5000):
+                    keep = thin_regular(track, stride, cap)
+                    assert keep.dtype.kind == "i"
+                    np.testing.assert_array_equal(keep, np.arange(0, n, stride)[:cap])
 
 
 class TestThinIrregular:
@@ -356,13 +370,12 @@ class TestThinIrregular:
 
     def test_mean_interval_equal_dt_keeps_everything(self):
         track = self.fine_track(500)
-        out = thin_irregular(track, 0.01, seed=7)
-        assert len(out) == len(track)
+        np.testing.assert_array_equal(thin_irregular(track, 0.01, seed=7), np.arange(500))
 
     def test_gap_statistics(self):
         # target mean 0.05 from a 0.01-resolution track; near-exponential gaps
         track = self.fine_track(60_000)
-        out = thin_irregular(track, 0.05, seed=8)
+        out = thinned(track, thin_irregular(track, 0.05, seed=8))
         gaps = out.intervals
         assert len(gaps) > 10_000
         assert 0.045 <= gaps.mean() <= 0.055
@@ -372,23 +385,41 @@ class TestThinIrregular:
         track = self.fine_track(2000)
         a = thin_irregular(track, 0.07, seed=9)
         b = thin_irregular(track, 0.07, seed=9)
-        np.testing.assert_array_equal(a.times, b.times)
+        np.testing.assert_array_equal(a, b)
 
     def test_keeps_first_point_and_subset(self):
         rng = np.random.default_rng(10)
         track = Track(np.arange(1000) * 0.5, rng.normal(size=(1000, 2)))
-        out = thin_irregular(track, 2.5, seed=11)
-        assert out.times[0] == track.times[0]
-        assert set(out.times).issubset(set(track.times))
+        keep = thin_irregular(track, 2.5, seed=11)
+        assert keep[0] == 0 and keep.dtype.kind == "i"
+        assert np.all(np.diff(keep) > 0) and keep[-1] <= len(track) - 1
 
     def test_requires_regular_spacing(self):
         track = Track([0.0, 1.0, 3.0], np.zeros((3, 2)))
         with pytest.raises(ValueError):
             thin_irregular(track, 2.0, seed=0)
 
+    def test_regularity_band_is_1e_9_of_the_first_interval(self):
+        # one interval just inside and one just outside dt * (1 +- 1e-9): the
+        # band of the earlier np.allclose(intervals, dt, rtol=1e-9, atol=0)
+        dt = 0.01
+        for sign in (1.0, -1.0):
+            for factor, accepted in ((0.999, True), (1.001, False)):
+                times = np.arange(100) * dt
+                times[60:] += sign * factor * 1e-9 * dt
+                track = Track(times, np.zeros((100, 2)))
+                assert np.allclose(track.intervals, dt, rtol=1e-9, atol=0.0) == accepted
+                if accepted:
+                    assert thin_irregular(track, 0.05, seed=1)[0] == 0
+                else:
+                    with pytest.raises(ValueError, match="regularly sampled"):
+                        thin_irregular(track, 0.05, seed=1)
+
     def test_mean_interval_below_spacing_rejected(self):
         with pytest.raises(ValueError):
             thin_irregular(self.fine_track(100), 0.005, seed=0)
+        with pytest.raises(ValueError, match="n_points must be >= 1"):
+            thin_irregular(self.fine_track(100), 0.05, seed=0, n_points=0)
 
     @pytest.mark.parametrize("mean_interval", [0.01, 0.02, 0.05, 0.5])
     def test_matches_one_draw_per_kept_point(self, mean_interval):
@@ -402,9 +433,19 @@ class TestThinIrregular:
             if idx > len(track) - 1:
                 break
             keep.append(idx)
-        out = thin_irregular(track, mean_interval, seed=12)
-        np.testing.assert_array_equal(out.times, track.times[keep])
-        np.testing.assert_array_equal(out.xy, track.xy[keep])
+        np.testing.assert_array_equal(thin_irregular(track, mean_interval, seed=12), keep)
+
+    @pytest.mark.parametrize("mean_interval", [0.01, 0.02, 0.05, 0.5])
+    def test_matches_one_draw_of_all_gaps(self, mean_interval):
+        # an independent reference: one draw of all n - 1 gaps, with and
+        # without the cap, whose kept prefix the chunked draw must reproduce
+        for n in (1, 2, 3000):
+            track = self.fine_track(n)
+            idx = np.cumsum(derive_rng(13).geometric(0.01 / mean_interval, size=n - 1))
+            keep = np.concatenate([[0], idx[idx <= n - 1]])
+            for cap in (None, 1, 2, 40, 250, 3000):
+                got = thin_irregular(track, mean_interval, 13, cap)
+                np.testing.assert_array_equal(got, keep[:cap])
 
     def test_chunks_extend_to_the_end_of_the_track(self, monkeypatch):
         # a first chunk of gaps that ends short of the track is extended, and
@@ -428,9 +469,56 @@ class TestThinIrregular:
         for seed in range(50):
             idx = np.cumsum(derive_rng(seed).geometric(0.02, size=len(track) - 1))
             keep = np.concatenate([[0], idx[idx <= len(track) - 1]])
-            out = thin_irregular(track, 0.5, seed=seed)
-            np.testing.assert_array_equal(out.times, track.times[keep])
+            np.testing.assert_array_equal(thin_irregular(track, 0.5, seed=seed), keep)
         assert [seed for seed, rng in enumerate(rngs) if rng.calls > 1]  # seeds 29, 37, 46
+
+    def test_the_cap_stops_the_draw(self, monkeypatch):
+        # at most n_points - 1 gaps are drawn, however long the track
+        drawn = []
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def geometric(self, p, size):
+                drawn.append(size)
+                return self.rng.geometric(p, size=size)
+
+        monkeypatch.setattr(langevin, "derive_rng", lambda seed: CountingRng(derive_rng(seed)))
+        keep = thin_irregular(self.fine_track(100_000), 0.05, seed=3, n_points=250)
+        assert len(keep) == 250 and sum(drawn) == 249
+
+
+class TestClampMask:
+    """The studies' clamp masks on integer step indices against the masks on
+    the clamps' times, on a simulation that clamps hundreds of times."""
+
+    def test_index_mask_equals_time_mask(self):
+        model = scenario2_model(
+            Scenario2Config(grid_n_x=21, grid_n_y=21, grid_x_min=-10, grid_y_min=-10, rho=3.0)
+        )
+        sim = simulate(SimConfig(model, (0.0, 0.0), 0.01, 30_000, seed=4))
+        assert sim.n_clamped >= 100
+        clamp_times = sim.track.times[list(sim.clamped)]
+        for keep in (
+            thin_regular(sim.track, 1),
+            thin_regular(sim.track, 7, 1000),
+            thin_irregular(sim.track, 0.05, 5),
+            thin_irregular(sim.track, 0.5, 6, 250),
+        ):
+            times = sim.track.times[keep]
+            by_index = np.diff(np.searchsorted(np.asarray(sim.clamped), keep, side="right")) > 0
+            by_time = np.diff(np.searchsorted(clamp_times, times, side="right")) > 0
+            assert by_index.any() and not by_index.all()
+            np.testing.assert_array_equal(by_index, by_time)
+            np.testing.assert_array_equal(by_index, clamped_windows(times, clamp_times))
+
+
+def clamped_windows(times, clamp_times):
+    """Vectorized :func:`clamp_mask`: window ``(t_i, t_{i+1}]`` holds a clamp."""
+    t = np.asarray(times)
+    c = np.asarray(clamp_times)[:, None]
+    return ((t[:-1] < c) & (c <= t[1:])).any(axis=0)
 
 
 def domain_mask(xy, extent):
