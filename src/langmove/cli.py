@@ -232,6 +232,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg,
         {f"track_{seed}.csv": partial(write_track_csv, sim.track) for seed, sim in sims.items()},
         seeds=list(cfg["seeds"]),
+        fine_steps=sum(len(sim.track) - 1 for sim in sims.values()),
         clamp_counts={str(seed): sim.n_clamped for seed, sim in sims.items()},
     )
     print(f"wrote {len(sims)} track(s) to {Path(args.out)}")
@@ -321,6 +322,7 @@ def _cmd_scenario1(args: argparse.Namespace) -> int:
         result.to_rows(),
         {"seed": s1.seed, "second_sine_axis": s1.second_sine_axis},
         second_sine_axis=s1.second_sine_axis,
+        fine_steps=s1.replications * s1.n_fine_steps,
         n_clamped=result.n_clamped,
         failures=[list(f) for f in result.failures],
         # null, not NaN, where every replication of the mode failed: strict JSON has no NaN
@@ -353,6 +355,7 @@ def _cmd_scenario2(args: argparse.Namespace) -> int:
         list(rows[0]),
         rows,
         {"seed": s2.seed},
+        fine_steps=result.n_tracks * s2.n_fine_steps,
         n_clamp_events=result.n_clamp_events,
         dropped_increments={str(level): n for level, n in result.dropped_increments.items()},
     )
@@ -378,6 +381,7 @@ def _cmd_irregular(args: argparse.Namespace) -> int:
         list(rows[0]),
         rows,
         {"seed": s2.seed},
+        fine_steps=result.n_tracks * s2.n_fine_steps,
         n_clamp_events=result.n_clamp_events,
         dropped_increments={str(k): n for k, n in result.dropped_increments.items()},
     )

@@ -8,14 +8,17 @@ Analytic covariates are defined on all of R^2; gridded covariates are
 restricted to their raster's interpolation domain and report it through
 ``extent`` (a call raises for its first row outside it).
 
-``point_kernel(beta)`` compiles ``beta`` times a covariate's gradient into a
-function of two Python floats, for the simulator, which steps one point at
-a time.  A kernel equals ``beta`` times the array form's row bit for bit
-(the tests check this).
+The simulator steps one point at a time, on Python floats.  For it each
+covariate type supplies a source fragment of its gradient (``_fragment``),
+and :func:`compile_kernel` joins the fragments of a drift's terms into one
+generated function with no inner calls.  ``point_kernel(beta)`` is that
+function for one covariate.  A kernel equals ``beta`` times the array
+form's row bit for bit (the tests check this).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,15 +26,8 @@ from typing import Sequence
 import numpy as np
 from scipy.signal import convolve2d
 
-from .errors import DegenerateFieldError
-from .raster import (
-    Extent,
-    GridGeometry,
-    GridRaster,
-    gradient_kernel,
-    interpolate,
-    interpolate_gradient,
-)
+from .errors import DegenerateFieldError, OutOfDomainError
+from .raster import Extent, GridGeometry, GridRaster, interpolate, interpolate_gradient
 from .seeding import derive_rng
 
 __all__ = [
@@ -58,11 +54,66 @@ class Covariate:
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _fragment(self) -> tuple[str, str, str, dict]:
+        """``(statements, tx, ty, constants)``: statements that read the
+        Python floats ``x, y``, then two expressions over their locals that
+        give ``beta$`` times the gradient there, with the array form's
+        arithmetic in its order.  A ``$`` ends each name of ``constants``;
+        :func:`compile_kernel` replaces it with the term's tag, so the
+        source depends only on the covariate's type."""
+        raise NotImplementedError
+
     def point_kernel(self, beta: float = 1.0):
         """``kernel(x, y) -> (gx, gy)``: ``beta`` times the gradient at one
         point, on Python floats, bit for bit ``beta`` times the row of
         ``gradient`` at that point."""
-        raise NotImplementedError
+        return compile_kernel(((beta, self),), summed=False)
+
+
+@functools.lru_cache
+def _compiled(source: str):
+    """The ``make`` function that ``source`` defines, compiled once per
+    distinct source."""
+    namespace: dict = {}
+    exec(compile(source, "<langmove kernel>", "exec"), namespace)
+    return namespace["make"]
+
+
+def compile_kernel(terms: Sequence[tuple[float, Covariate]], summed: bool = True):
+    """``kernel(x, y) -> (gx, gy)``: the sum of ``beta`` times the gradient
+    of each ``(beta, covariate)`` term, on Python floats, as one generated
+    function of the terms' fragments in order, with no inner calls.
+
+    Each term's constants (and its ``beta``) are tagged with its position
+    and passed to a generated ``make`` that closes the kernel over them, so
+    they never enter the source, and models of the same covariate types
+    share one compiled ``make``.  The terms are summed onto ``0.0`` in
+    order, as a sum over the array forms does; ``summed=False`` returns a
+    lone term as it is.
+    """
+    body = []
+    constants = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "OutOfDomainError": OutOfDomainError}
+    for j, (beta, cov) in enumerate(terms):
+        tag = f"_{j}"
+        statements, tx, ty, own = cov._fragment()
+        statements, tx, ty = (part.replace("$", tag) for part in (statements, tx, ty))
+        body += statements.splitlines()
+        if not summed:
+            body.append(f"return {tx}, {ty}")
+        elif j == 0:
+            body += [f"sx = 0.0 + {tx}", f"sy = 0.0 + {ty}"]
+        else:
+            body += [f"sx += {tx}", f"sy += {ty}"]
+        constants.update({name.replace("$", tag): v for name, v in own.items()})
+        constants["beta" + tag] = beta
+    if summed:
+        body.append("return sx, sy")
+    source = "\n".join(
+        [f"def make({', '.join(constants)}):", "    def kernel(x, y):"]
+        + ["        " + line for line in body]
+        + ["    return kernel"]
+    )
+    return _compiled(source)(**constants)
 
 
 def _exp_rows(a: np.ndarray) -> np.ndarray:
@@ -146,43 +197,30 @@ class AnalyticWavelet(Covariate):
         a = q.alpha * gauss
         return np.column_stack((a * gx, a * gy))
 
-    def point_kernel(self, beta: float = 1.0):
+    def _fragment(self) -> tuple[str, str, str, dict]:
         q = self.params
-        alpha, a1, a2, omega1, omega2, sigma2 = q.alpha, q.a1, q.a2, q.omega1, q.omega2, q.sigma2
         # -s * d is (-s) * d, and -2.0 * s * d is (-2.0 * s) * d: the same roundings
-        neg_sigma1, m2_sigma1, m2_sigma2 = -q.sigma1, -2.0 * q.sigma1, -2.0 * q.sigma2
-        exp, sin, cos = math.exp, math.sin, math.cos
-
-        # the array form's arithmetic, in its order
-        if self.second_sine_axis == "z1":
-
-            def kernel(x: float, y: float) -> tuple[float, float]:
-                d1 = x - a1
-                d2 = y - a2
-                a = alpha * exp(neg_sigma1 * d1 * d1 - sigma2 * d2 * d2)
-                w1 = omega1 * d1
-                s1 = sin(w1)
-                arg2 = omega2 * (x - a2)
-                s2 = sin(arg2)
-                gx = m2_sigma1 * d1 * s1 * s2 + omega1 * cos(w1) * s2 + s1 * omega2 * cos(arg2)
-                gy = m2_sigma2 * d2 * s1 * s2
-                return beta * (a * gx), beta * (a * gy)
-
-        else:
-
-            def kernel(x: float, y: float) -> tuple[float, float]:
-                d1 = x - a1
-                d2 = y - a2
-                a = alpha * exp(neg_sigma1 * d1 * d1 - sigma2 * d2 * d2)
-                w1 = omega1 * d1
-                s1 = sin(w1)
-                arg2 = omega2 * d2
-                s2 = sin(arg2)
-                gx = m2_sigma1 * d1 * s1 * s2 + omega1 * cos(w1) * s2
-                gy = m2_sigma2 * d2 * s1 * s2 + s1 * omega2 * cos(arg2)
-                return beta * (a * gx), beta * (a * gy)
-
-        return kernel
+        constants = {
+            "alpha$": q.alpha, "a1$": q.a1, "a2$": q.a2, "omega1$": q.omega1, "omega2$": q.omega2,
+            "sigma2$": q.sigma2, "neg_sigma1$": -q.sigma1, "m2_sigma1$": -2.0 * q.sigma1,
+            "m2_sigma2$": -2.0 * q.sigma2,
+        }
+        z1 = self.second_sine_axis == "z1"
+        # the array form's arithmetic, in its order; the second sine's term
+        # goes to the derivative along its axis
+        second = " + s1 * omega2$ * cos(arg2)"
+        statements = f"""\
+d1 = x - a1$
+d2 = y - a2$
+a = alpha$ * exp(neg_sigma1$ * d1 * d1 - sigma2$ * d2 * d2)
+w1 = omega1$ * d1
+s1 = sin(w1)
+arg2 = omega2$ * {"(x - a2$)" if z1 else "d2"}
+s2 = sin(arg2)
+gx = m2_sigma1$ * d1 * s1 * s2 + omega1$ * cos(w1) * s2{second if z1 else ""}
+gy = m2_sigma2$ * d2 * s1 * s2{"" if z1 else second}
+"""
+        return statements, "beta$ * (a * gx)", "beta$ * (a * gy)", constants
 
 
 class SquaredDistance(Covariate):
@@ -199,13 +237,33 @@ class SquaredDistance(Covariate):
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         return 2.0 * (xy - self.center)
 
-    def point_kernel(self, beta: float = 1.0):
-        cx, cy = self.center
+    def _fragment(self) -> tuple[str, str, str, dict]:
+        constants = {"cx$": self.center[0], "cy$": self.center[1]}
+        return "", "beta$ * (2.0 * (x - cx$))", "beta$ * (2.0 * (y - cy$))", constants
 
-        def kernel(x: float, y: float) -> tuple[float, float]:
-            return beta * (2.0 * (x - cx)), beta * (2.0 * (y - cy))
 
-        return kernel
+_RASTER_STATEMENTS = """\
+if not (x_lo$ <= x <= x_hi$ and y_lo$ <= y <= y_hi$):
+    raise OutOfDomainError(x, y)
+u = (x - x_lo$) / h$
+w = (y - y_lo$) / h$
+ix = int(u)
+if ix > ix_last$:  # the right domain edge
+    ix = ix_last$
+iy = int(w)
+if iy > iy_last$:  # the top domain edge
+    iy = iy_last$
+u -= ix
+w -= iy
+lo = rows$[iy]
+hi = rows$[iy + 1]
+v00 = lo[ix]
+v10 = lo[ix + 1]
+v01 = hi[ix]
+v11 = hi[ix + 1]
+gx = ((1.0 - w) * (v10 - v00) + w * (v11 - v01)) / h$
+gy = ((1.0 - u) * (v01 - v00) + u * (v11 - v10)) / h$
+"""
 
 
 class RasterCovariate(Covariate):
@@ -221,8 +279,17 @@ class RasterCovariate(Covariate):
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         return interpolate_gradient(self.raster, xy)
 
-    def point_kernel(self, beta: float = 1.0):
-        return gradient_kernel(self.raster, beta)
+    def _fragment(self) -> tuple[str, str, str, dict]:
+        """:func:`~langmove.raster.interpolate_gradient` at one point, with
+        the values as nested lists; outside the hull of cell centers it
+        raises :class:`OutOfDomainError`."""
+        g = self.raster.geom
+        constants = {
+            "x_lo$": g.x_min, "y_lo$": g.y_min, "x_hi$": g.x_max, "y_hi$": g.y_max,
+            "h$": g.cell_size, "ix_last$": g.n_x - 2, "iy_last$": g.n_y - 2,
+            "rows$": self.raster.values.tolist(),
+        }
+        return _RASTER_STATEMENTS, "beta$ * gx", "beta$ * gy", constants
 
 
 def rasterize(cov: Covariate, geometry: GridGeometry) -> GridRaster:

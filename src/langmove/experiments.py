@@ -113,6 +113,11 @@ class Scenario1Config:
     grid_half_width: float = 10.0
     alpha: float = 0.05
 
+    @property
+    def n_fine_steps(self) -> int:
+        """Euler steps per replication's fine track."""
+        return (self.n_points - 1) * _stride(self.thin_interval, self.fine_dt)
+
 
 def scenario1_covariates(second_sine_axis: str = "z1") -> list[Covariate]:
     """The benchmark covariate set: two localized wavelets and the
@@ -229,9 +234,10 @@ def run_scenario1(cfg: Scenario1Config) -> Scenario1Result:
     failures: list[tuple[int, str, str]] = []
     tracks: list[Track] = []
     n_clamped = 0
-    n_steps = (cfg.n_points - 1) * stride
     for rep in range(cfg.replications):
-        sim = simulate(SimConfig(model, cfg.x0, cfg.fine_dt, n_steps, derive_seed(cfg.seed, rep)))
+        sim = simulate(
+            SimConfig(model, cfg.x0, cfg.fine_dt, cfg.n_fine_steps, derive_seed(cfg.seed, rep))
+        )
         n_clamped += sim.n_clamped
         thinned = _thinned(sim, thin_regular(sim.track, stride))
         tracks.append(thinned)

@@ -12,6 +12,7 @@ discretization error with model behaviour.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -78,6 +79,20 @@ class Track:
         """Successive time gaps ``t[i+1] - t[i]``."""
         return np.diff(self.times)
 
+    @functools.cached_property
+    def regular_interval(self) -> float | None:
+        """The first interval ``dt`` if every interval is within ``1e-9 * dt``
+        of it, else None (and None for a single location); worked out once
+        per track."""
+        if len(self) < 2:
+            return None
+        intervals = self.intervals
+        dt = float(intervals[0])
+        # |a - dt| <= 1e-9 dt for every interval a; a - dt rounds monotonically in a
+        if intervals.max() - dt <= 1e-9 * dt and dt - intervals.min() <= 1e-9 * dt:
+            return dt
+        return None
+
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
@@ -131,12 +146,14 @@ def simulate(cfg: SimConfig) -> SimResult:
     proposal is projected onto the domain boundary and its step index is
     recorded in ``SimResult.clamped``.
 
-    The drift is compiled once per call (:meth:`RsfModel.grad_log_pi_kernel`)
-    and the steps run on Python floats, ``BLOCK_ROWS`` noise rows at a
-    time.  The noise is scaled by ``sqrt(gamma2 * dt)`` in numpy first (the
-    same product per element), and each block's locations go into the track
-    from one flat list of floats; the result equals stepping with
-    ``grad_log_pi`` bit for bit.
+    The drift is one function generated from the model's drift terms once
+    per call (:meth:`RsfModel.grad_log_pi_kernel`; its code is compiled
+    once per distinct list of term types and shared), and the steps run on
+    Python floats, ``BLOCK_ROWS`` noise rows at a time.  The noise is
+    scaled by ``sqrt(gamma2 * dt)`` in numpy first (the same product per
+    element), and each block's locations go into the track from one flat
+    list of floats; the result equals stepping with ``grad_log_pi`` bit
+    for bit.
 
     Clamped locations do not follow the model; the studies in
     ``experiments`` drop the increments they affect from their fits (the
@@ -230,17 +247,15 @@ def thin_irregular(
     that draw covers the track), and they keep the same points; so the cap
     keeps a prefix of the uncapped indices.
 
-    Requires a regular input spacing ``dt`` (every interval within
-    ``1e-9 * dt`` of the first) with ``mean_interval >= dt``.
+    Requires a regular input spacing ``dt`` (:attr:`Track.regular_interval`)
+    with ``mean_interval >= dt``.
     """
     _check_cap(n_points)
     n = len(track)
     if n < 2:
         return np.zeros(1, dtype=np.int64)
-    dt_all = track.intervals
-    dt = float(dt_all[0])
-    # |a - dt| <= 1e-9 dt for every interval a; a - dt rounds monotonically in a
-    if not (dt_all.max() - dt <= 1e-9 * dt and dt - dt_all.min() <= 1e-9 * dt):
+    dt = track.regular_interval
+    if dt is None:
         raise ValueError("thin_irregular requires a regularly sampled track")
     if mean_interval < dt:
         raise ValueError(f"mean_interval {mean_interval} is below the track spacing {dt}")

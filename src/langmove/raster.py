@@ -14,10 +14,9 @@ exactly on an interior edge is assigned to the cell above/right of it.
 
 :func:`interpolate` and :func:`interpolate_gradient` take an ``(n, 2)``
 array of points and return an ``(n,)`` or ``(n, 2)`` array; one point is a
-one-row array.  :func:`gradient_kernel` compiles the gradient into a
-function of two Python floats, for callers that step one point at a time;
-it runs the array form's arithmetic in the same order, so the two agree bit
-for bit.
+one-row array.  The simulator's one-point gradient is a source fragment of
+:class:`~langmove.covariates.RasterCovariate` that runs the array form's
+arithmetic in the same order, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -241,48 +240,6 @@ def interpolate_gradient(raster: GridRaster, xy: np.ndarray) -> np.ndarray:
     gx = ((1.0 - w) * (v10 - v00) + w * (v11 - v01)) / h
     gy = ((1.0 - u) * (v01 - v00) + u * (v11 - v10)) / h
     return np.column_stack((gx, gy))
-
-
-def gradient_kernel(raster: GridRaster, beta: float = 1.0):
-    """:func:`interpolate_gradient` compiled for one point at a time and
-    scaled by ``beta``.
-
-    Returns ``kernel(x, y) -> (gx, gy)`` on Python floats, bit for bit
-    ``beta`` times the array form's row at ``(x, y)``.  The geometry's
-    constants and the values (as nested lists) are bound once, so a call
-    does no attribute lookups and no numpy scalar arithmetic.  The kernel
-    raises :class:`OutOfDomainError` at a point outside the hull of cell
-    centers.
-    """
-    g = raster.geom
-    x_lo, y_lo, x_hi, y_hi, h = g.x_min, g.y_min, g.x_max, g.y_max, g.cell_size
-    ix_last, iy_last = g.n_x - 2, g.n_y - 2
-    rows = raster.values.tolist()
-
-    def kernel(x: float, y: float) -> tuple[float, float]:
-        if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
-            raise OutOfDomainError(x, y)
-        u = (x - x_lo) / h
-        w = (y - y_lo) / h
-        ix = int(u)
-        if ix > ix_last:  # the right domain edge
-            ix = ix_last
-        iy = int(w)
-        if iy > iy_last:  # the top domain edge
-            iy = iy_last
-        u -= ix
-        w -= iy
-        lo = rows[iy]
-        hi = rows[iy + 1]
-        v00 = lo[ix]
-        v10 = lo[ix + 1]
-        v01 = hi[ix]
-        v11 = hi[ix + 1]
-        gx = ((1.0 - w) * (v10 - v00) + w * (v11 - v01)) / h
-        gy = ((1.0 - u) * (v01 - v00) + u * (v11 - v10)) / h
-        return beta * gx, beta * gy
-
-    return kernel
 
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")

@@ -3,11 +3,12 @@
 The space-use density is proportional to ``exp(sum_j beta_j * c_j(p))``
 for covariates ``c_j``; the log density and its gradient take an ``(n, 2)``
 array of points and return an ``(n,)`` and an ``(n, 2)`` array, and
-:meth:`RsfModel.grad_log_pi_kernel` compiles the gradient at one point for
-the simulator, bit for bit the array form's row.  The normalizing constant
-over the study region has no closed form; it cancels in the gradient, which
-is all the simulation and inference paths need, and is approximated by a
-midpoint Riemann sum when a density map is requested.
+:meth:`RsfModel.grad_log_pi_kernel` generates the gradient at one point, for
+the simulator, as one function of the covariates' source fragments, bit for
+bit the array form's row.  The normalizing constant over the study region
+has no closed form; it cancels in the gradient, which is all the
+simulation and inference paths need, and is approximated by a midpoint
+Riemann sum when a density map is requested.
 
 The gradient is linear in the covariates, so the drift sums rasters that
 share one grid into one table of ``sum_j beta_j * values_j`` when the model
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariates import Covariate, RasterCovariate
+from .covariates import Covariate, RasterCovariate, compile_kernel
 from .errors import NonFiniteError
 from .raster import Extent, GridGeometry, GridRaster
 
@@ -82,26 +83,15 @@ class RsfModel:
         return sum(b * c.gradient(xy) for b, c in self._drift)
 
     def grad_log_pi_kernel(self):
-        """``kernel(x, y) -> (gx, gy)``: :meth:`grad_log_pi` compiled from the
-        drift terms' point kernels, each scaled by its ``beta``, on Python
-        floats, summed in the same order onto ``0.0``.  A drift of one merged
-        raster is that raster's kernel: its coefficient is 1.0 and, its table
-        summed onto 0, its gradient is never -0.0, which ``0.0 +`` would turn
-        into 0.0."""
-        if len(self._drift) == 1 < len(self.covariates):
-            return self._drift[0][1].point_kernel()
-        kernels = tuple(c.point_kernel(b) for b, c in self._drift)
-
-        def kernel(x: float, y: float) -> tuple[float, float]:
-            gx = 0.0
-            gy = 0.0
-            for grad in kernels:
-                cx, cy = grad(x, y)
-                gx += cx
-                gy += cy
-            return gx, gy
-
-        return kernel
+        """``kernel(x, y) -> (gx, gy)``: :meth:`grad_log_pi` at one point, on
+        Python floats, as one generated function of the drift terms'
+        fragments, each scaled by its ``beta``, summed in the same order
+        onto ``0.0`` (:func:`~langmove.covariates.compile_kernel`).  A drift
+        of one merged raster is that raster's fragment alone: its
+        coefficient is 1.0 and, its table summed onto 0, its gradient is
+        never -0.0, which ``0.0 +`` would turn into 0.0."""
+        merged = len(self._drift) == 1 < len(self.covariates)
+        return compile_kernel(self._drift, summed=not merged)
 
     def domain(self) -> Extent | None:
         """Intersection of the covariates' domains; None if unrestricted."""

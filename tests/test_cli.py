@@ -107,6 +107,7 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["clamp_counts"] == {"3": 0, "4": 0}
         assert manifest["seeds"] == [3, 4]
+        assert manifest["fine_steps"] == 2 * 10  # two seeds of n_steps each
 
     def test_rerun_byte_identical(self, tmp_path, analytic_sim_config):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -341,6 +342,8 @@ class TestStudyCommands:
         assert len(data) == expected
         assert manifest["n_clamped"] == 0
         assert manifest["second_sine_axis"] == "z1"
+        # replications x (n_points - 1) x the stride of 0.1 over fine_dt 0.01
+        assert manifest["fine_steps"] == 3 * 59 * 10
 
     def test_scenario1_all_fits_failed(self, tmp_path):
         # two increments cannot carry a fit of three coefficients: both
@@ -377,6 +380,8 @@ class TestStudyCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["dropped_increments"]) == {"0.05", "0.1"}
         assert isinstance(manifest["n_clamp_events"], int)
+        # n_tracks x (n_points - 1) x the coarsest level's stride, 0.1 / 0.01
+        assert manifest["fine_steps"] == 2 * 39 * 10
 
     @pytest.mark.parametrize("command", ["scenario1", "scenario2", "irregular"])
     def test_rerun_byte_identical(self, tmp_path, command):
@@ -406,6 +411,8 @@ class TestStudyCommands:
         for dropped in manifest["dropped_increments"].values():
             assert set(dropped) == {"regular", "irregular"}
         assert isinstance(manifest["n_clamp_events"], int)
+        # n_tracks x (n_points - 1) x the coarsest level's stride, 0.2 / 0.01
+        assert manifest["fine_steps"] == 2 * 39 * 20
 
     def test_irregular_short_tracks_rejected(self, tmp_path):
         # with levels up to 0.1 the fine tracks span 39 x 0.1 time units, and

@@ -421,6 +421,18 @@ class TestThinIrregular:
         with pytest.raises(ValueError, match="n_points must be >= 1"):
             thin_irregular(self.fine_track(100), 0.05, seed=0, n_points=0)
 
+    def test_regularity_worked_out_once_per_track(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(Track, "intervals", property(lambda t: reads.append(1) or np.diff(t.times)))
+        track = self.fine_track(2000)
+        draws = [thin_irregular(track, 0.05, seed) for seed in range(3)]
+        assert len(reads) == 1 and track.regular_interval == 0.01
+        assert not np.array_equal(draws[0], draws[1])
+        irregular = Track([0.0, 1.0, 3.0], np.zeros((3, 2)))
+        for _ in range(2):  # the cached answer still raises
+            with pytest.raises(ValueError, match="regularly sampled"):
+                thin_irregular(irregular, 2.0, seed=0)
+
     @pytest.mark.parametrize("mean_interval", [0.01, 0.02, 0.05, 0.5])
     def test_matches_one_draw_per_kept_point(self, mean_interval):
         # p = 1, p above 1/3, p below 1/3: the reference draws one gap at a

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from langmove import (
     AnalyticWavelet,
@@ -13,7 +15,7 @@ from langmove import (
     WaveletParams,
     ud_raster,
 )
-from langmove.covariates import Covariate, rasterize
+from langmove.covariates import Covariate, _compiled, rasterize
 from langmove.rsf import density_maps, drift_terms
 from langmove.errors import NonFiniteError
 from langmove.experiments import scenario1_covariates, scenario1_model, Scenario1Config
@@ -133,6 +135,67 @@ class TestGradLogPi:
         np.testing.assert_allclose(
             shifted.log_pi_unnormalized(p), base.log_pi_unnormalized(p) + 10.0, rtol=1e-12
         )
+
+
+GRID_A = GridGeometry(-6.0, -6.0, 1.5, 9, 9)
+GRID_B = GridGeometry(-5.0, -5.5, 0.5, 21, 23)
+KINDS = ("z1", "z2", "well", "raster_a", "raster_b")
+
+
+def drawn_covariate(kind, rng):
+    """A covariate of ``kind`` (a wavelet of either sine axis, a squared
+    distance, or a raster on grid A or B) with parameters drawn from ``rng``."""
+    if kind in ("z1", "z2"):
+        a1, a2, omega1, omega2 = rng.uniform(-3, 3, size=4)
+        sigma1, sigma2 = rng.uniform(0.05, 1.0, size=2)
+        params = WaveletParams(rng.uniform(-8, 8), a1, a2, omega1, omega2, sigma1, sigma2)
+        return AnalyticWavelet(params, kind)
+    if kind == "well":
+        return SquaredDistance(rng.uniform(-3, 3, size=2))
+    (raster,) = random_rasters(GRID_A if kind == "raster_a" else GRID_B, 1, seed=rng)
+    return raster
+
+
+class TestGeneratedKernel:
+    """The drift is one function generated from the terms' fragments."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+    @example(["raster_a", "z1", "raster_a", "well"], 1)  # a merged table among other terms
+    @example(["raster_b", "raster_b"], 2)  # a merged table alone
+    @example(["z2", "well", "z2", "well"], 3)  # repeated types, each with its own constants
+    def test_kernel_is_grad_log_pi_as_bytes(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        covs = [drawn_covariate(kind, rng) for kind in kinds]
+        model = RsfModel(covs, rng.normal(size=len(covs)))
+        # inside both grids: random points, the nodes the grids share, the
+        # corners of grid B, and the wells' centers (a zero gradient)
+        nodes = np.arange(-4.5, 4.6, 1.5)
+        xy = np.vstack(
+            [
+                rng.uniform(-5, 5, size=(100, 2)),
+                np.stack(np.meshgrid(nodes, nodes), axis=-1).reshape(-1, 2),
+                [(-5.0, -5.0), (5.0, 5.0), (-5.0, 5.0), (5.0, -5.0)],
+                [c.center for c in covs if isinstance(c, SquaredDistance)] or np.empty((0, 2)),
+            ]
+        )
+        kernel = model.grad_log_pi_kernel()
+        expected = np.array([kernel(x, y) for x, y in xy.tolist()])
+        assert model.grad_log_pi(xy).tobytes() == expected.tobytes()
+
+    def test_same_types_compile_once(self):
+        mixed_model().grad_log_pi_kernel()
+        misses = _compiled.cache_info().misses
+        # the types of mixed_model in its order, with other constants and betas
+        rng = np.random.default_rng(11)
+        covs = [drawn_covariate(kind, rng) for kind in ("raster_b", "z1", "z2", "well")]
+        model = RsfModel(covs, [-0.4, 2.0, 0.7, -0.3])
+        kernel = model.grad_log_pi_kernel()
+        assert _compiled.cache_info().misses == misses
+        xy = rng.uniform(-5, 5, size=(50, 2))
+        expected = np.array([kernel(x, y) for x, y in xy.tolist()])
+        assert model.grad_log_pi(xy).tobytes() == expected.tobytes()
+        assert not np.array_equal(mixed_model().grad_log_pi(xy), expected)
 
 
 class TestMergedDrift:
