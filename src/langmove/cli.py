@@ -50,7 +50,7 @@ from .experiments import (
     run_scenario1,
     run_scenario2,
 )
-from .inference import pooled_fit
+from .inference import FitResult, pooled_fit
 from .langevin import SimConfig, Track, read_track_csv, simulate, write_track_csv
 from .raster import GridGeometry, GridRaster, read_ascii_grid, write_ascii_grid
 from .rsf import RsfModel, density_maps
@@ -211,6 +211,11 @@ def _write_study(
     _write_outputs(out, command, cfg, {table: write_table}, **record)
 
 
+def _fit_counters(res: FitResult) -> dict:
+    """A study fit's deterministic counters for its manifest."""
+    return {"n": res.n, "condition_number": res.condition_number}
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -358,6 +363,7 @@ def _cmd_scenario2(args: argparse.Namespace) -> int:
         fine_steps=result.n_tracks * s2.n_fine_steps,
         n_clamp_events=result.n_clamp_events,
         dropped_increments={str(level): n for level, n in result.dropped_increments.items()},
+        fits={str(level): _fit_counters(res) for level, res in result.fits.items()},
     )
     for row in rows:
         print(
@@ -384,6 +390,10 @@ def _cmd_irregular(args: argparse.Namespace) -> int:
         fine_steps=result.n_tracks * s2.n_fine_steps,
         n_clamp_events=result.n_clamp_events,
         dropped_increments={str(k): n for k, n in result.dropped_increments.items()},
+        fits={
+            str(k): {"regular": _fit_counters(res), "irregular": _fit_counters(result.irregular[k])}
+            for k, res in result.regular.items()
+        },
     )
     for row in rows:
         print(

@@ -10,15 +10,12 @@ restricted to their raster's interpolation domain and report it through
 
 The simulator steps one point at a time, on Python floats.  For it each
 covariate type supplies a source fragment of its gradient (``_fragment``),
-and :func:`compile_kernel` joins the fragments of a drift's terms into one
-generated function with no inner calls.  ``point_kernel(beta)`` is that
-function for one covariate.  A kernel equals ``beta`` times the array
-form's row bit for bit (the tests check this).
+which :attr:`~langmove.rsf.RsfModel.grad_log_pi_kernel` joins with the
+other drift terms' into one generated function.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.signal import convolve2d
 
-from .errors import DegenerateFieldError, OutOfDomainError
+from .errors import DegenerateFieldError
 from .raster import Extent, GridGeometry, GridRaster, interpolate, interpolate_gradient
 from .seeding import derive_rng
 
@@ -58,62 +55,11 @@ class Covariate:
         """``(statements, tx, ty, constants)``: statements that read the
         Python floats ``x, y``, then two expressions over their locals that
         give ``beta$`` times the gradient there, with the array form's
-        arithmetic in its order.  A ``$`` ends each name of ``constants``;
-        :func:`compile_kernel` replaces it with the term's tag, so the
-        source depends only on the covariate's type."""
+        arithmetic in its order.  A ``$`` ends each name of ``constants``,
+        and the model's drift compiler replaces it with the term's tag, so
+        the source depends only on the covariate's type.  The statements
+        may also use ``exp``, ``sin``, ``cos`` and ``OutOfDomainError``."""
         raise NotImplementedError
-
-    def point_kernel(self, beta: float = 1.0):
-        """``kernel(x, y) -> (gx, gy)``: ``beta`` times the gradient at one
-        point, on Python floats, bit for bit ``beta`` times the row of
-        ``gradient`` at that point."""
-        return compile_kernel(((beta, self),), summed=False)
-
-
-@functools.lru_cache
-def _compiled(source: str):
-    """The ``make`` function that ``source`` defines, compiled once per
-    distinct source."""
-    namespace: dict = {}
-    exec(compile(source, "<langmove kernel>", "exec"), namespace)
-    return namespace["make"]
-
-
-def compile_kernel(terms: Sequence[tuple[float, Covariate]], summed: bool = True):
-    """``kernel(x, y) -> (gx, gy)``: the sum of ``beta`` times the gradient
-    of each ``(beta, covariate)`` term, on Python floats, as one generated
-    function of the terms' fragments in order, with no inner calls.
-
-    Each term's constants (and its ``beta``) are tagged with its position
-    and passed to a generated ``make`` that closes the kernel over them, so
-    they never enter the source, and models of the same covariate types
-    share one compiled ``make``.  The terms are summed onto ``0.0`` in
-    order, as a sum over the array forms does; ``summed=False`` returns a
-    lone term as it is.
-    """
-    body = []
-    constants = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "OutOfDomainError": OutOfDomainError}
-    for j, (beta, cov) in enumerate(terms):
-        tag = f"_{j}"
-        statements, tx, ty, own = cov._fragment()
-        statements, tx, ty = (part.replace("$", tag) for part in (statements, tx, ty))
-        body += statements.splitlines()
-        if not summed:
-            body.append(f"return {tx}, {ty}")
-        elif j == 0:
-            body += [f"sx = 0.0 + {tx}", f"sy = 0.0 + {ty}"]
-        else:
-            body += [f"sx += {tx}", f"sy += {ty}"]
-        constants.update({name.replace("$", tag): v for name, v in own.items()})
-        constants["beta" + tag] = beta
-    if summed:
-        body.append("return sx, sy")
-    source = "\n".join(
-        [f"def make({', '.join(constants)}):", "    def kernel(x, y):"]
-        + ["        " + line for line in body]
-        + ["    return kernel"]
-    )
-    return _compiled(source)(**constants)
 
 
 def _exp_rows(a: np.ndarray) -> np.ndarray:
@@ -167,7 +113,7 @@ class AnalyticWavelet(Covariate):
 
     def _factors(self, xy: np.ndarray):
         """The shared factors at each row of ``xy``.  numpy's float64 sin and
-        cos equal the math module's, which the point kernel uses (the tests
+        cos equal the math module's, which the drift kernel uses (the tests
         check this)."""
         q = self.params
         d1 = xy[:, 0] - q.a1

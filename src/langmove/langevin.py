@@ -69,11 +69,6 @@ class Track:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def __getitem__(self, idx: slice) -> "Track":
-        if not isinstance(idx, slice):
-            raise TypeError("tracks only support slicing")
-        return Track(self.times[idx], self.xy[idx])
-
     @property
     def intervals(self) -> np.ndarray:
         """Successive time gaps ``t[i+1] - t[i]``."""
@@ -147,7 +142,7 @@ def simulate(cfg: SimConfig) -> SimResult:
     recorded in ``SimResult.clamped``.
 
     The drift is one function generated from the model's drift terms once
-    per call (:meth:`RsfModel.grad_log_pi_kernel`; its code is compiled
+    per model (:attr:`RsfModel.grad_log_pi_kernel`; its code is compiled
     once per distinct list of term types and shared), and the steps run on
     Python floats, ``BLOCK_ROWS`` noise rows at a time.  The noise is
     scaled by ``sqrt(gamma2 * dt)`` in numpy first (the same product per
@@ -181,7 +176,7 @@ def simulate(cfg: SimConfig) -> SimResult:
     noise = rng.standard_normal((cfg.n_steps, 2))
     noise *= math.sqrt(model.gamma2 * cfg.dt)  # the product each step would round
     half = 0.5 * model.gamma2 * cfg.dt
-    grad = model.grad_log_pi_kernel()
+    grad = model.grad_log_pi_kernel
 
     pts = np.empty((cfg.n_steps + 1, 2))
     pts[0] = x, y

@@ -2,13 +2,15 @@
 
 The space-use density is proportional to ``exp(sum_j beta_j * c_j(p))``
 for covariates ``c_j``; the log density and its gradient take an ``(n, 2)``
-array of points and return an ``(n,)`` and an ``(n, 2)`` array, and
-:meth:`RsfModel.grad_log_pi_kernel` generates the gradient at one point, for
-the simulator, as one function of the covariates' source fragments, bit for
-bit the array form's row.  The normalizing constant over the study region
-has no closed form; it cancels in the gradient, which is all the
-simulation and inference paths need, and is approximated by a midpoint
-Riemann sum when a density map is requested.
+array of points and return an ``(n,)`` and an ``(n, 2)`` array.  For the
+simulator, :attr:`RsfModel.grad_log_pi_kernel` is the gradient at one point,
+one function generated once per model from the covariates' source
+fragments.  Both sum the drift terms by one rule, the first term starting
+the sum and the others added in order, so each array row is the kernel's
+result bit for bit.  The normalizing constant over the study region has no
+closed form; it cancels in the gradient, which is all the simulation and
+inference paths need, and is approximated by a midpoint Riemann sum when a
+density map is requested.
 
 The gradient is linear in the covariates, so the drift sums rasters that
 share one grid into one table of ``sum_j beta_j * values_j`` when the model
@@ -20,13 +22,16 @@ bits; every other quantity is evaluated covariate by covariate.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .covariates import Covariate, RasterCovariate, compile_kernel
-from .errors import NonFiniteError
+from .covariates import Covariate, RasterCovariate
+from .errors import NonFiniteError, OutOfDomainError
 from .raster import Extent, GridGeometry, GridRaster
 
 __all__ = ["RsfModel", "density_maps", "drift_terms", "ud_raster"]
@@ -68,30 +73,24 @@ class RsfModel:
         b.setflags(write=False)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "gamma2", float(self.gamma2))
-        # plain-float copy for the per-step hot loops
-        object.__setattr__(self, "_beta_scalars", tuple(float(v) for v in b))
-        object.__setattr__(self, "_drift", drift_terms(self._beta_scalars, self.covariates))
+        object.__setattr__(self, "_drift", drift_terms(b.tolist(), self.covariates))
 
     def log_pi_unnormalized(self, xy: np.ndarray) -> np.ndarray:
         """Log space-use density at each row of an ``(n, 2)`` array, up to
         the normalizing constant, as an ``(n,)`` array."""
-        return sum(b * c.value(xy) for b, c in zip(self._beta_scalars, self.covariates))
+        return sum(b * c.value(xy) for b, c in zip(self.beta, self.covariates))
 
     def grad_log_pi(self, xy: np.ndarray) -> np.ndarray:
         """Gradient of the log density at each row of ``xy`` (normalization-free),
-        as an ``(n, 2)`` array, summed over the drift terms (:func:`drift_terms`)."""
-        return sum(b * c.gradient(xy) for b, c in self._drift)
+        as an ``(n, 2)`` array: the drift terms' (:func:`drift_terms`), the
+        first starting the sum and the others added in order."""
+        return functools.reduce(operator.add, (b * c.gradient(xy) for b, c in self._drift))
 
+    @functools.cached_property
     def grad_log_pi_kernel(self):
         """``kernel(x, y) -> (gx, gy)``: :meth:`grad_log_pi` at one point, on
-        Python floats, as one generated function of the drift terms'
-        fragments, each scaled by its ``beta``, summed in the same order
-        onto ``0.0`` (:func:`~langmove.covariates.compile_kernel`).  A drift
-        of one merged raster is that raster's fragment alone: its
-        coefficient is 1.0 and, its table summed onto 0, its gradient is
-        never -0.0, which ``0.0 +`` would turn into 0.0."""
-        merged = len(self._drift) == 1 < len(self.covariates)
-        return compile_kernel(self._drift, summed=not merged)
+        Python floats, bit for bit; built on first use, once per model."""
+        return _compile_drift(self._drift)
 
     def domain(self) -> Extent | None:
         """Intersection of the covariates' domains; None if unrestricted."""
@@ -100,6 +99,45 @@ class RsfModel:
             if c.extent is not None:
                 ext = c.extent if ext is None else ext.intersect(c.extent)
         return ext
+
+
+@functools.lru_cache
+def _compiled(source: str):
+    """The ``make`` function that ``source`` defines, compiled once per
+    distinct source."""
+    namespace: dict = {}
+    exec(compile(source, "<langmove kernel>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _compile_drift(terms: Sequence[tuple[float, Covariate]]):
+    """``kernel(x, y) -> (gx, gy)``: the sum of ``beta`` times the gradient
+    of each ``(beta, covariate)`` term, on Python floats, as one generated
+    function of the terms' fragments (``Covariate._fragment``) in order,
+    with no inner calls; the first term starts the sums ``sx, sy`` and the
+    others are added, as in :meth:`RsfModel.grad_log_pi`.
+
+    Each term's constants (and its ``beta``) are tagged with its position
+    and passed to a generated ``make`` that closes the kernel over them, so
+    they never enter the source, and models of the same covariate types
+    share one compiled ``make``.
+    """
+    body = []
+    constants = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "OutOfDomainError": OutOfDomainError}
+    for j, (beta, cov) in enumerate(terms):
+        tag = f"_{j}"
+        statements, tx, ty, own = cov._fragment()
+        statements, tx, ty = (part.replace("$", tag) for part in (statements, tx, ty))
+        op = "=" if j == 0 else "+="
+        body += [*statements.splitlines(), f"sx {op} {tx}", f"sy {op} {ty}"]
+        constants.update({name.replace("$", tag): v for name, v in own.items()})
+        constants["beta" + tag] = beta
+    source = "\n".join(
+        [f"def make({', '.join(constants)}):", "    def kernel(x, y):"]
+        + ["        " + line for line in body + ["return sx, sy"]]
+        + ["    return kernel"]
+    )
+    return _compiled(source)(**constants)
 
 
 def drift_terms(

@@ -321,8 +321,9 @@ def irregular_vs_regular(
     stride = round(float(gaps @ gaps / gaps.sum()) / cfg.fine_dt)
     regular = []
     for sim, irr in zip(sims, thinned):
-        reg = track_at(sim, thin_regular(sim.track, stride))
-        regular.append(reg[: int(np.searchsorted(reg.times, irr.times[-1], side="right"))])
+        keep = thin_regular(sim.track, stride)
+        keep = keep[: int(np.searchsorted(sim.track.times[keep], irr.times[-1], side="right"))]
+        regular.append(track_at(sim, keep))
 
     def clamp_free_fit(tracks):
         bad = [

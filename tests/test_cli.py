@@ -37,6 +37,14 @@ def reject_json_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def recorded_results(monkeypatch, name):
+    """The list that collects what the study function ``cli.<name>`` returns."""
+    results = []
+    run = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda cfg: results.append(run(cfg)) or results[-1])
+    return results
+
+
 # a small random-field grid for the scenario-2 and irregular studies
 TINY_RANDOM_FIELD = {
     "grid_n_x": 41,
@@ -367,7 +375,8 @@ class TestStudyCommands:
         none = dict.fromkeys(["beta1", "beta2", "beta3", "gamma2"])
         assert manifest["medians"] == {"analytic": none, "discretized": none}
 
-    def test_scenario2_tiny(self, tmp_path):
+    def test_scenario2_tiny(self, tmp_path, monkeypatch):
+        results = recorded_results(monkeypatch, "run_scenario2")
         cfg = write_json(tmp_path / "s2.json", TINY_STUDIES["scenario2"])
         out = tmp_path / "s2"
         assert main(["scenario2", "--config", cfg, "--out", str(out)]) == 0
@@ -382,6 +391,13 @@ class TestStudyCommands:
         assert isinstance(manifest["n_clamp_events"], int)
         # n_tracks x (n_points - 1) x the coarsest level's stride, 0.1 / 0.01
         assert manifest["fine_steps"] == 2 * 39 * 10
+        # each fit keeps the n_tracks x (n_points - 1) increments not dropped
+        (result,) = results
+        assert list(manifest["fits"]) == ["0.05", "0.1"]
+        for level, res in result.fits.items():
+            counters = manifest["fits"][str(level)]
+            assert counters == {"n": res.n, "condition_number": res.condition_number}
+            assert counters["n"] + manifest["dropped_increments"][str(level)] == 2 * 39
 
     @pytest.mark.parametrize("command", ["scenario1", "scenario2", "irregular"])
     def test_rerun_byte_identical(self, tmp_path, command):
@@ -392,7 +408,8 @@ class TestStudyCommands:
         for name in (STUDY_TABLES[command], "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_irregular_tiny(self, tmp_path):
+    def test_irregular_tiny(self, tmp_path, monkeypatch):
+        results = recorded_results(monkeypatch, "run_irregular")
         cfg = write_json(tmp_path / "irr.json", TINY_STUDIES["irregular"])
         out = tmp_path / "irr"
         assert main(["irregular", "--config", cfg, "--out", str(out)]) == 0
@@ -413,6 +430,15 @@ class TestStudyCommands:
         assert isinstance(manifest["n_clamp_events"], int)
         # n_tracks x (n_points - 1) x the coarsest level's stride, 0.2 / 0.01
         assert manifest["fine_steps"] == 2 * 39 * 20
+        (result,) = results
+        assert list(manifest["fits"]) == intervals
+        for interval in TINY_STUDIES["irregular"]["mean_intervals"]:
+            for scheme, fits in (("regular", result.regular), ("irregular", result.irregular)):
+                res = fits[interval]
+                counters = manifest["fits"][str(interval)][scheme]
+                assert counters == {"n": res.n, "condition_number": res.condition_number}
+                dropped = manifest["dropped_increments"][str(interval)][scheme]
+                assert counters["n"] + dropped == 2 * 39
 
     def test_irregular_short_tracks_rejected(self, tmp_path):
         # with levels up to 0.1 the fine tracks span 39 x 0.1 time units, and

@@ -206,8 +206,9 @@ analytic_points = st.lists(
 
 
 def kernel_calls(cov, xy):
-    """Reference: the covariate's point kernel at each row of ``xy``."""
-    kernel = cov.point_kernel()
+    """Reference: the simulator's kernel of the covariate alone, with beta
+    1.0, at each row of ``xy``."""
+    kernel = RsfModel([cov], [1.0]).grad_log_pi_kernel
     return np.array([kernel(x, y) for x, y in xy.tolist()])
 
 
@@ -224,13 +225,13 @@ class TestPointKernels:
             SquaredDistance((0.3, -0.2)),
         ]
         model = RsfModel(covs, [0.8, -1.3, -0.05])
-        kernel = model.grad_log_pi_kernel()
+        kernel = model.grad_log_pi_kernel
         for x, y in rng.uniform(-6, 6, size=(50, 2)).tolist():
             assert kernel(x, y) == tuple(model.grad_log_pi(np.array([(x, y)]))[0])
 
     def test_outside_the_raster_raises(self):
         geom = GridGeometry(0, 0, 1.0, 4, 4)
-        kernel = RasterCovariate(GridRaster(geom, np.ones((4, 4)))).point_kernel()
+        kernel = RsfModel([RasterCovariate(GridRaster(geom, np.ones((4, 4))))], [1.0]).grad_log_pi_kernel
         for x, y in ((3.5, 1.0), (-1e-9, 2.0), (1.0, 3.0 + 1e-12)):
             with pytest.raises(OutOfDomainError) as err:
                 kernel(x, y)
@@ -241,9 +242,9 @@ class TestPointKernels:
 
 class TestArrayCalls:
     """An (n, 2) array call equals, row by row and bit for bit, the calls
-    with one row and, for gradients, the covariate's point kernel.  The raster
-    points cover cell centers, interior edges and the top and right domain
-    edges; the wavelets both sine axes."""
+    with one row and, for gradients, the covariate's simulator kernel.  The
+    raster points cover cell centers, interior edges and the top and right
+    domain edges; the wavelets both sine axes."""
 
     @settings(max_examples=200, deadline=None)
     @given(raster_and_points())

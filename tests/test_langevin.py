@@ -636,14 +636,6 @@ class TestTrackType:
         with pytest.raises(ValueError):
             Track([], np.zeros((0, 2)))
 
-    def test_slicing(self):
-        track = Track(np.arange(10.0), np.arange(20.0).reshape(10, 2))
-        head = track[:4]
-        assert len(head) == 4
-        np.testing.assert_array_equal(head.xy, track.xy[:4])
-        with pytest.raises(TypeError):
-            track[3]
-
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
         track = Track(np.cumsum(rng.uniform(0.1, 2.0, size=40)), rng.normal(size=(40, 2)))

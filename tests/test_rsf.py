@@ -15,8 +15,9 @@ from langmove import (
     WaveletParams,
     ud_raster,
 )
-from langmove.covariates import Covariate, _compiled, rasterize
-from langmove.rsf import density_maps, drift_terms
+from langmove.covariates import Covariate, rasterize
+from langmove.langevin import SimConfig, simulate
+from langmove.rsf import _compiled, density_maps, drift_terms
 from langmove.errors import NonFiniteError
 from langmove.experiments import scenario1_covariates, scenario1_model, Scenario1Config
 
@@ -105,11 +106,11 @@ class TestGradLogPi:
         "make_model", [mixed_model, merged_model, well_model, narrow_wavelet_model]
     )
     def test_rows_are_the_kernel_bit_for_bit(self, make_model):
-        # compared as bytes, so that a -0.0 against a 0.0 shows: the sums
-        # start from 0 (0.0 in the kernel), and 0.0 + -0.0 is 0.0
+        # compared as bytes, so that a -0.0 against a 0.0 shows: both sums
+        # start from their first term, and 0.0 + -0.0 would be 0.0
         model = make_model()
         xy = grid_points(11)
-        kernel = model.grad_log_pi_kernel()
+        kernel = model.grad_log_pi_kernel
         expected = np.array([kernel(x, y) for x, y in xy.tolist()])
         assert model.grad_log_pi(xy).tobytes() == expected.tobytes()
 
@@ -179,18 +180,30 @@ class TestGeneratedKernel:
                 [c.center for c in covs if isinstance(c, SquaredDistance)] or np.empty((0, 2)),
             ]
         )
-        kernel = model.grad_log_pi_kernel()
+        kernel = model.grad_log_pi_kernel
         expected = np.array([kernel(x, y) for x, y in xy.tolist()])
         assert model.grad_log_pi(xy).tobytes() == expected.tobytes()
 
+    def test_kernel_is_built_once_per_model(self, monkeypatch):
+        built = []
+        for cls in (RasterCovariate, AnalyticWavelet, SquaredDistance):
+            fragment = cls._fragment
+            monkeypatch.setattr(cls, "_fragment", lambda cov, f=fragment: built.append(type(cov)) or f(cov))
+        model = mixed_model()
+        assert model.grad_log_pi_kernel is model.grad_log_pi_kernel
+        for seed in (1, 2, 3):
+            simulate(SimConfig(model, (0.0, 0.0), 0.01, 20, seed))
+        # each of the four drift terms' fragments, once, in term order
+        assert built == [RasterCovariate, AnalyticWavelet, AnalyticWavelet, SquaredDistance]
+
     def test_same_types_compile_once(self):
-        mixed_model().grad_log_pi_kernel()
+        mixed_model().grad_log_pi_kernel
         misses = _compiled.cache_info().misses
         # the types of mixed_model in its order, with other constants and betas
         rng = np.random.default_rng(11)
         covs = [drawn_covariate(kind, rng) for kind in ("raster_b", "z1", "z2", "well")]
         model = RsfModel(covs, [-0.4, 2.0, 0.7, -0.3])
-        kernel = model.grad_log_pi_kernel()
+        kernel = model.grad_log_pi_kernel
         assert _compiled.cache_info().misses == misses
         xy = rng.uniform(-5, 5, size=(50, 2))
         expected = np.array([kernel(x, y) for x, y in xy.tolist()])
@@ -251,7 +264,7 @@ class TestMergedDrift:
         assert (b0, b1, wav) == (1.0, -1.3, wavelet)
         assert merged.raster.geom == geom
         assert merged.raster.values.tobytes() == (0.8 * r1.raster.values + 2.5 * r2.raster.values).tobytes()
-        kernel = model.grad_log_pi_kernel()
+        kernel = model.grad_log_pi_kernel
         xy = np.random.default_rng(7).uniform(-4, 4, size=(50, 2))
         expected = list(map(tuple, model.grad_log_pi(xy).tolist()))
         assert [kernel(x, y) for x, y in xy.tolist()] == expected
@@ -262,7 +275,7 @@ class TestMergedDrift:
         xy = np.random.default_rng(8).uniform(-1, 2, size=(50, 2))
         expected = -2.7 * cov.gradient(xy)
         assert np.array_equal(model.grad_log_pi(xy), expected)
-        kernel = model.grad_log_pi_kernel()
+        kernel = model.grad_log_pi_kernel
         assert [kernel(x, y) for x, y in xy.tolist()] == list(map(tuple, expected.tolist()))
 
 
