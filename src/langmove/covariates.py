@@ -10,8 +10,10 @@ restricted to their raster's interpolation domain and report it through
 
 The simulator steps one point at a time, on Python floats.  For it each
 covariate type supplies a source fragment of its gradient (``_fragment``),
-which :attr:`~langmove.rsf.RsfModel.grad_log_pi_kernel` joins with the
-other drift terms' into one generated function.
+which the model joins with the other drift terms' into two generated
+functions: :attr:`~langmove.rsf.RsfModel.grad_log_pi_kernel`, which also
+runs each raster's domain check, and the Euler stepper
+:attr:`~langmove.rsf.RsfModel.euler_steps`, which leaves the checks out.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import DegenerateFieldError
 from .raster import Extent, GridGeometry, GridRaster, interpolate, interpolate_gradient
@@ -51,14 +52,20 @@ class Covariate:
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _fragment(self) -> tuple[str, str, str, dict]:
-        """``(statements, tx, ty, constants)``: statements that read the
-        Python floats ``x, y``, then two expressions over their locals that
-        give ``beta$`` times the gradient there, with the array form's
-        arithmetic in its order.  A ``$`` ends each name of ``constants``,
-        and the model's drift compiler replaces it with the term's tag, so
-        the source depends only on the covariate's type.  The statements
-        may also use ``exp``, ``sin``, ``cos`` and ``OutOfDomainError``."""
+    def _fragment(self) -> tuple[str, str, str, str, dict]:
+        """``(guard, statements, tx, ty, constants)``: statements that read
+        the Python floats ``x, y``, then two expressions over their locals
+        that give ``beta$`` times the gradient there, with the array form's
+        arithmetic in its order.  ``guard`` is empty, or statements that
+        raise ``OutOfDomainError`` for a point outside ``extent``: the
+        model's kernel runs them before the statements, and its Euler
+        stepper, whose points are all inside the model's domain, leaves
+        them out.  A ``$`` ends each name of ``constants``, and the model's
+        drift compiler replaces it with the term's tag, so the source
+        depends only on the covariate's type.  The statements may also use
+        ``exp``, ``sin`` and ``cos``, and assign none of the names the
+        generated functions use (``x``, ``y``, ``sx``, ``sy``, and the
+        stepper's arguments and noise pair ``nx, ny``)."""
         raise NotImplementedError
 
 
@@ -143,7 +150,7 @@ class AnalyticWavelet(Covariate):
         a = q.alpha * gauss
         return np.column_stack((a * gx, a * gy))
 
-    def _fragment(self) -> tuple[str, str, str, dict]:
+    def _fragment(self) -> tuple[str, str, str, str, dict]:
         q = self.params
         # -s * d is (-s) * d, and -2.0 * s * d is (-2.0 * s) * d: the same roundings
         constants = {
@@ -166,7 +173,7 @@ s2 = sin(arg2)
 gx = m2_sigma1$ * d1 * s1 * s2 + omega1$ * cos(w1) * s2{second if z1 else ""}
 gy = m2_sigma2$ * d2 * s1 * s2{"" if z1 else second}
 """
-        return statements, "beta$ * (a * gx)", "beta$ * (a * gy)", constants
+        return "", statements, "beta$ * (a * gx)", "beta$ * (a * gy)", constants
 
 
 class SquaredDistance(Covariate):
@@ -183,14 +190,17 @@ class SquaredDistance(Covariate):
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         return 2.0 * (xy - self.center)
 
-    def _fragment(self) -> tuple[str, str, str, dict]:
+    def _fragment(self) -> tuple[str, str, str, str, dict]:
         constants = {"cx$": self.center[0], "cy$": self.center[1]}
-        return "", "beta$ * (2.0 * (x - cx$))", "beta$ * (2.0 * (y - cy$))", constants
+        return "", "", "beta$ * (2.0 * (x - cx$))", "beta$ * (2.0 * (y - cy$))", constants
 
 
-_RASTER_STATEMENTS = """\
+_RASTER_GUARD = """\
 if not (x_lo$ <= x <= x_hi$ and y_lo$ <= y <= y_hi$):
     raise OutOfDomainError(x, y)
+"""
+
+_RASTER_STATEMENTS = """\
 u = (x - x_lo$) / h$
 w = (y - y_lo$) / h$
 ix = int(u)
@@ -225,17 +235,17 @@ class RasterCovariate(Covariate):
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         return interpolate_gradient(self.raster, xy)
 
-    def _fragment(self) -> tuple[str, str, str, dict]:
+    def _fragment(self) -> tuple[str, str, str, str, dict]:
         """:func:`~langmove.raster.interpolate_gradient` at one point, with
-        the values as nested lists; outside the hull of cell centers it
-        raises :class:`OutOfDomainError`."""
+        the values as nested lists; its guard raises
+        :class:`OutOfDomainError` outside the hull of cell centers."""
         g = self.raster.geom
         constants = {
             "x_lo$": g.x_min, "y_lo$": g.y_min, "x_hi$": g.x_max, "y_hi$": g.y_max,
             "h$": g.cell_size, "ix_last$": g.n_x - 2, "iy_last$": g.n_y - 2,
             "rows$": self.raster.values.tolist(),
         }
-        return _RASTER_STATEMENTS, "beta$ * gx", "beta$ * gy", constants
+        return _RASTER_GUARD, _RASTER_STATEMENTS, "beta$ * gx", "beta$ * gy", constants
 
 
 def rasterize(cov: Covariate, geometry: GridGeometry) -> GridRaster:
@@ -305,6 +315,8 @@ def generate_random_field(spec: RandomFieldSpec) -> GridRaster:
     DegenerateFieldError
         If the smoothed field is constant, so the rescaling is undefined.
     """
+    from scipy.signal import convolve2d  # imported here: it is most of the package's import time
+
     geom = spec.geometry
     rng = derive_rng(spec.seed)
     raw = rng.random((geom.n_y, geom.n_x))

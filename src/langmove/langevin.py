@@ -141,14 +141,17 @@ def simulate(cfg: SimConfig) -> SimResult:
     proposal is projected onto the domain boundary and its step index is
     recorded in ``SimResult.clamped``.
 
-    The drift is one function generated from the model's drift terms once
-    per model (:attr:`RsfModel.grad_log_pi_kernel`; its code is compiled
-    once per distinct list of term types and shared), and the steps run on
-    Python floats, ``BLOCK_ROWS`` noise rows at a time.  The noise is
-    scaled by ``sqrt(gamma2 * dt)`` in numpy first (the same product per
-    element), and each block's locations go into the track from one flat
-    list of floats; the result equals stepping with ``grad_log_pi`` bit
-    for bit.
+    The steps run on Python floats in the model's Euler stepper
+    (:attr:`RsfModel.euler_steps`), one loop generated with the drift
+    inline once per model (its code is compiled once per distinct list of
+    term types and shared), called once per ``BLOCK_ROWS`` noise rows.  The
+    noise is scaled by ``sqrt(gamma2 * dt)`` in numpy first (the same
+    product per element), and each block's locations go into the track from
+    one flat list of floats.  The stepper stops at a proposal outside the
+    domain; this function clamps it (or raises) and calls the stepper again
+    on the rest of the block.  Every point the drift sees is thus inside
+    the domain, so the stepper skips the rasters' domain checks.  The
+    result equals stepping with ``grad_log_pi`` bit for bit.
 
     Clamped locations do not follow the model; the studies in
     ``experiments`` drop the increments they affect from their fits (the
@@ -176,7 +179,7 @@ def simulate(cfg: SimConfig) -> SimResult:
     noise = rng.standard_normal((cfg.n_steps, 2))
     noise *= math.sqrt(model.gamma2 * cfg.dt)  # the product each step would round
     half = 0.5 * model.gamma2 * cfg.dt
-    grad = model.grad_log_pi_kernel
+    steps = model.euler_steps
 
     pts = np.empty((cfg.n_steps + 1, 2))
     pts[0] = x, y
@@ -185,19 +188,19 @@ def simulate(cfg: SimConfig) -> SimResult:
     for k0 in range(0, cfg.n_steps, BLOCK_ROWS):
         block: list[float] = []  # x, y, x, y, ... of the block's locations
         push = block.append
-        for nx, ny in zip(*noise[k0 : k0 + BLOCK_ROWS].T.tolist()):
-            gx, gy = grad(x, y)
-            x = x + half * gx + nx
-            y = y + half * gy + ny
-            if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
-                k = k0 + len(block) // 2 + 1
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise NonFiniteError(
-                        f"location {k} of the track is non-finite ({x}, {y}): "
-                        f"the drift diverges at dt={cfg.dt}"
-                    )
-                x, y = dom.clamp(x, y)
-                clamped.append(k)
+        pairs = zip(*noise[k0 : k0 + BLOCK_ROWS].T.tolist())
+        while True:
+            x, y = steps(x, y, pairs, push, half, x_lo, x_hi, y_lo, y_hi)
+            if dom.contains(x, y):
+                break  # the block's pairs are used up
+            k = k0 + len(block) // 2 + 1
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise NonFiniteError(
+                    f"location {k} of the track is non-finite ({x}, {y}): "
+                    f"the drift diverges at dt={cfg.dt}"
+                )
+            x, y = dom.clamp(x, y)
+            clamped.append(k)
             push(x)
             push(y)
         flat[2 * k0 + 2 : 2 * k0 + 2 + len(block)] = block

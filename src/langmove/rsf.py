@@ -2,13 +2,15 @@
 
 The space-use density is proportional to ``exp(sum_j beta_j * c_j(p))``
 for covariates ``c_j``; the log density and its gradient take an ``(n, 2)``
-array of points and return an ``(n,)`` and an ``(n, 2)`` array.  For the
-simulator, :attr:`RsfModel.grad_log_pi_kernel` is the gradient at one point,
-one function generated once per model from the covariates' source
-fragments.  Both sum the drift terms by one rule, the first term starting
-the sum and the others added in order, so each array row is the kernel's
-result bit for bit.  The normalizing constant over the study region has no
-closed form; it cancels in the gradient, which is all the simulation and
+array of points and return an ``(n,)`` and an ``(n, 2)`` array.  From the
+covariates' source fragments, each model generates two functions once, on
+Python floats: :attr:`RsfModel.grad_log_pi_kernel`, the gradient at one
+point, and :attr:`RsfModel.euler_steps`, the simulator's Euler loop over a
+block of noise with that gradient inline.  The array gradient and both
+functions sum the drift terms by one rule, the first term starting the sum
+and the others added in order, so each array row is the kernel's result
+bit for bit.  The normalizing constant over the study region has no closed
+form; it cancels in the gradient, which is all the simulation and
 inference paths need, and is approximated by a midpoint Riemann sum when a
 density map is requested.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import textwrap
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -87,10 +90,25 @@ class RsfModel:
         return functools.reduce(operator.add, (b * c.gradient(xy) for b, c in self._drift))
 
     @functools.cached_property
+    def _drift_code(self):
+        """The kernel and the stepper of :func:`_compile_drift`, built on
+        first use, once per model."""
+        return _compile_drift(self._drift)
+
+    @property
     def grad_log_pi_kernel(self):
         """``kernel(x, y) -> (gx, gy)``: :meth:`grad_log_pi` at one point, on
-        Python floats, bit for bit; built on first use, once per model."""
-        return _compile_drift(self._drift)
+        Python floats, bit for bit; it raises :class:`OutOfDomainError`
+        outside a raster."""
+        return self._drift_code[0]
+
+    @property
+    def euler_steps(self):
+        """``steps(x, y, pairs, push, half, x_lo, x_hi, y_lo, y_hi) -> (x, y)``:
+        the Euler loop of :func:`~langmove.langevin.simulate` with the drift
+        inline, which stops at the first proposal outside the box (see
+        :func:`_compile_drift`)."""
+        return self._drift_code[1]
 
     def domain(self) -> Extent | None:
         """Intersection of the covariates' domains; None if unrestricted."""
@@ -110,32 +128,63 @@ def _compiled(source: str):
     return namespace["make"]
 
 
+_SOURCE = """\
+def make({constants}):
+    def kernel(x, y):
+{kernel}
+        return sx, sy
+
+    def steps(x, y, pairs, push, half, x_lo, x_hi, y_lo, y_hi):
+        for nx, ny in pairs:
+{drift}
+            x = x + half * sx + nx
+            y = y + half * sy + ny
+            if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
+                return x, y
+            push(x)
+            push(y)
+        return x, y
+
+    return kernel, steps
+"""
+
+
 def _compile_drift(terms: Sequence[tuple[float, Covariate]]):
-    """``kernel(x, y) -> (gx, gy)``: the sum of ``beta`` times the gradient
-    of each ``(beta, covariate)`` term, on Python floats, as one generated
-    function of the terms' fragments (``Covariate._fragment``) in order,
-    with no inner calls; the first term starts the sums ``sx, sy`` and the
-    others are added, as in :meth:`RsfModel.grad_log_pi`.
+    """``(kernel, steps)``: two functions on Python floats, generated from
+    the fragments (``Covariate._fragment``) of the ``(beta, covariate)``
+    terms in order, with no inner calls.  Both sum ``beta`` times each
+    term's gradient as :meth:`RsfModel.grad_log_pi` does: the first term
+    starts the sums ``sx, sy`` and the others are added.
+
+    ``kernel(x, y) -> (sx, sy)`` is that sum at one point, behind each
+    term's guard.  ``steps(x, y, pairs, push, half, x_lo, x_hi, y_lo,
+    y_hi)`` is the Euler loop: for each noise pair ``(nx, ny)`` it steps to
+    ``(x + half * sx + nx, y + half * sy + ny)`` and pushes ``x`` then
+    ``y``; it returns the first proposal outside the box, unpushed, or else
+    the last point.  It leaves the guards out, so the caller passes a box
+    inside every term's domain and a start point in the box.
 
     Each term's constants (and its ``beta``) are tagged with its position
-    and passed to a generated ``make`` that closes the kernel over them, so
-    they never enter the source, and models of the same covariate types
-    share one compiled ``make``.
+    and passed to a generated ``make`` that closes both functions over
+    them, so they never enter the source, and models of the same covariate
+    types share one compiled ``make``.
     """
-    body = []
+    kernel, drift = [], []
     constants = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "OutOfDomainError": OutOfDomainError}
     for j, (beta, cov) in enumerate(terms):
         tag = f"_{j}"
-        statements, tx, ty, own = cov._fragment()
-        statements, tx, ty = (part.replace("$", tag) for part in (statements, tx, ty))
+        guard, statements, tx, ty, own = cov._fragment()
+        guard, statements, tx, ty = (part.replace("$", tag) for part in (guard, statements, tx, ty))
         op = "=" if j == 0 else "+="
-        body += [*statements.splitlines(), f"sx {op} {tx}", f"sy {op} {ty}"]
+        term = [*statements.splitlines(), f"sx {op} {tx}", f"sy {op} {ty}"]
+        kernel += [*guard.splitlines(), *term]
+        drift += term
         constants.update({name.replace("$", tag): v for name, v in own.items()})
         constants["beta" + tag] = beta
-    source = "\n".join(
-        [f"def make({', '.join(constants)}):", "    def kernel(x, y):"]
-        + ["        " + line for line in body + ["return sx, sy"]]
-        + ["    return kernel"]
+    source = _SOURCE.format(
+        constants=", ".join(constants),
+        kernel=textwrap.indent("\n".join(kernel), " " * 8),
+        drift=textwrap.indent("\n".join(drift), " " * 12),
     )
     return _compiled(source)(**constants)
 

@@ -1,6 +1,10 @@
 """Covariate providers and random-field generation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
+import langmove
 from langmove import (
     AnalyticWavelet,
     GridGeometry,
@@ -350,6 +355,15 @@ class TestRandomField:
         kernel = ((di * di + dj * dj) * cell_size**2 <= rho**2).astype(float)
         expected = convolve2d(np.ones((n_y, n_x)), kernel, mode="same", boundary="fill", fillvalue=0.0)
         assert _window_counts(kernel, n_y, n_x).tobytes() == expected.tobytes()
+
+    def test_import_leaves_scipy_signal_out(self):
+        # scipy.signal is most of the import time, and only the field
+        # generator needs it
+        src = str(Path(langmove.__file__).resolve().parent.parent)
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import langmove, langmove.cli, sys; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+        assert out.stdout == "False\n"
 
     def test_rho_validation(self):
         with pytest.raises(ValueError):

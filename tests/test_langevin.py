@@ -233,6 +233,17 @@ def one_raster_model():
     return RsfModel([RasterCovariate(GridRaster(geom, rng.normal(size=(9, 9))))], [-1.7], gamma2=4.0)
 
 
+def overlapping_rasters_model():
+    """Rasters on two partly overlapping grids, [-2, 2]^2 and [-1.25, 2.75] x
+    [-2.75, 1.25], with a wavelet between them: the domain [-1.25, 2] x
+    [-2, 1.25] is a strict intersection, with two sides from each grid."""
+    rng = np.random.default_rng(14)
+    grids = [GridGeometry(-2.0, -2.0, 0.5, 9, 9), GridGeometry(-1.25, -2.75, 0.5, 9, 9)]
+    params = WaveletParams(alpha=6, a1=-2, a2=math.pi / 2, omega1=0.1, omega2=0.5, sigma1=0.4, sigma2=0.4)
+    first, second = (RasterCovariate(GridRaster(g, rng.normal(size=(9, 9)))) for g in grids)
+    return RsfModel([first, AnalyticWavelet(params, "z2"), second], [1.5, 0.4, -0.8], gamma2=4.0)
+
+
 class TestCompiledStep:
     """``simulate`` (compiled drift, float steps in blocks) equals the loop
     one step at a time, byte for byte, on every side of a block edge."""
@@ -240,7 +251,12 @@ class TestCompiledStep:
     @pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 1000])
     @pytest.mark.parametrize(
         "make_model, dt",
-        [(two_raster_model, 0.25), (one_raster_model, 0.25), (analytic_model, 0.05)],
+        [
+            (two_raster_model, 0.25),
+            (one_raster_model, 0.25),
+            (analytic_model, 0.05),
+            (overlapping_rasters_model, 0.1),
+        ],
     )
     def test_matches_reference_loop(self, make_model, dt, n_steps):
         cfg = SimConfig(make_model(), (0.3, -0.4), dt, n_steps, seed=n_steps)
@@ -251,6 +267,13 @@ class TestCompiledStep:
         if make_model is two_raster_model and n_steps == 1000:
             # clamps throughout, the last step of each block included
             assert res.n_clamped >= 100 and {256, 512, 768} <= set(res.clamped)
+        if make_model is overlapping_rasters_model and n_steps == 1000:
+            # the stepper has no raster guard: clamps onto each side of the
+            # intersection, and at the last two steps of each block and the first of the next
+            assert {255, 256, 257, 511, 512, 513, 767, 768, 769} <= set(res.clamped)
+            dom, at = cfg.model.domain(), res.track.xy[list(res.clamped)]
+            for side, axis in ((dom.x_lo, 0), (dom.x_hi, 0), (dom.y_lo, 1), (dom.y_hi, 1)):
+                assert np.any(at[:, axis] == side)
 
     def test_clamp_indices_at_every_step(self):
         # a noise scale of 1000 on a 2 x 2 domain: every proposal leaves it,

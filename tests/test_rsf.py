@@ -191,24 +191,35 @@ class TestGeneratedKernel:
             monkeypatch.setattr(cls, "_fragment", lambda cov, f=fragment: built.append(type(cov)) or f(cov))
         model = mixed_model()
         assert model.grad_log_pi_kernel is model.grad_log_pi_kernel
+        assert model.euler_steps is model.euler_steps
         for seed in (1, 2, 3):
             simulate(SimConfig(model, (0.0, 0.0), 0.01, 20, seed))
-        # each of the four drift terms' fragments, once, in term order
+        # each of the four drift terms' fragments, once, in term order, for
+        # the kernel and the stepper together
         assert built == [RasterCovariate, AnalyticWavelet, AnalyticWavelet, SquaredDistance]
 
     def test_same_types_compile_once(self):
-        mixed_model().grad_log_pi_kernel
+        mixed_model().euler_steps
         misses = _compiled.cache_info().misses
         # the types of mixed_model in its order, with other constants and betas
         rng = np.random.default_rng(11)
         covs = [drawn_covariate(kind, rng) for kind in ("raster_b", "z1", "z2", "well")]
         model = RsfModel(covs, [-0.4, 2.0, 0.7, -0.3])
-        kernel = model.grad_log_pi_kernel
+        kernel, steps = model.grad_log_pi_kernel, model.euler_steps
         assert _compiled.cache_info().misses == misses
         xy = rng.uniform(-5, 5, size=(50, 2))
         expected = np.array([kernel(x, y) for x, y in xy.tolist()])
         assert model.grad_log_pi(xy).tobytes() == expected.tobytes()
         assert not np.array_equal(mixed_model().grad_log_pi(xy), expected)
+        # the stepper steps on this model's drift too
+        pairs = rng.normal(scale=0.01, size=(50, 2)).tolist()
+        pushed, reference, x, y = [], [], 0.0, 0.0
+        for nx, ny in pairs:
+            gx, gy = kernel(x, y)
+            x, y = x + 0.01 * gx + nx, y + 0.01 * gy + ny
+            reference += [x, y]
+        assert steps(0.0, 0.0, iter(pairs), pushed.append, 0.01, -5.0, 5.0, -5.0, 5.0) == (x, y)
+        assert pushed == reference
 
 
 class TestMergedDrift:
