@@ -56,16 +56,16 @@ class Covariate:
         """``(guard, statements, tx, ty, constants)``: statements that read
         the Python floats ``x, y``, then two expressions over their locals
         that give ``beta$`` times the gradient there, with the array form's
-        arithmetic in its order.  ``guard`` is empty, or statements that
-        raise ``OutOfDomainError`` for a point outside ``extent``: the
-        model's kernel runs them before the statements, and its Euler
-        stepper, whose points are all inside the model's domain, leaves
-        them out.  A ``$`` ends each name of ``constants``, and the model's
-        drift compiler replaces it with the term's tag, so the source
-        depends only on the covariate's type.  The statements may also use
-        ``exp``, ``sin`` and ``cos``, and assign none of the names the
-        generated functions use (``x``, ``y``, ``sx``, ``sy``, and the
-        stepper's arguments and noise pair ``nx, ny``)."""
+        arithmetic in its order.  ``guard`` is empty, or statements raising
+        ``OutOfDomainError`` outside ``extent``, which the model's kernel
+        runs first and its Euler stepper (inside the domain) leaves out.
+        The drift compiler replaces the ``$`` ending each name of
+        ``constants`` with the term's tag, so the source depends only on the
+        type; both generated functions bind them to locals once per call, so
+        one the statements assign keeps its value to the stepper's next
+        step.  The statements may use ``exp``, ``sin`` and ``cos``, and
+        assign no name the generated functions use (``x``, ``y``, ``sx``,
+        ``sy``, and the stepper's arguments, such as ``xs``, ``ys``, ``i``)."""
         raise NotImplementedError
 
 
@@ -211,14 +211,16 @@ if iy > iy_last$:  # the top domain edge
     iy = iy_last$
 u -= ix
 w -= iy
-lo = rows$[iy]
-hi = rows$[iy + 1]
-v00 = lo[ix]
-v10 = lo[ix + 1]
-v01 = hi[ix]
-v11 = hi[ix + 1]
-gx = ((1.0 - w) * (v10 - v00) + w * (v11 - v01)) / h$
-gy = ((1.0 - u) * (v01 - v00) + u * (v11 - v10)) / h$
+if ix != cx$ or iy != cy$:  # a new cell: the differences of its corner values
+    cx$, cy$ = ix, iy
+    lo = rows$[iy]
+    hi = rows$[iy + 1]
+    dx0$ = lo[ix + 1] - lo[ix]
+    dx1$ = hi[ix + 1] - hi[ix]
+    dy0$ = hi[ix] - lo[ix]
+    dy1$ = hi[ix + 1] - lo[ix + 1]
+gx = ((1.0 - w) * dx0$ + w * dx1$) / h$
+gy = ((1.0 - u) * dy0$ + u * dy1$) / h$
 """
 
 
@@ -236,13 +238,14 @@ class RasterCovariate(Covariate):
         return interpolate_gradient(self.raster, xy)
 
     def _fragment(self) -> tuple[str, str, str, str, dict]:
-        """:func:`~langmove.raster.interpolate_gradient` at one point, with
-        the values as nested lists; its guard raises
-        :class:`OutOfDomainError` outside the hull of cell centers."""
+        """:func:`~langmove.raster.interpolate_gradient` at one point, on the
+        values as nested lists, keeping a cell's corner differences until a
+        step leaves it; its guard raises :class:`OutOfDomainError` outside
+        the hull of cell centers."""
         g = self.raster.geom
         constants = {
             "x_lo$": g.x_min, "y_lo$": g.y_min, "x_hi$": g.x_max, "y_hi$": g.y_max,
-            "h$": g.cell_size, "ix_last$": g.n_x - 2, "iy_last$": g.n_y - 2,
+            "h$": g.cell_size, "ix_last$": g.n_x - 2, "iy_last$": g.n_y - 2, "cx$": -1, "cy$": -1,
             "rows$": self.raster.values.tolist(),
         }
         return _RASTER_GUARD, _RASTER_STATEMENTS, "beta$ * gx", "beta$ * gy", constants

@@ -142,16 +142,14 @@ def simulate(cfg: SimConfig) -> SimResult:
     recorded in ``SimResult.clamped``.
 
     The steps run on Python floats in the model's Euler stepper
-    (:attr:`RsfModel.euler_steps`), one loop generated with the drift
-    inline once per model (its code is compiled once per distinct list of
-    term types and shared), called once per ``BLOCK_ROWS`` noise rows.  The
-    noise is scaled by ``sqrt(gamma2 * dt)`` in numpy first (the same
-    product per element), and each block's locations go into the track from
-    one flat list of floats.  The stepper stops at a proposal outside the
-    domain; this function clamps it (or raises) and calls the stepper again
-    on the rest of the block.  Every point the drift sees is thus inside
-    the domain, so the stepper skips the rasters' domain checks.  The
-    result equals stepping with ``grad_log_pi`` bit for bit.
+    (:attr:`RsfModel.euler_steps`, generated with the drift inline once per
+    model), one call per ``BLOCK_ROWS`` noise rows, which it overwrites with
+    the locations; the noise is scaled by ``sqrt(gamma2 * dt)`` in numpy
+    first (the same product per element).  At a proposal outside the domain
+    the stepper returns; this function clamps it (or raises) into its slot
+    and resumes at the next.  So the drift sees only points inside the
+    domain, and the stepper skips the rasters' domain checks.  The result
+    equals stepping with ``grad_log_pi`` bit for bit.
 
     Clamped locations do not follow the model; the studies in
     ``experiments`` drop the increments they affect from their fits (the
@@ -183,17 +181,13 @@ def simulate(cfg: SimConfig) -> SimResult:
 
     pts = np.empty((cfg.n_steps + 1, 2))
     pts[0] = x, y
-    flat = pts.reshape(-1)
+    cols = pts[1:].T  # the x and y columns of the locations after the start
     clamped: list[int] = []
     for k0 in range(0, cfg.n_steps, BLOCK_ROWS):
-        block: list[float] = []  # x, y, x, y, ... of the block's locations
-        push = block.append
-        pairs = zip(*noise[k0 : k0 + BLOCK_ROWS].T.tolist())
-        while True:
-            x, y = steps(x, y, pairs, push, half, x_lo, x_hi, y_lo, y_hi)
-            if dom.contains(x, y):
-                break  # the block's pairs are used up
-            k = k0 + len(block) // 2 + 1
+        xs, ys = noise[k0 : k0 + BLOCK_ROWS].T.tolist()  # the stepper overwrites them
+        x, y, i = steps(x, y, xs, ys, 0, half, x_lo, x_hi, y_lo, y_hi)
+        while i < len(xs):  # proposal i left the domain
+            k = k0 + i + 1
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise NonFiniteError(
                     f"location {k} of the track is non-finite ({x}, {y}): "
@@ -201,9 +195,9 @@ def simulate(cfg: SimConfig) -> SimResult:
                 )
             x, y = dom.clamp(x, y)
             clamped.append(k)
-            push(x)
-            push(y)
-        flat[2 * k0 + 2 : 2 * k0 + 2 + len(block)] = block
+            xs[i], ys[i] = x, y
+            x, y, i = steps(x, y, xs, ys, i + 1, half, x_lo, x_hi, y_lo, y_hi)
+        cols[:, k0 : k0 + len(xs)] = xs, ys
     del noise  # the peak stays at two (n, 2) arrays while the timestamps are made
     times = np.arange(cfg.n_steps + 1, dtype=float) * cfg.dt
     return SimResult(Track(times, pts), tuple(clamped), cfg)

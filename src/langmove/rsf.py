@@ -104,10 +104,10 @@ class RsfModel:
 
     @property
     def euler_steps(self):
-        """``steps(x, y, pairs, push, half, x_lo, x_hi, y_lo, y_hi) -> (x, y)``:
+        """``steps(x, y, xs, ys, i, half, x_lo, x_hi, y_lo, y_hi) -> (x, y, i)``:
         the Euler loop of :func:`~langmove.langevin.simulate` with the drift
-        inline, which stops at the first proposal outside the box (see
-        :func:`_compile_drift`)."""
+        inline, writing the locations over the noise lists up to the first
+        proposal outside the box (see :func:`_compile_drift`)."""
         return self._drift_code[1]
 
     def domain(self) -> Extent | None:
@@ -129,21 +129,23 @@ def _compiled(source: str):
 
 
 _SOURCE = """\
-def make({constants}):
+def make(bound):
     def kernel(x, y):
+        {constants} = bound
 {kernel}
         return sx, sy
 
-    def steps(x, y, pairs, push, half, x_lo, x_hi, y_lo, y_hi):
-        for nx, ny in pairs:
+    def steps(x, y, xs, ys, i, half, x_lo, x_hi, y_lo, y_hi):
+        {constants} = bound
+        for i in range(i, len(xs)):
 {drift}
-            x = x + half * sx + nx
-            y = y + half * sy + ny
+            x = x + half * sx + xs[i]
+            y = y + half * sy + ys[i]
             if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
-                return x, y
-            push(x)
-            push(y)
-        return x, y
+                return x, y, i
+            xs[i] = x
+            ys[i] = y
+        return x, y, len(xs)
 
     return kernel, steps
 """
@@ -157,17 +159,18 @@ def _compile_drift(terms: Sequence[tuple[float, Covariate]]):
     starts the sums ``sx, sy`` and the others are added.
 
     ``kernel(x, y) -> (sx, sy)`` is that sum at one point, behind each
-    term's guard.  ``steps(x, y, pairs, push, half, x_lo, x_hi, y_lo,
-    y_hi)`` is the Euler loop: for each noise pair ``(nx, ny)`` it steps to
-    ``(x + half * sx + nx, y + half * sy + ny)`` and pushes ``x`` then
-    ``y``; it returns the first proposal outside the box, unpushed, or else
-    the last point.  It leaves the guards out, so the caller passes a box
-    inside every term's domain and a start point in the box.
+    term's guard.  ``steps(x, y, xs, ys, i, half, x_lo, x_hi, y_lo, y_hi)``
+    is the Euler loop from index ``i`` of the noise lists ``xs, ys``: it
+    steps to ``(x + half * sx + xs[i], y + half * sy + ys[i])``, writes the
+    location into slot ``i``, and returns ``(x, y, i)`` at the first
+    proposal outside the box, its slot left as noise, or else the last
+    point and ``len(xs)``.  It leaves the guards out, so the caller passes
+    a box inside every term's domain and a start point in the box.
 
     Each term's constants (and its ``beta``) are tagged with its position
-    and passed to a generated ``make`` that closes both functions over
-    them, so they never enter the source, and models of the same covariate
-    types share one compiled ``make``.
+    and passed as one tuple to a generated ``make``, whose two functions
+    unpack it into locals once per call; so they never enter the source,
+    and models of the same covariate types share one compiled ``make``.
     """
     kernel, drift = [], []
     constants = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "OutOfDomainError": OutOfDomainError}
@@ -186,7 +189,7 @@ def _compile_drift(terms: Sequence[tuple[float, Covariate]]):
         kernel=textwrap.indent("\n".join(kernel), " " * 8),
         drift=textwrap.indent("\n".join(drift), " " * 12),
     )
-    return _compiled(source)(**constants)
+    return _compiled(source)(tuple(constants.values()))
 
 
 def drift_terms(

@@ -93,6 +93,29 @@ class TestEulerStep:
             step, n = first_step(plane_model(*g, gamma2=gamma2), (0.0, 0.0), dt)
             assert step == tuple(factor * base + math.sqrt(gamma2 * dt) * n)
 
+    @pytest.mark.parametrize("cell", [1.0, 2.0])
+    def test_dyadic_plane_is_the_constant_drift_recursion(self, cell):
+        # v = 0.25 x - 0.5 y on an integer grid: every neighbour difference is
+        # exact, so the bilinear gradient is (0.25, -0.5) to the last bit
+        # everywhere, and the track is Brownian motion with that drift
+        n = int(128 / cell) + 1
+        geom = GridGeometry(-64.0, -64.0, cell, n, n)
+        values = 0.25 * geom.x_centers()[None, :] - 0.5 * geom.y_centers()[:, None]
+        model = RsfModel([RasterCovariate(GridRaster(geom, values))], [1.0], gamma2=1.5)
+        grads = model.grad_log_pi(np.random.default_rng(15).uniform(-64.0, 64.0, size=(200_000, 2)))
+        assert np.unique(grads, axis=0).tolist() == [[0.25, -0.5]]
+        cfg = SimConfig(model, (0.5, -1.0), 0.02, 3000, seed=16)
+        res = simulate(cfg)
+        half = 0.5 * model.gamma2 * cfg.dt
+        noise = math.sqrt(model.gamma2 * cfg.dt) * derive_rng(cfg.seed).standard_normal((cfg.n_steps, 2))
+        x, y = cfg.x0
+        expected = [(x, y)]
+        for nx, ny in noise.tolist():
+            x, y = x + half * 0.25 + nx, y + half * -0.5 + ny
+            expected.append((x, y))
+        assert res.n_clamped == 0
+        assert res.track.xy.tobytes() == np.array(expected).tobytes()
+
     def test_noise_scale(self):
         # with zero drift the first step is sqrt(gamma2 * dt) = 1 times the
         # noise pair, exactly

@@ -1,5 +1,7 @@
 """Log-density, gradient, and gridded density maps."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from langmove import (
     AnalyticWavelet,
+    Extent,
     GridGeometry,
     GridRaster,
     RasterCovariate,
@@ -157,6 +160,21 @@ def drawn_covariate(kind, rng):
     return raster
 
 
+def kernel_loop(kernel, noise, ext=None):
+    """Euler locations from the origin at ``half`` 0.01, one kernel call per
+    step, each proposal outside ``ext`` clamped into it; and the clamped
+    steps' indices."""
+    locations, clamped, x, y = [], [], 0.0, 0.0
+    for k, (nx, ny) in enumerate(noise):
+        gx, gy = kernel(x, y)
+        x, y = x + 0.01 * gx + nx, y + 0.01 * gy + ny
+        if ext is not None and not ext.contains(x, y):
+            x, y = ext.clamp(x, y)
+            clamped.append(k)
+        locations.append((x, y))
+    return locations, clamped
+
+
 class TestGeneratedKernel:
     """The drift is one function generated from the terms' fragments."""
 
@@ -211,15 +229,88 @@ class TestGeneratedKernel:
         expected = np.array([kernel(x, y) for x, y in xy.tolist()])
         assert model.grad_log_pi(xy).tobytes() == expected.tobytes()
         assert not np.array_equal(mixed_model().grad_log_pi(xy), expected)
-        # the stepper steps on this model's drift too
+        # the stepper steps on this model's drift too, writing the locations
+        # over the noise
         pairs = rng.normal(scale=0.01, size=(50, 2)).tolist()
-        pushed, reference, x, y = [], [], 0.0, 0.0
-        for nx, ny in pairs:
-            gx, gy = kernel(x, y)
-            x, y = x + 0.01 * gx + nx, y + 0.01 * gy + ny
-            reference += [x, y]
-        assert steps(0.0, 0.0, iter(pairs), pushed.append, 0.01, -5.0, 5.0, -5.0, 5.0) == (x, y)
-        assert pushed == reference
+        reference, _ = kernel_loop(kernel, pairs)
+        xs, ys = (list(c) for c in zip(*pairs))
+        assert steps(0.0, 0.0, xs, ys, 0, 0.01, -5.0, 5.0, -5.0, 5.0) == (*reference[-1], 50)
+        assert list(zip(xs, ys)) == reference
+
+    def test_stepper_stops_at_the_first_proposal_outside_and_resumes(self):
+        model = mixed_model()
+        kernel, steps = model.grad_log_pi_kernel, model.euler_steps
+        noise = list(map(tuple, np.random.default_rng(12).normal(scale=0.2, size=(60, 2)).tolist()))
+        free, _ = kernel_loop(kernel, noise)
+        # the box of the first i locations, with i the first later location to
+        # extend it: proposal i is the first outside
+        i = next(k for k in range(20, 60) if free[k][0] > max(p[0] for p in free[:k]))
+        xs_free, ys_free = zip(*free[:i])
+        box = (min(xs_free), max(xs_free), min(ys_free), max(ys_free))
+        xs, ys = (list(c) for c in zip(*noise))
+        assert steps(0.0, 0.0, xs, ys, 0, 0.01, *box) == (*free[i], i)
+        assert list(zip(xs[:i], ys[:i])) == free[:i]
+        assert list(zip(xs[i:], ys[i:])) == noise[i:]
+        # clamped as simulate does, then resumed from i + 1 to the end
+        ext = Extent(*box)
+        reference, clamped = kernel_loop(kernel, noise, ext)
+        (x, y), j = free[i], i
+        stops = []
+        while j < len(xs):
+            stops.append(j)
+            x, y = ext.clamp(x, y)
+            xs[j], ys[j] = x, y
+            x, y, j = steps(x, y, xs, ys, j + 1, 0.01, *box)
+        assert stops == clamped and clamped[0] == i
+        assert list(zip(xs, ys)) == reference and (x, y) == reference[-1]
+
+    def test_stepper_signature(self):
+        params = inspect.signature(mixed_model().euler_steps).parameters
+        assert list(params) == ["x", "y", "xs", "ys", "i", "half", "x_lo", "x_hi", "y_lo", "y_hi"]
+        assert all(p.default is inspect.Parameter.empty for p in params.values())
+
+    @pytest.mark.parametrize("geom", [GRID_A, GRID_B])
+    def test_kernel_on_cell_and_domain_edges(self, geom):
+        # truncation puts an interior edge in the cell above or right of it,
+        # and the top and right domain edges in the last cell
+        rng = np.random.default_rng(13)
+        (raster,) = random_rasters(geom, 1, seed=rng)
+        wavelet = drawn_covariate("z1", rng)
+        lo, hi = (geom.x_min, geom.y_min), (geom.x_max, geom.y_max)
+        xe, ye = geom.x_centers()[1:-1], geom.y_centers()[1:-1]
+        xy = np.vstack(
+            [
+                np.column_stack([xe, rng.uniform(lo[1], hi[1], len(xe))]),  # interior vertical edges
+                np.column_stack([rng.uniform(lo[0], hi[0], len(ye)), ye]),  # interior horizontal edges
+                np.column_stack([np.full(20, hi[0]), rng.uniform(lo[1], hi[1], 20)]),  # right edge
+                np.column_stack([rng.uniform(lo[0], hi[0], 20), np.full(20, hi[1])]),  # top edge
+                [hi, (hi[0], lo[1]), (lo[0], hi[1])],
+            ]
+        )
+        for covs, beta in (([raster], [-1.3]), ([raster, wavelet], [0.7, 2.1])):
+            model = RsfModel(covs, beta)
+            kernel = model.grad_log_pi_kernel
+            expected = np.array([kernel(x, y) for x, y in xy.tolist()])
+            assert model.grad_log_pi(xy).tobytes() == expected.tobytes()
+
+    def test_kernel_where_neighbour_differences_overflow(self):
+        # +-1e308 neighbours differ by +-inf along x, y or both: the drift is
+        # built and evaluated without a warning (warnings are errors here) and
+        # gives the array form's inf and nan bytes; numpy flags its own overflow
+        geom = GridGeometry(0.0, 0.0, 1.0, 5, 5)
+        values = np.array([[1e308, -1e308, 1.0, 2.0, 1e308]] * 2 + [[-1e308, 1e308, -3.0, 1e308, 0.5]] * 3)
+        model = RsfModel([RasterCovariate(GridRaster(geom, values))], [0.5])
+        rng = np.random.default_rng(14)
+        nodes = np.arange(5.0)
+        xy = np.vstack(
+            [rng.uniform(0.0, 4.0, size=(200, 2)), np.stack(np.meshgrid(nodes, nodes), axis=-1).reshape(-1, 2)]
+        )
+        kernel = model.grad_log_pi_kernel
+        expected = np.array([kernel(x, y) for x, y in xy.tolist()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = model.grad_log_pi(xy)
+        assert np.isinf(expected).any() and np.isnan(expected).any() and np.isfinite(expected).any()
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestMergedDrift:
