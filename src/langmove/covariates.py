@@ -10,10 +10,9 @@ restricted to their raster's interpolation domain and report it through
 
 The simulator steps one point at a time, on Python floats.  For it each
 covariate type supplies a source fragment of its gradient (``_fragment``),
-which the model joins with the other drift terms' into two generated
-functions: :attr:`~langmove.rsf.RsfModel.grad_log_pi_kernel`, which also
-runs each raster's domain check, and the Euler stepper
-:attr:`~langmove.rsf.RsfModel.euler_steps`, which leaves the checks out.
+which the model joins with the other drift terms' into one generated Euler
+stepper, :attr:`~langmove.rsf.RsfModel.euler_steps`, which checks no
+domain: the simulator keeps its steps inside.
 """
 
 from __future__ import annotations
@@ -52,20 +51,18 @@ class Covariate:
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _fragment(self) -> tuple[str, str, str, str, dict]:
-        """``(guard, statements, tx, ty, constants)``: statements that read
-        the Python floats ``x, y``, then two expressions over their locals
-        that give ``beta$`` times the gradient there, with the array form's
-        arithmetic in its order.  ``guard`` is empty, or statements raising
-        ``OutOfDomainError`` outside ``extent``, which the model's kernel
-        runs first and its Euler stepper (inside the domain) leaves out.
-        The drift compiler replaces the ``$`` ending each name of
-        ``constants`` with the term's tag, so the source depends only on the
-        type; both generated functions bind them to locals once per call, so
-        one the statements assign keeps its value to the stepper's next
-        step.  The statements may use ``exp``, ``sin`` and ``cos``, and
-        assign no name the generated functions use (``x``, ``y``, ``sx``,
-        ``sy``, and the stepper's arguments, such as ``xs``, ``ys``, ``i``)."""
+    def _fragment(self) -> tuple[str, str, str, dict]:
+        """``(statements, tx, ty, constants)``: statements that read the
+        Python floats ``x, y`` (inside ``extent``), then two expressions
+        over their locals that give ``beta$`` times the gradient there, with
+        the array form's arithmetic in its order.  The drift compiler
+        replaces the ``$`` ending each name of ``constants`` with the term's
+        tag, so the source depends only on the type; the generated stepper
+        binds them to locals once per call, so one the statements assign
+        keeps its value to the next step.  The statements may use ``exp``,
+        ``sin`` and ``cos``, and assign no name the stepper uses (``x``,
+        ``y``, ``sx``, ``sy``, and its arguments, such as ``xs``, ``ys``,
+        ``i``)."""
         raise NotImplementedError
 
 
@@ -81,7 +78,8 @@ class WaveletParams:
 
     ``alpha`` is the amplitude, ``(a1, a2)`` the center offsets,
     ``(omega1, omega2)`` the angular frequencies and ``(sigma1, sigma2)``
-    the (positive) diagonal entries of the Gaussian quadratic form.
+    the (positive) diagonal entries of the Gaussian quadratic form; all are
+    finite.
     """
 
     alpha: float
@@ -93,7 +91,9 @@ class WaveletParams:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma1 <= 0 or self.sigma2 <= 0:
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError(f"wavelet parameters must be finite, got {self}")
+        if not (self.sigma1 > 0 and self.sigma2 > 0):
             raise ValueError("sigma1 and sigma2 must be positive")
 
 
@@ -120,7 +120,7 @@ class AnalyticWavelet(Covariate):
 
     def _factors(self, xy: np.ndarray):
         """The shared factors at each row of ``xy``.  numpy's float64 sin and
-        cos equal the math module's, which the drift kernel uses (the tests
+        cos equal the math module's, which the Euler stepper uses (the tests
         check this)."""
         q = self.params
         d1 = xy[:, 0] - q.a1
@@ -150,7 +150,7 @@ class AnalyticWavelet(Covariate):
         a = q.alpha * gauss
         return np.column_stack((a * gx, a * gy))
 
-    def _fragment(self) -> tuple[str, str, str, str, dict]:
+    def _fragment(self) -> tuple[str, str, str, dict]:
         q = self.params
         # -s * d is (-s) * d, and -2.0 * s * d is (-2.0 * s) * d: the same roundings
         constants = {
@@ -173,7 +173,7 @@ s2 = sin(arg2)
 gx = m2_sigma1$ * d1 * s1 * s2 + omega1$ * cos(w1) * s2{second if z1 else ""}
 gy = m2_sigma2$ * d2 * s1 * s2{"" if z1 else second}
 """
-        return "", statements, "beta$ * (a * gx)", "beta$ * (a * gy)", constants
+        return statements, "beta$ * (a * gx)", "beta$ * (a * gy)", constants
 
 
 class SquaredDistance(Covariate):
@@ -181,6 +181,8 @@ class SquaredDistance(Covariate):
 
     def __init__(self, center: Sequence[float] = (0.0, 0.0)):
         self.center = (float(center[0]), float(center[1]))
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"center must be finite, got {self.center}")
 
     def value(self, xy: np.ndarray) -> np.ndarray:
         dx = xy[:, 0] - self.center[0]
@@ -190,15 +192,10 @@ class SquaredDistance(Covariate):
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         return 2.0 * (xy - self.center)
 
-    def _fragment(self) -> tuple[str, str, str, str, dict]:
+    def _fragment(self) -> tuple[str, str, str, dict]:
         constants = {"cx$": self.center[0], "cy$": self.center[1]}
-        return "", "", "beta$ * (2.0 * (x - cx$))", "beta$ * (2.0 * (y - cy$))", constants
+        return "", "beta$ * (2.0 * (x - cx$))", "beta$ * (2.0 * (y - cy$))", constants
 
-
-_RASTER_GUARD = """\
-if not (x_lo$ <= x <= x_hi$ and y_lo$ <= y <= y_hi$):
-    raise OutOfDomainError(x, y)
-"""
 
 _RASTER_STATEMENTS = """\
 u = (x - x_lo$) / h$
@@ -237,18 +234,16 @@ class RasterCovariate(Covariate):
     def gradient(self, xy: np.ndarray) -> np.ndarray:
         return interpolate_gradient(self.raster, xy)
 
-    def _fragment(self) -> tuple[str, str, str, str, dict]:
+    def _fragment(self) -> tuple[str, str, str, dict]:
         """:func:`~langmove.raster.interpolate_gradient` at one point, on the
         values as nested lists, keeping a cell's corner differences until a
-        step leaves it; its guard raises :class:`OutOfDomainError` outside
-        the hull of cell centers."""
+        step leaves it."""
         g = self.raster.geom
         constants = {
-            "x_lo$": g.x_min, "y_lo$": g.y_min, "x_hi$": g.x_max, "y_hi$": g.y_max,
-            "h$": g.cell_size, "ix_last$": g.n_x - 2, "iy_last$": g.n_y - 2, "cx$": -1, "cy$": -1,
-            "rows$": self.raster.values.tolist(),
+            "x_lo$": g.x_min, "y_lo$": g.y_min, "h$": g.cell_size, "ix_last$": g.n_x - 2,
+            "iy_last$": g.n_y - 2, "cx$": -1, "cy$": -1, "rows$": self.raster.values.tolist(),
         }
-        return _RASTER_GUARD, _RASTER_STATEMENTS, "beta$ * gx", "beta$ * gy", constants
+        return _RASTER_STATEMENTS, "beta$ * gx", "beta$ * gy", constants
 
 
 def rasterize(cov: Covariate, geometry: GridGeometry) -> GridRaster:

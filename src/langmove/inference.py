@@ -35,6 +35,7 @@ from .covariates import Covariate
 from .errors import (
     DegenerateFitError,
     InsufficientDataError,
+    NonFiniteError,
     OutOfDomainError,
     SingularDesignError,
 )
@@ -101,6 +102,9 @@ def build_design(
     OutOfDomainError
         If a kept start is outside a covariate's ``extent``; the message
         names the first one as ``track k: track location i``.
+    NonFiniteError
+        If a covariate's gradient is non-finite at a kept start, named as
+        for ``OutOfDomainError``.
     InsufficientDataError
         If no increment is left.
     """
@@ -137,12 +141,7 @@ def build_design(
             if cov.extent is not None:
                 outside |= ~cov.extent.contains_points(starts)
         if outside.any():
-            i = int(np.argmax(outside))
-            for k in group:  # the track of row i, and its location
-                if i < len(kept[k]):
-                    break
-                i -= len(kept[k])
-            loc = kept[k][i]
+            k, loc = _track_location(kept, group, int(np.argmax(outside)))
             raise OutOfDomainError(*tracks[k].xy[loc], f"track {k}: track location {loc}")
         sqrt_d = np.sqrt(_stack([tracks[k].intervals[kept[k]] for k in group]))
         steps = _stack([np.diff(tracks[k].xy, axis=0)[kept[k]] for k in group])
@@ -150,7 +149,20 @@ def build_design(
         y[x_rows], y[y_rows] = (steps / sqrt_d[:, None]).T
         for j, cov in enumerate(covariates):
             d[x_rows, j], d[y_rows, j] = 0.5 * cov.gradient(starts).T
+        finite = np.isfinite(d[x_rows]).all(axis=1) & np.isfinite(d[y_rows]).all(axis=1)
+        if not finite.all():
+            k, loc = _track_location(kept, group, int(np.argmin(finite)))
+            raise NonFiniteError(f"non-finite covariate gradient at track {k}: track location {loc}")
     return DesignMatrices(y=y, d=d, t_delta=t_delta, n=n, J=J)
+
+
+def _track_location(kept: Sequence[np.ndarray], group: range, i: int) -> tuple[int, int]:
+    """The track ``k`` of row ``i`` of ``group``'s rows, and its location."""
+    for k in group:
+        if i < len(kept[k]):
+            break
+        i -= len(kept[k])
+    return k, int(kept[k][i])
 
 
 def _groups(kept: Sequence[np.ndarray]) -> list[range]:

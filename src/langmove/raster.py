@@ -14,9 +14,10 @@ exactly on an interior edge is assigned to the cell above/right of it.
 
 :func:`interpolate` and :func:`interpolate_gradient` take an ``(n, 2)``
 array of points and return an ``(n,)`` or ``(n, 2)`` array; one point is a
-one-row array.  The simulator's one-point gradient is a source fragment of
+one-row array.  The Euler stepper's gradient is a source fragment of
 :class:`~langmove.covariates.RasterCovariate` that runs the array form's
-arithmetic in the same order, so the two agree bit for bit.
+arithmetic in the same order, so the two agree bit for bit; it checks no
+domain, since the simulator keeps its steps inside.
 """
 
 from __future__ import annotations

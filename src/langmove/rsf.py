@@ -3,16 +3,15 @@
 The space-use density is proportional to ``exp(sum_j beta_j * c_j(p))``
 for covariates ``c_j``; the log density and its gradient take an ``(n, 2)``
 array of points and return an ``(n,)`` and an ``(n, 2)`` array.  From the
-covariates' source fragments, each model generates two functions once, on
-Python floats: :attr:`RsfModel.grad_log_pi_kernel`, the gradient at one
-point, and :attr:`RsfModel.euler_steps`, the simulator's Euler loop over a
-block of noise with that gradient inline.  The array gradient and both
-functions sum the drift terms by one rule, the first term starting the sum
-and the others added in order, so each array row is the kernel's result
-bit for bit.  The normalizing constant over the study region has no closed
-form; it cancels in the gradient, which is all the simulation and
-inference paths need, and is approximated by a midpoint Riemann sum when a
-density map is requested.
+covariates' source fragments, each model generates one function once, on
+Python floats: :attr:`RsfModel.euler_steps`, the simulator's Euler loop
+over a block of noise with the gradient inline.  The array gradient and
+the stepper sum the drift terms by one rule, the first term starting the
+sum and the others added in order, so each step is ``x + half *
+grad_log_pi(x) + noise`` bit for bit.  The normalizing constant over the
+study region has no closed form; it cancels in the gradient, which is all
+the simulation and inference paths need, and is approximated by a midpoint
+Riemann sum when a density map is requested.
 
 The gradient is linear in the covariates, so the drift sums rasters that
 share one grid into one table of ``sum_j beta_j * values_j`` when the model
@@ -34,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .covariates import Covariate, RasterCovariate
-from .errors import NonFiniteError, OutOfDomainError
+from .errors import NonFiniteError
 from .raster import Extent, GridGeometry, GridRaster
 
 __all__ = ["RsfModel", "density_maps", "drift_terms", "ud_raster"]
@@ -90,25 +89,13 @@ class RsfModel:
         return functools.reduce(operator.add, (b * c.gradient(xy) for b, c in self._drift))
 
     @functools.cached_property
-    def _drift_code(self):
-        """The kernel and the stepper of :func:`_compile_drift`, built on
-        first use, once per model."""
-        return _compile_drift(self._drift)
-
-    @property
-    def grad_log_pi_kernel(self):
-        """``kernel(x, y) -> (gx, gy)``: :meth:`grad_log_pi` at one point, on
-        Python floats, bit for bit; it raises :class:`OutOfDomainError`
-        outside a raster."""
-        return self._drift_code[0]
-
-    @property
     def euler_steps(self):
         """``steps(x, y, xs, ys, i, half, x_lo, x_hi, y_lo, y_hi) -> (x, y, i)``:
         the Euler loop of :func:`~langmove.langevin.simulate` with the drift
         inline, writing the locations over the noise lists up to the first
-        proposal outside the box (see :func:`_compile_drift`)."""
-        return self._drift_code[1]
+        proposal outside the box (see :func:`_compile_drift`); built on first
+        use, once per model."""
+        return _compile_drift(self._drift)
 
     def domain(self) -> Extent | None:
         """Intersection of the covariates' domains; None if unrestricted."""
@@ -124,17 +111,12 @@ def _compiled(source: str):
     """The ``make`` function that ``source`` defines, compiled once per
     distinct source."""
     namespace: dict = {}
-    exec(compile(source, "<langmove kernel>", "exec"), namespace)
+    exec(compile(source, "<langmove euler_steps>", "exec"), namespace)
     return namespace["make"]
 
 
 _SOURCE = """\
 def make(bound):
-    def kernel(x, y):
-        {constants} = bound
-{kernel}
-        return sx, sy
-
     def steps(x, y, xs, ys, i, half, x_lo, x_hi, y_lo, y_hi):
         {constants} = bound
         for i in range(i, len(xs)):
@@ -147,47 +129,42 @@ def make(bound):
             ys[i] = y
         return x, y, len(xs)
 
-    return kernel, steps
+    return steps
 """
 
 
 def _compile_drift(terms: Sequence[tuple[float, Covariate]]):
-    """``(kernel, steps)``: two functions on Python floats, generated from
-    the fragments (``Covariate._fragment``) of the ``(beta, covariate)``
-    terms in order, with no inner calls.  Both sum ``beta`` times each
-    term's gradient as :meth:`RsfModel.grad_log_pi` does: the first term
-    starts the sums ``sx, sy`` and the others are added.
+    """``steps(x, y, xs, ys, i, half, x_lo, x_hi, y_lo, y_hi)``: the Euler
+    loop on Python floats, generated from the fragments
+    (``Covariate._fragment``) of the ``(beta, covariate)`` terms in order,
+    with no inner calls.  It sums ``beta`` times each term's gradient as
+    :meth:`RsfModel.grad_log_pi` does: the first term starts the sums
+    ``sx, sy`` and the others are added.
 
-    ``kernel(x, y) -> (sx, sy)`` is that sum at one point, behind each
-    term's guard.  ``steps(x, y, xs, ys, i, half, x_lo, x_hi, y_lo, y_hi)``
-    is the Euler loop from index ``i`` of the noise lists ``xs, ys``: it
-    steps to ``(x + half * sx + xs[i], y + half * sy + ys[i])``, writes the
-    location into slot ``i``, and returns ``(x, y, i)`` at the first
-    proposal outside the box, its slot left as noise, or else the last
-    point and ``len(xs)``.  It leaves the guards out, so the caller passes
-    a box inside every term's domain and a start point in the box.
+    From index ``i`` of the noise lists ``xs, ys`` it steps to
+    ``(x + half * sx + xs[i], y + half * sy + ys[i])``, writes the location
+    into slot ``i``, and returns ``(x, y, i)`` at the first proposal outside
+    the box, its slot left as noise, or else the last point and
+    ``len(xs)``.  It checks no term's domain, so the caller passes a box
+    inside every term's domain and a start point in the box.
 
     Each term's constants (and its ``beta``) are tagged with its position
-    and passed as one tuple to a generated ``make``, whose two functions
-    unpack it into locals once per call; so they never enter the source,
-    and models of the same covariate types share one compiled ``make``.
+    and passed as one tuple to a generated ``make``, whose stepper unpacks
+    it into locals once per call; so they never enter the source, and
+    models of the same covariate types share one compiled ``make``.
     """
-    kernel, drift = [], []
-    constants = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "OutOfDomainError": OutOfDomainError}
+    drift = []
+    constants = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
     for j, (beta, cov) in enumerate(terms):
         tag = f"_{j}"
-        guard, statements, tx, ty, own = cov._fragment()
-        guard, statements, tx, ty = (part.replace("$", tag) for part in (guard, statements, tx, ty))
+        statements, tx, ty, own = cov._fragment()
+        statements, tx, ty = (part.replace("$", tag) for part in (statements, tx, ty))
         op = "=" if j == 0 else "+="
-        term = [*statements.splitlines(), f"sx {op} {tx}", f"sy {op} {ty}"]
-        kernel += [*guard.splitlines(), *term]
-        drift += term
+        drift += [*statements.splitlines(), f"sx {op} {tx}", f"sy {op} {ty}"]
         constants.update({name.replace("$", tag): v for name, v in own.items()})
         constants["beta" + tag] = beta
     source = _SOURCE.format(
-        constants=", ".join(constants),
-        kernel=textwrap.indent("\n".join(kernel), " " * 8),
-        drift=textwrap.indent("\n".join(drift), " " * 12),
+        constants=", ".join(constants), drift=textwrap.indent("\n".join(drift), " " * 12)
     )
     return _compiled(source)(tuple(constants.values()))
 

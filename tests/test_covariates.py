@@ -29,6 +29,7 @@ from langmove import (
 from langmove.covariates import _window_counts, rasterize
 from langmove.errors import DegenerateFieldError, OutOfDomainError
 from langmove.seeding import derive_rng
+from test_rsf import stepper_probe, unit_step
 
 TABLE_PARAMS_1 = WaveletParams(alpha=6, a1=0, a2=0, omega1=0.6, omega2=0.2, sigma1=0.4, sigma2=0.4)
 TABLE_PARAMS_2 = WaveletParams(
@@ -93,6 +94,13 @@ class TestWavelet:
         with pytest.raises(ValueError):
             WaveletParams(alpha=1, a1=0, a2=0, omega1=1, omega2=1, sigma1=0.0, sigma2=1)
 
+    @pytest.mark.parametrize("field", ["alpha", "a1", "a2", "omega1", "omega2", "sigma1", "sigma2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_parameters_must_be_finite(self, field, bad):
+        params = dict(alpha=1, a1=0, a2=0, omega1=1, omega2=1, sigma1=1, sigma2=1)
+        with pytest.raises(ValueError, match="must be finite"):
+            WaveletParams(**{**params, field: bad})
+
 
 class TestSquaredDistance:
     def test_value_and_gradient(self):
@@ -105,6 +113,11 @@ class TestSquaredDistance:
         p = np.array([(4.0, 2.0)])
         assert c.value(p).tolist() == [9.0 + 16.0]
         assert c.gradient(p).tolist() == [[2 * 3.0, 2 * 4.0]]
+
+    @pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_center_must_be_finite(self, center):
+        with pytest.raises(ValueError, match="center must be finite"):
+            SquaredDistance(center)
 
 
 class TestDispatch:
@@ -210,16 +223,15 @@ analytic_points = st.lists(
 ).map(lambda rows: np.array(rows, dtype=float))
 
 
-def kernel_calls(cov, xy):
-    """Reference: the simulator's kernel of the covariate alone, with beta
-    1.0, at each row of ``xy``."""
-    kernel = RsfModel([cov], [1.0]).grad_log_pi_kernel
-    return np.array([kernel(x, y) for x, y in xy.tolist()])
+def assert_stepper_steps_by(gradient, cov, xy):
+    """One step of the simulator's stepper for ``cov`` alone, with beta 1.0,
+    from each row of ``xy`` is ``xy + 1.0 * gradient + 0.0``, bit for bit."""
+    assert_same_bits(stepper_probe(RsfModel([cov], [1.0]), xy), xy + 1.0 * gradient + 0.0)
 
 
 class TestPointKernels:
-    """The simulator's compiled gradients (their agreement with the array
-    form, bit for bit, is checked in :class:`TestArrayCalls`)."""
+    """The simulator's compiled gradient (its agreement with each
+    covariate's array form is checked in :class:`TestArrayCalls`)."""
 
     def test_model_kernel_is_grad_log_pi(self):
         rng = np.random.default_rng(4)
@@ -230,24 +242,13 @@ class TestPointKernels:
             SquaredDistance((0.3, -0.2)),
         ]
         model = RsfModel(covs, [0.8, -1.3, -0.05])
-        kernel = model.grad_log_pi_kernel
-        for x, y in rng.uniform(-6, 6, size=(50, 2)).tolist():
-            assert kernel(x, y) == tuple(model.grad_log_pi(np.array([(x, y)]))[0])
-
-    def test_outside_the_raster_raises(self):
-        geom = GridGeometry(0, 0, 1.0, 4, 4)
-        kernel = RsfModel([RasterCovariate(GridRaster(geom, np.ones((4, 4))))], [1.0]).grad_log_pi_kernel
-        for x, y in ((3.5, 1.0), (-1e-9, 2.0), (1.0, 3.0 + 1e-12)):
-            with pytest.raises(OutOfDomainError) as err:
-                kernel(x, y)
-            assert (err.value.x, err.value.y) == (x, y)
-        with pytest.raises(OutOfDomainError):
-            kernel(math.nan, 1.0)
+        xy = rng.uniform(-6, 6, size=(50, 2))
+        assert_same_bits(stepper_probe(model, xy), unit_step(model, xy))
 
 
 class TestArrayCalls:
     """An (n, 2) array call equals, row by row and bit for bit, the calls
-    with one row and, for gradients, the covariate's simulator kernel.  The
+    with one row and, for gradients, a step of the simulator's stepper.  The
     raster points cover cell centers, interior edges and the top and right
     domain edges; the wavelets both sine axes."""
 
@@ -259,7 +260,7 @@ class TestArrayCalls:
         for f in (lambda p: interpolate(raster, p), cov.value):
             assert_same_bits(f(xy), one_row_calls(f, xy))
         for f in (lambda p: interpolate_gradient(raster, p), cov.gradient):
-            assert_same_bits(f(xy), kernel_calls(cov, xy))
+            assert_stepper_steps_by(f(xy), cov, xy)
             assert_same_bits(f(xy), one_row_calls(f, xy))
 
     @settings(max_examples=200, deadline=None)
@@ -267,7 +268,7 @@ class TestArrayCalls:
     def test_wavelet(self, params, axis, xy):
         w = AnalyticWavelet(params, axis)
         assert_same_bits(w.value(xy), one_row_calls(w.value, xy))
-        assert_same_bits(w.gradient(xy), kernel_calls(w, xy))
+        assert_stepper_steps_by(w.gradient(xy), w, xy)
         assert_same_bits(w.gradient(xy), one_row_calls(w.gradient, xy))
 
     @settings(max_examples=100, deadline=None)
@@ -275,7 +276,7 @@ class TestArrayCalls:
     def test_squared_distance(self, center, xy):
         c = SquaredDistance(center)
         assert_same_bits(c.value(xy), one_row_calls(c.value, xy))
-        assert_same_bits(c.gradient(xy), kernel_calls(c, xy))
+        assert_stepper_steps_by(c.gradient(xy), c, xy)
         assert_same_bits(c.gradient(xy), one_row_calls(c.gradient, xy))
 
     def test_shapes(self):

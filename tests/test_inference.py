@@ -31,6 +31,7 @@ from langmove import (
 from langmove.errors import (
     DegenerateFitError,
     InsufficientDataError,
+    NonFiniteError,
     OutOfDomainError,
     SingularDesignError,
 )
@@ -358,6 +359,19 @@ class TestPooling:
             "point (9.0, 9.0) is outside the interpolation domain (track 1: track location 2)"
         )
 
+    def test_non_finite_gradient_names_track_and_location(self):
+        # neighbouring columns of +-1e308 differ by +-inf: the gradient is
+        # finite for x in [0, 2) and infinite beyond
+        geom = GridGeometry(0.0, 0.0, 1.0, 5, 5)
+        cov = RasterCovariate(GridRaster(geom, np.tile([1.0, 2.0, 1e308, -1e308, 1e308], (5, 1))))
+        good = Track([0.0, 1.0], [[0.5, 0.5], [1.0, 1.0]])
+        bad = Track([0.0, 1.0, 2.0, 3.0], [[0.5, 0.5], [1.5, 1.5], [2.5, 2.5], [3.5, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy flags its own overflow
+            with pytest.raises(NonFiniteError, match=r"gradient at track 1: track location 2$"):
+                pooled_fit([good, bad], [cov])
+            with pytest.raises(NonFiniteError, match=r"gradient at track 0: track location 2$"):
+                pseudo_log_likelihood(bad, RsfModel([cov], [1.0]))
+
 
 class CountingCovariate:
     """A covariate that counts its gradient calls and the rows they take."""
@@ -498,6 +512,36 @@ class TestMetamorphic:
         scaled = fit(build_design(tracks, scaled_covs, bad))
         assert np.array_equal(scaled.beta_hat, base.beta_hat / factor)
         assert scaled.gamma2_hat == base.gamma2_hat
+
+
+class TestPlaneOracle:
+    """On the dyadic plane ``v = 0.25 x - 0.5 y`` the bilinear gradient is
+    (0.25, -0.5) to the last bit everywhere, edges included: the design of
+    simulated, thinned and clamp-masked tracks is that constant."""
+
+    @pytest.mark.parametrize("schedule", ["regular", "irregular"])
+    def test_design_is_the_constant_halved_slopes(self, schedule):
+        geom = GridGeometry(-6.0, -6.0, 1.0, 13, 13)
+        values = 0.25 * geom.x_centers()[None, :] - 0.5 * geom.y_centers()[:, None]
+        cov = RasterCovariate(GridRaster(geom, values))
+        model = RsfModel([cov], [1.0], gamma2=1.5)
+        sims = [simulate(SimConfig(model, (0.5, -1.0), 0.02, 2000, seed)) for seed in range(6)]
+        points = 40
+        if schedule == "regular":
+            keeps = [thin_regular(s.track, 20, points) for s in sims]
+        else:
+            keeps = [thin_irregular(s.track, 0.4, s.config.seed, points) for s in sims]
+        assert all(len(keep) == points for keep in keeps)
+        bad = [
+            np.diff(np.searchsorted(np.asarray(s.clamped, dtype=np.int64), keep, side="right")) > 0
+            for s, keep in zip(sims, keeps)
+        ]
+        dropped = sum(int(b.sum()) for b in bad)
+        tracks = [Track(s.track.times[k], s.track.xy[k]) for s, k in zip(sims, keeps)]
+        des = build_design(tracks, [cov], bad)
+        assert 0 < dropped and des.n + dropped == len(sims) * (points - 1)
+        assert des.d[: des.n].tobytes() == np.full((des.n, 1), 0.125).tobytes()
+        assert des.d[des.n :].tobytes() == np.full((des.n, 1), -0.25).tobytes()
 
 
 class TestPseudoLogLikelihood:

@@ -210,30 +210,34 @@ class TestDomainEscape:
             simulate(SimConfig(self.small_domain_model(), (5.0, 0.0), 0.1, 10, seed=0))
 
 
-def reference_steps(cfg):
-    """The Euler loop one step at a time through ``grad_log_pi``, with numpy
-    noise scalars and ``Extent.clamp``: the locations (non-finite ones
-    included) and the clamp indices."""
-    model = cfg.model
-    dom = model.domain()
-    x, y = cfg.x0
-    noise = derive_rng(cfg.seed).standard_normal((cfg.n_steps, 2))
-    half = 0.5 * model.gamma2 * cfg.dt
-    sig = math.sqrt(model.gamma2 * cfg.dt)
-    pts = np.empty((cfg.n_steps + 1, 2))
-    pts[0] = x, y
+def euler_loop(model, x0, half, noise, dom):
+    """The Euler loop one step at a time through ``grad_log_pi``: from ``x0``,
+    each step adds ``half`` times the gradient and a row of the scaled
+    ``noise``, and ``Extent.clamp`` puts a proposal outside ``dom`` (None:
+    no domain) back into it.  The locations, ``x0`` first, up to the first
+    non-finite one, and the clamp indices."""
+    x, y = x0
+    pts = [(x, y)]
     clamped = []
-    for k in range(cfg.n_steps):
+    for k, (nx, ny) in enumerate(noise):
         gx, gy = model.grad_log_pi(np.array([(x, y)]))[0]
-        x = x + half * gx + sig * noise[k, 0]
-        y = y + half * gy + sig * noise[k, 1]
+        x = x + half * gx + nx
+        y = y + half * gy + ny
         if dom is not None and not dom.contains(x, y):
             x, y = dom.clamp(x, y)
             clamped.append(k + 1)
-        pts[k + 1] = x, y
+        pts.append((x, y))
         if not (math.isfinite(x) and math.isfinite(y)):
-            return pts[: k + 2], tuple(clamped)
-    return pts, tuple(clamped)
+            break
+    return np.array(pts), tuple(clamped)
+
+
+def reference_steps(cfg):
+    """:func:`euler_loop` for ``cfg``: its model's domain, and its seeded
+    noise scaled by ``sqrt(gamma2 * dt)`` as ``simulate`` scales it."""
+    model = cfg.model
+    noise = derive_rng(cfg.seed).standard_normal((cfg.n_steps, 2)) * math.sqrt(model.gamma2 * cfg.dt)
+    return euler_loop(model, cfg.x0, 0.5 * model.gamma2 * cfg.dt, noise, model.domain())
 
 
 def two_raster_model():

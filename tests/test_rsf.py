@@ -23,6 +23,7 @@ from langmove.langevin import SimConfig, simulate
 from langmove.rsf import _compiled, density_maps, drift_terms
 from langmove.errors import NonFiniteError
 from langmove.experiments import scenario1_covariates, scenario1_model, Scenario1Config
+from test_langevin import euler_loop, reference_steps
 
 
 def random_rasters(geom, k, seed):
@@ -54,6 +55,18 @@ def narrow_wavelet_model():
     5 from its center: there its gradient is -0.0 where the sines are negative."""
     params = WaveletParams(alpha=6, a1=0, a2=0, omega1=0.6, omega2=0.2, sigma1=30, sigma2=30)
     return RsfModel([AnalyticWavelet(params)], [1.0])
+
+
+def stepper_probe(model, xy):
+    """One step of the model's stepper from each row of ``xy``, at ``half``
+    1.0 and zero noise: the proposal, which it returns inside its box or out."""
+    steps = model.euler_steps
+    return np.array([steps(x, y, [0.0], [0.0], 0, 1.0, -1.0, 1.0, -1.0, 1.0)[:2] for x, y in xy.tolist()])
+
+
+def unit_step(model, xy):
+    """The same step in numpy, with ``simulate``'s arithmetic."""
+    return xy + 1.0 * model.grad_log_pi(xy) + 0.0
 
 
 def grid_points(seed):
@@ -109,13 +122,15 @@ class TestGradLogPi:
         "make_model", [mixed_model, merged_model, well_model, narrow_wavelet_model]
     )
     def test_rows_are_the_kernel_bit_for_bit(self, make_model):
-        # compared as bytes, so that a -0.0 against a 0.0 shows: both sums
-        # start from their first term, and 0.0 + -0.0 would be 0.0
+        # compared as bytes: every bit a track can see
         model = make_model()
         xy = grid_points(11)
-        kernel = model.grad_log_pi_kernel
-        expected = np.array([kernel(x, y) for x, y in xy.tolist()])
-        assert model.grad_log_pi(xy).tobytes() == expected.tobytes()
+        assert stepper_probe(model, xy).tobytes() == unit_step(model, xy).tobytes()
+
+    def test_negative_zero_at_the_well_center(self):
+        # the sum starts from the first term, where 0.0 + -0.0 would be 0.0
+        got = well_model().grad_log_pi(np.array([(0.5, 0.0)]))
+        assert got.tobytes() == np.array([[-0.0, -0.0]]).tobytes()
 
     def test_linear_in_beta(self):
         covs = scenario1_covariates()
@@ -160,23 +175,8 @@ def drawn_covariate(kind, rng):
     return raster
 
 
-def kernel_loop(kernel, noise, ext=None):
-    """Euler locations from the origin at ``half`` 0.01, one kernel call per
-    step, each proposal outside ``ext`` clamped into it; and the clamped
-    steps' indices."""
-    locations, clamped, x, y = [], [], 0.0, 0.0
-    for k, (nx, ny) in enumerate(noise):
-        gx, gy = kernel(x, y)
-        x, y = x + 0.01 * gx + nx, y + 0.01 * gy + ny
-        if ext is not None and not ext.contains(x, y):
-            x, y = ext.clamp(x, y)
-            clamped.append(k)
-        locations.append((x, y))
-    return locations, clamped
-
-
 class TestGeneratedKernel:
-    """The drift is one function generated from the terms' fragments."""
+    """The drift is one Euler stepper generated from the terms' fragments."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
@@ -198,9 +198,11 @@ class TestGeneratedKernel:
                 [c.center for c in covs if isinstance(c, SquaredDistance)] or np.empty((0, 2)),
             ]
         )
-        kernel = model.grad_log_pi_kernel
-        expected = np.array([kernel(x, y) for x, y in xy.tolist()])
-        assert model.grad_log_pi(xy).tobytes() == expected.tobytes()
+        assert stepper_probe(model, xy).tobytes() == unit_step(model, xy).tobytes()
+        # a track across a block edge: a raster's cell is kept from step to
+        # step (the probes above each start afresh)
+        cfg = SimConfig(model, (0.0, 0.0), 0.01, 300, seed)
+        assert simulate(cfg).track.xy.tobytes() == reference_steps(cfg)[0].tobytes()
 
     def test_kernel_is_built_once_per_model(self, monkeypatch):
         built = []
@@ -208,12 +210,10 @@ class TestGeneratedKernel:
             fragment = cls._fragment
             monkeypatch.setattr(cls, "_fragment", lambda cov, f=fragment: built.append(type(cov)) or f(cov))
         model = mixed_model()
-        assert model.grad_log_pi_kernel is model.grad_log_pi_kernel
         assert model.euler_steps is model.euler_steps
         for seed in (1, 2, 3):
             simulate(SimConfig(model, (0.0, 0.0), 0.01, 20, seed))
-        # each of the four drift terms' fragments, once, in term order, for
-        # the kernel and the stepper together
+        # each of the four drift terms' fragments, once, in term order
         assert built == [RasterCovariate, AnalyticWavelet, AnalyticWavelet, SquaredDistance]
 
     def test_same_types_compile_once(self):
@@ -223,25 +223,25 @@ class TestGeneratedKernel:
         rng = np.random.default_rng(11)
         covs = [drawn_covariate(kind, rng) for kind in ("raster_b", "z1", "z2", "well")]
         model = RsfModel(covs, [-0.4, 2.0, 0.7, -0.3])
-        kernel, steps = model.grad_log_pi_kernel, model.euler_steps
+        steps = model.euler_steps
         assert _compiled.cache_info().misses == misses
         xy = rng.uniform(-5, 5, size=(50, 2))
-        expected = np.array([kernel(x, y) for x, y in xy.tolist()])
-        assert model.grad_log_pi(xy).tobytes() == expected.tobytes()
-        assert not np.array_equal(mixed_model().grad_log_pi(xy), expected)
-        # the stepper steps on this model's drift too, writing the locations
-        # over the noise
+        expected = unit_step(model, xy)
+        assert stepper_probe(model, xy).tobytes() == expected.tobytes()
+        assert not np.array_equal(unit_step(mixed_model(), xy), expected)
+        # the stepper steps on this model's drift along a path too, writing
+        # the locations over the noise
         pairs = rng.normal(scale=0.01, size=(50, 2)).tolist()
-        reference, _ = kernel_loop(kernel, pairs)
+        reference = list(map(tuple, euler_loop(model, (0.0, 0.0), 0.01, pairs, None)[0][1:].tolist()))
         xs, ys = (list(c) for c in zip(*pairs))
         assert steps(0.0, 0.0, xs, ys, 0, 0.01, -5.0, 5.0, -5.0, 5.0) == (*reference[-1], 50)
         assert list(zip(xs, ys)) == reference
 
     def test_stepper_stops_at_the_first_proposal_outside_and_resumes(self):
         model = mixed_model()
-        kernel, steps = model.grad_log_pi_kernel, model.euler_steps
+        steps = model.euler_steps
         noise = list(map(tuple, np.random.default_rng(12).normal(scale=0.2, size=(60, 2)).tolist()))
-        free, _ = kernel_loop(kernel, noise)
+        free = list(map(tuple, euler_loop(model, (0.0, 0.0), 0.01, noise, None)[0][1:].tolist()))
         # the box of the first i locations, with i the first later location to
         # extend it: proposal i is the first outside
         i = next(k for k in range(20, 60) if free[k][0] > max(p[0] for p in free[:k]))
@@ -251,17 +251,19 @@ class TestGeneratedKernel:
         assert steps(0.0, 0.0, xs, ys, 0, 0.01, *box) == (*free[i], i)
         assert list(zip(xs[:i], ys[:i])) == free[:i]
         assert list(zip(xs[i:], ys[i:])) == noise[i:]
-        # clamped as simulate does, then resumed from i + 1 to the end
+        # clamped as simulate does, then resumed from i + 1 to the end; the
+        # reference counts its start as location 0
         ext = Extent(*box)
-        reference, clamped = kernel_loop(kernel, noise, ext)
+        pts, clamped = euler_loop(model, (0.0, 0.0), 0.01, noise, ext)
+        reference = list(map(tuple, pts[1:].tolist()))
         (x, y), j = free[i], i
         stops = []
         while j < len(xs):
-            stops.append(j)
+            stops.append(j + 1)
             x, y = ext.clamp(x, y)
             xs[j], ys[j] = x, y
             x, y, j = steps(x, y, xs, ys, j + 1, 0.01, *box)
-        assert stops == clamped and clamped[0] == i
+        assert stops == list(clamped) and clamped[0] == i + 1
         assert list(zip(xs, ys)) == reference and (x, y) == reference[-1]
 
     def test_stepper_signature(self):
@@ -289,13 +291,11 @@ class TestGeneratedKernel:
         )
         for covs, beta in (([raster], [-1.3]), ([raster, wavelet], [0.7, 2.1])):
             model = RsfModel(covs, beta)
-            kernel = model.grad_log_pi_kernel
-            expected = np.array([kernel(x, y) for x, y in xy.tolist()])
-            assert model.grad_log_pi(xy).tobytes() == expected.tobytes()
+            assert stepper_probe(model, xy).tobytes() == unit_step(model, xy).tobytes()
 
     def test_kernel_where_neighbour_differences_overflow(self):
-        # +-1e308 neighbours differ by +-inf along x, y or both: the drift is
-        # built and evaluated without a warning (warnings are errors here) and
+        # +-1e308 neighbours differ by +-inf along x, y or both: the stepper
+        # is built and run without a warning (warnings are errors here) and
         # gives the array form's inf and nan bytes; numpy flags its own overflow
         geom = GridGeometry(0.0, 0.0, 1.0, 5, 5)
         values = np.array([[1e308, -1e308, 1.0, 2.0, 1e308]] * 2 + [[-1e308, 1e308, -3.0, 1e308, 0.5]] * 3)
@@ -305,10 +305,9 @@ class TestGeneratedKernel:
         xy = np.vstack(
             [rng.uniform(0.0, 4.0, size=(200, 2)), np.stack(np.meshgrid(nodes, nodes), axis=-1).reshape(-1, 2)]
         )
-        kernel = model.grad_log_pi_kernel
-        expected = np.array([kernel(x, y) for x, y in xy.tolist()])
+        expected = stepper_probe(model, xy)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = model.grad_log_pi(xy)
+            got = unit_step(model, xy)
         assert np.isinf(expected).any() and np.isnan(expected).any() and np.isfinite(expected).any()
         assert got.tobytes() == expected.tobytes()
 
@@ -366,10 +365,8 @@ class TestMergedDrift:
         assert (b0, b1, wav) == (1.0, -1.3, wavelet)
         assert merged.raster.geom == geom
         assert merged.raster.values.tobytes() == (0.8 * r1.raster.values + 2.5 * r2.raster.values).tobytes()
-        kernel = model.grad_log_pi_kernel
         xy = np.random.default_rng(7).uniform(-4, 4, size=(50, 2))
-        expected = list(map(tuple, model.grad_log_pi(xy).tolist()))
-        assert [kernel(x, y) for x, y in xy.tolist()] == expected
+        assert stepper_probe(model, xy).tobytes() == unit_step(model, xy).tobytes()
 
     def test_single_raster_is_beta_times_its_gradient(self):
         (cov,) = random_rasters(GridGeometry(-1.0, -1.0, 0.5, 7, 7), 1, seed=4)
@@ -377,8 +374,7 @@ class TestMergedDrift:
         xy = np.random.default_rng(8).uniform(-1, 2, size=(50, 2))
         expected = -2.7 * cov.gradient(xy)
         assert np.array_equal(model.grad_log_pi(xy), expected)
-        kernel = model.grad_log_pi_kernel
-        assert [kernel(x, y) for x, y in xy.tolist()] == list(map(tuple, expected.tolist()))
+        assert stepper_probe(model, xy).tobytes() == (xy + 1.0 * expected + 0.0).tobytes()
 
 
 class TestUdRaster:
