@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from functools import partial
@@ -245,6 +246,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    if not (args.time_scale > 0 and math.isfinite(args.time_scale)):
+        raise ValueError(f"--time-scale must be positive and finite, got {args.time_scale}")
     cov_cfg = _load_config(args.covariates)
     base_dir = Path(args.covariates).parent
     if isinstance(cov_cfg, dict):
@@ -252,10 +255,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     else:
         specs = cov_cfg
     covariates = [_covariate_from_spec(c, base_dir) for c in specs]
-    tracks = [read_track_csv(p) for p in args.tracks]
-    if args.time_scale != 1.0:
-        # e.g. --time-scale 3600 turns epoch-second stamps into hours
-        tracks = [Track(t.times / args.time_scale, t.xy) for t in tracks]
+    # e.g. --time-scale 3600 turns epoch-second stamps into hours; t / 1.0 is t
+    tracks = [Track(t.times / args.time_scale, t.xy) for t in map(read_track_csv, args.tracks)]
     result = pooled_fit(tracks, covariates, alpha=args.alpha)
 
     cfg = {"covariates": specs, "alpha": args.alpha, "time_scale": args.time_scale}

@@ -4,9 +4,9 @@ Every covariate exposes ``value(xy)`` and ``gradient(xy)``: at an ``(n, 2)``
 array of points they return an ``(n,)`` and an ``(n, 2)`` array, and one
 point is a one-row array, so there is one array code path per covariate;
 the design matrix and :func:`rasterize` make one call per covariate.
-Analytic covariates are defined on all of R^2; gridded covariates are
-restricted to their raster's interpolation domain and report it through
-``extent`` (a call raises for its first row outside it).
+Each reports its domain through ``extent``: the whole plane (``PLANE``) for
+analytic covariates, the raster's interpolation domain for gridded ones (a
+call raises for its first row outside it).
 
 The simulator steps one point at a time, on Python floats.  For it each
 covariate type supplies a source fragment of its gradient (``_fragment``),
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFieldError
-from .raster import Extent, GridGeometry, GridRaster, interpolate, interpolate_gradient
+from .raster import PLANE, Extent, GridGeometry, GridRaster, interpolate, interpolate_gradient
 from .seeding import derive_rng
 
 __all__ = [
@@ -42,8 +42,8 @@ __all__ = [
 class Covariate:
     """A differentiable scalar field on (a subset of) the plane."""
 
-    #: Domain restriction, or None if defined everywhere.
-    extent: Extent | None = None
+    #: The domain: the whole plane unless restricted.
+    extent: Extent = PLANE
 
     def value(self, xy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -270,8 +270,8 @@ class RandomFieldSpec:
     seed: int
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not (self.rho > 0 and math.isfinite(self.rho)):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         GridGeometry(self.x_min, self.y_min, self.cell_size, self.n_x, self.n_y)
 
     @property

@@ -113,6 +113,10 @@ class Scenario1Config:
     grid_half_width: float = 10.0
     alpha: float = 0.05
 
+    def __post_init__(self):
+        if self.n_points < 2 or self.grid_n < 2:
+            raise ValueError(f"n_points and grid_n must be >= 2, got {self.n_points} and {self.grid_n}")
+
     @property
     def n_fine_steps(self) -> int:
         """Euler steps per replication's fine track."""
@@ -294,6 +298,12 @@ class Scenario2Config:
     start_margin: float = 10.0
     seed: int = 0
     alpha: float = 0.05
+
+    def __post_init__(self):
+        if self.n_points < 2:
+            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        if not self.levels:
+            raise ValueError("levels must not be empty")
 
     def strides(self) -> list[int]:
         return [_stride(level, self.fine_dt) for level in self.levels]

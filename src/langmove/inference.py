@@ -23,6 +23,7 @@ which is exactly the sum of the Euler transition log-densities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,6 +41,7 @@ from .errors import (
     SingularDesignError,
 )
 from .langevin import Track
+from .raster import Extent
 from .rsf import RsfModel
 
 __all__ = [
@@ -126,6 +128,7 @@ def build_design(
     if n == 0:
         raise InsufficientDataError("no usable increments to fit")
     J = len(covariates)
+    domain = functools.reduce(Extent.intersect, (c.extent for c in covariates))
 
     # each group fills its rows of the x block [0, n) and of the y block [n, 2n)
     y, d, t_delta = np.empty(2 * n), np.empty((2 * n, J)), np.empty(2 * n)
@@ -136,10 +139,7 @@ def build_design(
         y_rows = slice(n + lo, n + lo + rows)
         lo += rows
         starts = _stack([tracks[k].xy[kept[k]] for k in group])
-        outside = np.zeros(rows, dtype=bool)
-        for cov in covariates:
-            if cov.extent is not None:
-                outside |= ~cov.extent.contains_points(starts)
+        outside = ~domain.contains_points(starts)
         if outside.any():
             k, loc = _track_location(kept, group, int(np.argmax(outside)))
             raise OutOfDomainError(*tracks[k].xy[loc], f"track {k}: track location {loc}")

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NonFiniteError, NonIncreasingTimesError, OutOfDomainError
-from .raster import Extent
 from .rsf import RsfModel
 from .seeding import derive_rng
 
@@ -158,16 +156,14 @@ def simulate(cfg: SimConfig) -> SimResult:
     Raises
     ------
     OutOfDomainError
-        If the start point lies outside the model's domain.
+        If the start point lies outside the model's domain (empty if two
+        rasters are disjoint).
     NonFiniteError
         If the track diverges (a step too large for the drift), naming the
         first non-finite location, inside a restricted domain or not.
     """
     model = cfg.model
     dom = model.domain()
-    if dom is None:
-        # every finite point is inside, so only an infinite or NaN proposal leaves it
-        dom = Extent(-sys.float_info.max, sys.float_info.max, -sys.float_info.max, sys.float_info.max)
     x, y = cfg.x0
     if not dom.contains(x, y):
         raise OutOfDomainError(x, y, "start point")
@@ -232,12 +228,10 @@ def thin_irregular(
     exponential waiting times, with the rate calibrated so the retained
     intervals have mean exactly ``mean_interval`` (and SD/mean
     ``sqrt(1 - p)``, just under 1, consistent with near-exponential gaps).
-    The gaps are drawn in chunks, each the expected count of gaps in the
-    steps left plus a margin, until their running sum reaches the end of
-    the track or ``n_points - 1`` gaps are drawn.  The chunks are a prefix
-    of one draw of all ``n - 1`` gaps (every gap is at least one step, so
-    that draw covers the track), and they keep the same points; so the cap
-    keeps a prefix of the uncapped indices.
+    The gaps are drawn in one call: ``n - 1`` of them, which cover the
+    track since every gap is at least one step, or ``n_points - 1`` if
+    that is fewer.  numpy's smaller draw is a prefix of its larger one, so
+    the cap keeps a prefix of the uncapped indices.
 
     Requires a regular input spacing ``dt`` (:attr:`Track.regular_interval`)
     with ``mean_interval >= dt``.
@@ -252,19 +246,8 @@ def thin_irregular(
     if mean_interval < dt:
         raise ValueError(f"mean_interval {mean_interval} is below the track spacing {dt}")
     p = dt / mean_interval
-    rng = derive_rng(seed)
-    gaps = [np.zeros(1, dtype=np.int64)]  # location 0
-    todo = n - 1 if n_points is None else n_points - 1  # gaps that may still be kept
-    end = 0
-    while end < n - 1 and todo > 0:
-        # the count kept in the steps left is Binomial(steps, p): draw two SDs over its mean
-        left = n - 1 - end
-        size = min(left, todo, int(left * p + 2.0 * math.sqrt(left * p)) + 1)
-        chunk = rng.geometric(p, size=size)
-        gaps.append(chunk)
-        end += int(chunk.sum())
-        todo -= size
-    idx = np.cumsum(np.concatenate(gaps))
+    size = n - 1 if n_points is None else min(n - 1, n_points - 1)
+    idx = np.cumsum(np.concatenate([[0], derive_rng(seed).geometric(p, size=size)]))
     return idx[: np.searchsorted(idx, n - 1, side="right")]
 
 

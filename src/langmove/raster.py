@@ -2,9 +2,12 @@
 
 Values live at cell *centers*; the lower-left center is ``(x_min, y_min)``
 and cells are square with side ``cell_size``.  The interpolation domain is
-the convex hull of the centers,
+the convex hull of the centers, an :class:`Extent`,
 
-    [x_min, x_min + (n_x - 1) * cell_size] x [y_min, y_min + (n_y - 1) * cell_size].
+    [x_min, x_min + (n_x - 1) * cell_size] x [y_min, y_min + (n_y - 1) * cell_size];
+
+``PLANE`` is the extent of a field defined everywhere, and disjoint
+extents intersect to an empty one.
 
 Within each cell the interpolant is bilinear through the four surrounding
 center values, so it is exact at the centers, continuous across cell edges,
@@ -23,6 +26,7 @@ domain, since the simulator keeps its steps inside.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +36,7 @@ from .errors import GridParseError, NoDataError, NonFiniteError, OutOfDomainErro
 
 __all__ = [
     "Extent",
+    "PLANE",
     "GridGeometry",
     "GridRaster",
     "interpolate",
@@ -76,15 +81,17 @@ class Extent:
         )
 
     def intersect(self, other: "Extent") -> "Extent":
-        ext = Extent(
+        """The common rectangle, empty (``x_lo > x_hi`` or ``y_lo > y_hi``) if none."""
+        return Extent(
             max(self.x_lo, other.x_lo),
             min(self.x_hi, other.x_hi),
             max(self.y_lo, other.y_lo),
             min(self.y_hi, other.y_hi),
         )
-        if ext.x_lo > ext.x_hi or ext.y_lo > ext.y_hi:
-            raise ValueError("extents do not overlap")
-        return ext
+
+
+#: The domain of a field defined everywhere: every finite point, no infinite or NaN one.
+PLANE = Extent(-sys.float_info.max, sys.float_info.max, -sys.float_info.max, sys.float_info.max)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 The space-use density is proportional to ``exp(sum_j beta_j * c_j(p))``
 for covariates ``c_j``; the log density and its gradient take an ``(n, 2)``
-array of points and return an ``(n,)`` and an ``(n, 2)`` array.  From the
+array of points and return an ``(n,)`` and an ``(n, 2)`` array.  The
+model's domain is the intersection of its covariates' extents.  From the
 covariates' source fragments, each model generates one function once, on
 Python floats: :attr:`RsfModel.euler_steps`, the simulator's Euler loop
 over a block of noise with the gradient inline.  The array gradient and
@@ -97,13 +98,9 @@ class RsfModel:
         use, once per model."""
         return _compile_drift(self._drift)
 
-    def domain(self) -> Extent | None:
-        """Intersection of the covariates' domains; None if unrestricted."""
-        ext: Extent | None = None
-        for c in self.covariates:
-            if c.extent is not None:
-                ext = c.extent if ext is None else ext.intersect(c.extent)
-        return ext
+    def domain(self) -> Extent:
+        """Intersection of the covariates' extents; PLANE if unrestricted, empty if disjoint."""
+        return functools.reduce(Extent.intersect, (c.extent for c in self.covariates))
 
 
 @functools.lru_cache

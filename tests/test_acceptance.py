@@ -314,7 +314,7 @@ def irregular_vs_regular(
         return Track(sim.track.times[keep], sim.track.xy[keep])
 
     thinned = [
-        track_at(sim, thin_irregular(sim.track, mean_interval, seed)[: cfg.n_points])
+        track_at(sim, thin_irregular(sim.track, mean_interval, seed, cfg.n_points))
         for sim, seed in zip(sims, seeds)
     ]
     gaps = np.concatenate([t.intervals for t in thinned])

@@ -334,6 +334,12 @@ class TestGenCovCommand:
             main(["gen-cov", "--config", write_json(tmp_path / "f.json", fields), "--out", str(out)])
         assert not out.exists()
 
+    def test_nan_rho_rejected(self, tmp_path):
+        # json.load reads NaN: the spec names rho, not the smoothing code
+        field = {"x_min": 0, "y_min": 0, "cell_size": 1, "n_x": 10, "n_y": 10, "rho": float("nan"), "seed": 1}
+        with pytest.raises(ValueError, match="rho must be positive and finite, got nan"):
+            main(["gen-cov", "--config", write_json(tmp_path / "f.json", field), "--out", str(tmp_path / "out")])
+
 
 class TestStudyCommands:
     def test_scenario1_tiny(self, tmp_path):
@@ -459,6 +465,11 @@ class TestStudyCommands:
         with pytest.raises(ValueError, match="0.055 is not a multiple of fine_dt"):
             main([command, "--config", cfg, "--out", str(tmp_path / "out")])
 
+    def test_single_point_tracks_rejected(self, tmp_path):
+        cfg = write_json(tmp_path / "s1.json", TINY_STUDIES["scenario1"] | {"n_points": 1})
+        with pytest.raises(ValueError, match="n_points and grid_n must be >= 2, got 1 and 8"):
+            main(["scenario1", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["scenario1", "scenario2", "irregular"])
     def test_committed_configs_load(self, tmp_path, command, monkeypatch):
@@ -555,3 +566,11 @@ class TestTrackCsvIngestion:
         b = json.loads((tmp_path / "b" / "fit.json").read_text())
         np.testing.assert_allclose(a["beta_hat"], b["beta_hat"], rtol=1e-12)
         assert a["gamma2_hat"] == pytest.approx(b["gamma2_hat"], rel=1e-12)
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_time_scale_must_be_positive_and_finite(self, tmp_path, scale):
+        # the flag is rejected before any file is read: these do not exist
+        args = ["fit", "--tracks", str(tmp_path / "t.csv"), "--covariates", str(tmp_path / "c.json")]
+        with pytest.raises(ValueError, match=f"--time-scale must be positive and finite, got {scale}"):
+            main([*args, "--time-scale", scale, "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()

@@ -332,6 +332,11 @@ class TestRandomField:
         smooth = generate_random_field(RandomFieldSpec(rho=8.0, **base))
         assert smooth.values.std() < rough.values.std()
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rho_must_be_positive_and_finite(self, rho):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            RandomFieldSpec(x_min=0, y_min=0, cell_size=1.0, n_x=10, n_y=10, rho=rho, seed=1)
+
     def test_degenerate_field_rejected(self):
         # a window covering the whole grid averages every cell identically
         spec = RandomFieldSpec(x_min=0, y_min=0, cell_size=1.0, n_x=2, n_y=2, rho=10.0, seed=8)

@@ -26,6 +26,25 @@ TINY = Scenario2Config(
 )
 
 
+class TestConfigs:
+    @pytest.mark.parametrize(
+        "field, message", [("n_points", "got 1 and 8"), ("grid_n", "got 300 and 1")]
+    )
+    def test_scenario1_rejects_degenerate_fields(self, field, message):
+        with pytest.raises(ValueError, match=f"n_points and grid_n must be >= 2, {message}"):
+            Scenario1Config(**{field: 1})
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({"n_points": 1}, "n_points must be >= 2, got 1"), ({"levels": ()}, "levels must not be empty")],
+    )
+    def test_scenario2_rejects_degenerate_fields(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            Scenario2Config(**changes)
+        with pytest.raises(ValueError, match=message):
+            replace(TINY, **changes)
+
+
 class TestScenario1Result:
     @pytest.mark.parametrize("mode", ["discretised", "Analytic", ""])
     def test_unknown_mode_rejected(self, mode):

@@ -209,13 +209,28 @@ class TestDomainEscape:
         with pytest.raises(OutOfDomainError):
             simulate(SimConfig(self.small_domain_model(), (5.0, 0.0), 0.1, 10, seed=0))
 
+    def test_disjoint_rasters_leave_no_domain(self):
+        # rasters on [-1, 1]^2 and [2, 4] x [-1, 1]: no start point is inside both
+        covs = [
+            RasterCovariate(GridRaster(GridGeometry(x_min, -1, 1.0, 3, 3), np.zeros((3, 3))))
+            for x_min in (-1, 2)
+        ]
+        model = RsfModel(covs, [1.0, 1.0])
+        for x0 in ((0.0, 0.0), (3.0, 0.0)):
+            with pytest.raises(OutOfDomainError, match=r"\(start point\)"):
+                simulate(SimConfig(model, x0, 0.1, 10, seed=0))
+        track = Track([0.0, 1.0], [[0.0, 0.0], [0.5, 0.0]])
+        with pytest.raises(OutOfDomainError, match=r"\(track 0: track location 0\)"):
+            build_design([track], covs)
+
 
 def euler_loop(model, x0, half, noise, dom):
     """The Euler loop one step at a time through ``grad_log_pi``: from ``x0``,
     each step adds ``half`` times the gradient and a row of the scaled
-    ``noise``, and ``Extent.clamp`` puts a proposal outside ``dom`` (None:
-    no domain) back into it.  The locations, ``x0`` first, up to the first
-    non-finite one, and the clamp indices."""
+    ``noise``, and ``Extent.clamp`` puts a proposal outside the extent
+    ``dom`` (``PLANE``: no domain) back into it.  The locations, ``x0``
+    first, up to the first non-finite one, which is not clamped (``simulate``
+    raises there), and the clamp indices."""
     x, y = x0
     pts = [(x, y)]
     clamped = []
@@ -223,12 +238,13 @@ def euler_loop(model, x0, half, noise, dom):
         gx, gy = model.grad_log_pi(np.array([(x, y)]))[0]
         x = x + half * gx + nx
         y = y + half * gy + ny
-        if dom is not None and not dom.contains(x, y):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            pts.append((x, y))
+            break
+        if not dom.contains(x, y):
             x, y = dom.clamp(x, y)
             clamped.append(k + 1)
         pts.append((x, y))
-        if not (math.isfinite(x) and math.isfinite(y)):
-            break
     return np.array(pts), tuple(clamped)
 
 
@@ -509,15 +525,15 @@ class TestThinIrregular:
                 got = thin_irregular(track, mean_interval, 13, cap)
                 np.testing.assert_array_equal(got, keep[:cap])
 
-    def test_chunks_extend_to_the_end_of_the_track(self, monkeypatch):
-        # a first chunk of gaps that ends short of the track is extended, and
-        # the kept points are still those of one draw of all n - 1 gaps
+    def test_one_draw_of_all_gaps_reaches_the_end_of_the_track(self, monkeypatch):
+        # each call makes one draw, of all n - 1 gaps or of n_points - 1 if
+        # fewer, and keeps the points of that draw up to the end of the track
         class CountingRng:
             def __init__(self, rng):
-                self.rng, self.calls = rng, 0
+                self.rng, self.sizes = rng, []
 
             def geometric(self, p, size):
-                self.calls += 1
+                self.sizes.append(size)
                 return self.rng.geometric(p, size=size)
 
         rngs = []
@@ -532,7 +548,9 @@ class TestThinIrregular:
             idx = np.cumsum(derive_rng(seed).geometric(0.02, size=len(track) - 1))
             keep = np.concatenate([[0], idx[idx <= len(track) - 1]])
             np.testing.assert_array_equal(thin_irregular(track, 0.5, seed=seed), keep)
-        assert [seed for seed, rng in enumerate(rngs) if rng.calls > 1]  # seeds 29, 37, 46
+            for cap in (1, 40, 5000):
+                np.testing.assert_array_equal(thin_irregular(track, 0.5, seed, cap), keep[:cap])
+        assert [rng.sizes for rng in rngs] == [[2999], [0], [39], [2999]] * 50
 
     def test_the_cap_stops_the_draw(self, monkeypatch):
         # at most n_points - 1 gaps are drawn, however long the track

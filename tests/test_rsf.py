@@ -20,6 +20,7 @@ from langmove import (
 )
 from langmove.covariates import Covariate, rasterize
 from langmove.langevin import SimConfig, simulate
+from langmove.raster import PLANE
 from langmove.rsf import _compiled, density_maps, drift_terms
 from langmove.errors import NonFiniteError
 from langmove.experiments import scenario1_covariates, scenario1_model, Scenario1Config
@@ -232,7 +233,7 @@ class TestGeneratedKernel:
         # the stepper steps on this model's drift along a path too, writing
         # the locations over the noise
         pairs = rng.normal(scale=0.01, size=(50, 2)).tolist()
-        reference = list(map(tuple, euler_loop(model, (0.0, 0.0), 0.01, pairs, None)[0][1:].tolist()))
+        reference = list(map(tuple, euler_loop(model, (0.0, 0.0), 0.01, pairs, PLANE)[0][1:].tolist()))
         xs, ys = (list(c) for c in zip(*pairs))
         assert steps(0.0, 0.0, xs, ys, 0, 0.01, -5.0, 5.0, -5.0, 5.0) == (*reference[-1], 50)
         assert list(zip(xs, ys)) == reference
@@ -241,7 +242,7 @@ class TestGeneratedKernel:
         model = mixed_model()
         steps = model.euler_steps
         noise = list(map(tuple, np.random.default_rng(12).normal(scale=0.2, size=(60, 2)).tolist()))
-        free = list(map(tuple, euler_loop(model, (0.0, 0.0), 0.01, noise, None)[0][1:].tolist()))
+        free = list(map(tuple, euler_loop(model, (0.0, 0.0), 0.01, noise, PLANE)[0][1:].tolist()))
         # the box of the first i locations, with i the first later location to
         # extend it: proposal i is the first outside
         i = next(k for k in range(20, 60) if free[k][0] > max(p[0] for p in free[:k]))
@@ -491,4 +492,10 @@ class TestValidation:
         )
         dom = m.domain()
         assert (dom.x_lo, dom.x_hi, dom.y_lo, dom.y_hi) == (5.0, 10.0, 5.0, 10.0)
-        assert RsfModel([SquaredDistance((0, 0))], [1.0]).domain() is None
+        assert RsfModel([SquaredDistance((0, 0))], [1.0]).domain() == PLANE
+        # disjoint grids: an empty extent, which holds none of their corners
+        g3 = GridGeometry(20, 0, 1.0, 11, 11)
+        empty = g1.extent.intersect(g3.extent)
+        corners = [(x, y) for g in (g1, g3) for x in (g.x_min, g.x_max) for y in (g.y_min, g.y_max)]
+        assert not any(empty.contains(x, y) for x, y in corners)
+        assert not empty.contains_points(np.array(corners)).any()
