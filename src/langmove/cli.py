@@ -16,7 +16,8 @@ Config files are JSON.  Covariate sources are objects with a ``type``:
 
 A model is ``{"covariates": [...], "beta": [...], "gamma2": 1.0}`` and a
 grid is ``{"x_min": ..., "y_min": ..., "cell_size": ..., "n_x": ...,
-"n_y": ...}``.  A key that names no setting is an error, in every spec.
+"n_y": ...}``.  A key that names no setting is an error, in every spec, and
+so is a missing key that has no default.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -73,16 +74,30 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _known_keys(spec: dict, what: str, keys: tuple[str, ...]) -> dict:
-    """``spec`` itself, once checked to hold no key outside ``keys``.
+def _known_keys(spec: dict, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """``spec`` itself, once checked to be a JSON object that holds every key
+    of ``required`` and no key outside ``required`` and ``optional``.
 
-    Any other key raises ``ValueError``, so a misspelt key cannot silently
-    leave a setting at its default.
+    Anything else raises ``ValueError`` naming the keys, so a misspelt key
+    cannot silently leave a setting at its default.
     """
-    unknown = sorted(set(spec) - set(keys))
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} config must be a JSON object, got {spec!r}")
+    unknown = sorted(set(spec) - {*required, *optional})
     if unknown:
         raise ValueError(f"unknown {what} config keys: {', '.join(unknown)}")
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ValueError(f"missing {what} config keys: {', '.join(missing)}")
     return spec
+
+
+def _pair(spec: dict, what: str, key: str) -> tuple:
+    """The two entries of ``spec[key]``; any other length raises ``ValueError``."""
+    value = spec[key]
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{what} config key {key} must hold two entries, got {value!r}")
+    return tuple(value)
 
 
 def _distinct(items: list, what: str) -> list:
@@ -96,11 +111,12 @@ def _distinct(items: list, what: str) -> list:
 def _dataclass_kwargs(cls, cfg: dict, extra: tuple[str, ...] = ()) -> dict:
     """The entries of ``cfg`` that name fields of ``cls``, JSON lists as tuples.
 
-    ``extra`` names the other keys the caller reads itself; any key that is
-    neither is rejected by :func:`_known_keys`.
+    ``extra`` names the other keys the caller reads itself.  :func:`_known_keys`
+    rejects any other key, and a missing field that has no default.
     """
     names = [f.name for f in fields(cls)]
-    _known_keys(cfg, cls.__name__, (*names, *extra))
+    required = tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+    _known_keys(cfg, cls.__name__, required, (*names, *extra))
     return {
         name: tuple(cfg[name]) if isinstance(cfg[name], list) else cfg[name]
         for name in names
@@ -116,20 +132,21 @@ def _random_field(spec: dict) -> GridRaster:
 def _covariate_from_spec(spec: dict, base_dir: Path) -> Covariate:
     kind = spec.get("type")
     if kind == "wavelet":
-        _known_keys(spec, kind, ("type", "alpha", "a", "omega", "sigma", "second_sine_axis"))
+        _known_keys(spec, kind, ("type", "alpha", "a", "omega", "sigma"), ("second_sine_axis",))
+        a, omega, sigma = (_pair(spec, kind, key) for key in ("a", "omega", "sigma"))
         params = WaveletParams(
             alpha=spec["alpha"],
-            a1=spec["a"][0],
-            a2=spec["a"][1],
-            omega1=spec["omega"][0],
-            omega2=spec["omega"][1],
-            sigma1=spec["sigma"][0],
-            sigma2=spec["sigma"][1],
+            a1=a[0],
+            a2=a[1],
+            omega1=omega[0],
+            omega2=omega[1],
+            sigma1=sigma[0],
+            sigma2=sigma[1],
         )
         return AnalyticWavelet(params, spec.get("second_sine_axis", "z1"))
     if kind == "squared_distance":
-        _known_keys(spec, kind, ("type", "center"))
-        return SquaredDistance(tuple(spec.get("center", (0.0, 0.0))))
+        _known_keys(spec, kind, ("type",), ("center",))
+        return SquaredDistance(_pair(spec, kind, "center") if "center" in spec else (0.0, 0.0))
     if kind == "raster":
         _known_keys(spec, kind, ("type", "path"))
         return RasterCovariate(read_ascii_grid(base_dir / spec["path"]))
@@ -138,10 +155,15 @@ def _covariate_from_spec(spec: dict, base_dir: Path) -> Covariate:
     raise ValueError(f"unknown covariate type {kind!r}")
 
 
+def _covariates(specs: list, base_dir: Path) -> list[Covariate]:
+    if not (isinstance(specs, list) and all(isinstance(spec, dict) for spec in specs)):
+        raise ValueError(f"covariates must be a list of JSON objects, got {specs!r}")
+    return [_covariate_from_spec(spec, base_dir) for spec in specs]
+
+
 def _model_from_spec(spec: dict, base_dir: Path) -> RsfModel:
-    _known_keys(spec, "model", ("covariates", "beta", "gamma2"))
-    covs = [_covariate_from_spec(c, base_dir) for c in spec["covariates"]]
-    return RsfModel(covs, spec["beta"], spec.get("gamma2", 1.0))
+    _known_keys(spec, "model", ("covariates", "beta"), ("gamma2",))
+    return RsfModel(_covariates(spec["covariates"], base_dir), spec["beta"], spec.get("gamma2", 1.0))
 
 
 def _format_value(v) -> str:
@@ -222,14 +244,16 @@ def _fit_counters(res: FitResult) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    keys = ("model", "x0", "dt", "n_steps", "seeds")
-    cfg = _known_keys(_load_config(args.config), "simulate", keys)
+    required = ("model", "x0", "dt", "n_steps", "seeds")
+    if args.seed is not None:  # it stands in for the config's seeds
+        required = required[:-1]
+    cfg = _known_keys(_load_config(args.config), "simulate", required, ("seeds",))
     base_dir = Path(args.config).parent
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
     model = _model_from_spec(cfg["model"], base_dir)
     sims = {
-        seed: simulate(SimConfig(model, tuple(cfg["x0"]), cfg["dt"], cfg["n_steps"], seed))
+        seed: simulate(SimConfig(model, _pair(cfg, "simulate", "x0"), cfg["dt"], cfg["n_steps"], seed))
         for seed in _distinct(cfg["seeds"], "seeds")
     }
     _write_outputs(
@@ -250,11 +274,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         raise ValueError(f"--time-scale must be positive and finite, got {args.time_scale}")
     cov_cfg = _load_config(args.covariates)
     base_dir = Path(args.covariates).parent
+    specs = cov_cfg
     if isinstance(cov_cfg, dict):
         specs = _known_keys(cov_cfg, "covariates file", ("covariates",))["covariates"]
-    else:
-        specs = cov_cfg
-    covariates = [_covariate_from_spec(c, base_dir) for c in specs]
+    covariates = _covariates(specs, base_dir)
     # e.g. --time-scale 3600 turns epoch-second stamps into hours; t / 1.0 is t
     tracks = [Track(t.times / args.time_scale, t.xy) for t in map(read_track_csv, args.tracks)]
     result = pooled_fit(tracks, covariates, alpha=args.alpha)
@@ -376,14 +399,13 @@ def _cmd_scenario2(args: argparse.Namespace) -> int:
 
 def _cmd_irregular(args: argparse.Namespace) -> int:
     cfg, s2 = _study_config(args, Scenario2Config, {"n_tracks": 200}, extra=("mean_intervals",))
-    mean_intervals = tuple(cfg.get("mean_intervals", (0.05, 0.5)))
-    irr = IrregularConfig(base=s2, mean_intervals=mean_intervals)
+    irr = IrregularConfig(s2, tuple(cfg.get("mean_intervals", IrregularConfig.mean_intervals)))
     result = run_irregular(irr)
     rows = result.to_rows()
     _write_study(
         args.out,
         "irregular",
-        {"base": asdict(s2), "mean_intervals": list(mean_intervals)},
+        asdict(irr),
         "comparison.csv",
         list(rows[0]),
         rows,

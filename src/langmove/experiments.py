@@ -114,6 +114,8 @@ class Scenario1Config:
     alpha: float = 0.05
 
     def __post_init__(self):
+        if self.replications < 1:
+            raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.n_points < 2 or self.grid_n < 2:
             raise ValueError(f"n_points and grid_n must be >= 2, got {self.n_points} and {self.grid_n}")
 
@@ -300,6 +302,8 @@ class Scenario2Config:
     alpha: float = 0.05
 
     def __post_init__(self):
+        if self.n_tracks < 1:
+            raise ValueError(f"n_tracks must be >= 1, got {self.n_tracks}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
         if not self.levels:
@@ -365,14 +369,13 @@ def _study_tracks(
     """The fine tracks of a study and the covariates to fit them with.
 
     Without ``sims`` the tracks are simulated from the config's model.
-    Given ``sims``, the fits use the covariates of the one model they were
-    simulated from, so the fields are not generated again; ``ValueError``
-    is raised if they come from more than one model, or if one was not
+    The fits use the covariates of the one model the sims were simulated
+    from, so the fields are not generated again; ``ValueError`` is raised
+    if given ``sims`` come from more than one model, or if one was not
     simulated at ``cfg.fine_dt``.
     """
     if sims is None:
-        model = scenario2_model(cfg)
-        return scenario2_tracks(cfg, model), model.covariates
+        sims = scenario2_tracks(cfg)
     models = {id(sim.config.model) for sim in sims}
     if len(models) != 1:
         raise ValueError(f"the sims must come from one model, not {len(models)}")
@@ -480,6 +483,10 @@ class IrregularConfig:
 
     base: Scenario2Config = field(default_factory=Scenario2Config)
     mean_intervals: tuple[float, ...] = (0.05, 0.5)
+
+    def __post_init__(self):
+        if not self.mean_intervals:
+            raise ValueError("mean_intervals must not be empty")
 
 
 @dataclass

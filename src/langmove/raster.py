@@ -256,12 +256,12 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 def read_ascii_grid(path: str | Path) -> GridRaster:
     """Read an ESRI ASCII grid (.asc) file.
 
-    The header must provide ``ncols``, ``nrows``, ``xllcorner``,
-    ``yllcorner`` and ``cellsize`` (``NODATA_value`` is optional); the body
-    holds ``nrows`` lines of ``ncols`` whitespace-separated values with the
-    top line at the highest y.  Corner coordinates refer to the lower-left
-    cell *corner* and are shifted by ``cellsize / 2`` to this module's
-    cell-center convention.
+    The header must provide ``ncols``, ``nrows``, ``xllcorner``, ``yllcorner``
+    and ``cellsize`` (``NODATA_value`` is optional), before any data;
+    ``ncols`` and ``nrows`` are positive integers.  The body holds ``nrows``
+    lines of ``ncols`` whitespace-separated values with the top line at the
+    highest y.  Corner coordinates refer to the lower-left cell *corner* and
+    are shifted by ``cellsize / 2`` to this module's cell-center convention.
 
     Raises
     ------
@@ -272,13 +272,14 @@ def read_ascii_grid(path: str | Path) -> GridRaster:
     """
     header: dict[str, float] = {}
     data: list[float] = []
-    data_line_count = 0
     with open(path, "r") as fh:
         for line_no, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:
                 continue
             if tokens[0][0].isalpha():
+                if data:
+                    raise GridParseError(line_no, f"header line {line.rstrip()!r} after the data")
                 if len(tokens) != 2:
                     raise GridParseError(line_no, f"bad header line {line.rstrip()!r}")
                 key = tokens[0].lower()
@@ -286,24 +287,25 @@ def read_ascii_grid(path: str | Path) -> GridRaster:
                     header[key] = float(tokens[1])
                 except ValueError:
                     raise GridParseError(line_no, f"bad header value {tokens[1]!r}") from None
+                if key in ("ncols", "nrows") and not (header[key] >= 1 and header[key].is_integer()):
+                    raise GridParseError(line_no, f"{key} must be a positive integer, got {tokens[1]!r}")
             else:
-                if data_line_count == 0:
+                if not data:
                     for key in _HEADER_KEYS:
                         if key not in header:
                             raise GridParseError(line_no, f"missing header key {key!r}")
-                data_line_count += 1
+                    n_x = int(header["ncols"])
+                if len(tokens) != n_x:
+                    raise GridParseError(line_no, f"expected {n_x} values in the row, found {len(tokens)}")
                 try:
                     data.extend(map(float, tokens))
                 except ValueError:
                     raise GridParseError(line_no, f"bad value in row: {line.rstrip()!r}") from None
     if not data:
-        raise GridParseError(data_line_count + len(header), "no data rows")
-    n_x = int(header["ncols"])
+        raise GridParseError(len(header), "no data rows")
     n_y = int(header["nrows"])
     if len(data) != n_x * n_y:
-        raise GridParseError(
-            line_no, f"expected {n_x * n_y} values ({n_y}x{n_x}), found {len(data)}"
-        )
+        raise GridParseError(line_no, f"expected {n_y} rows, found {len(data) // n_x}")
     cell_size = header["cellsize"]
     arr = np.asarray(data, dtype=float).reshape(n_y, n_x)
     # file rows run top to bottom; flip so row 0 is the lowest y

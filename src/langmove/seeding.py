@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["derive_rng", "derive_seed"]
+
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Return a PCG64 generator for the given seed and stream key.

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from langmove import (
+    AnalyticWavelet,
     GridGeometry,
     generate_random_field,
     RandomFieldSpec,
@@ -17,6 +18,7 @@ from langmove import (
     RsfModel,
     SimConfig,
     Track,
+    WaveletParams,
     read_ascii_grid,
     read_track_csv,
     simulate,
@@ -101,6 +103,24 @@ def with_covariate(covariate):
     return {**SIM_CONFIG, "model": {**SIM_CONFIG["model"], "covariates": [covariate]}}
 
 
+def without(spec, key):
+    """``spec`` without ``key``."""
+    return {k: v for k, v in spec.items() if k != key}
+
+
+class Built(Exception):
+    """Raised by a stubbed study function, with the config it was given."""
+
+
+def stub_study(monkeypatch, command):
+    """Replace the study function of ``command`` by one that raises ``Built``."""
+
+    def stop(config):
+        raise Built(config)
+
+    monkeypatch.setattr(cli, f"run_{command}", stop)
+
+
 @pytest.fixture
 def analytic_sim_config(tmp_path):
     return write_json(tmp_path / "sim.json", SIM_CONFIG)
@@ -153,6 +173,38 @@ class TestSimulateCommand:
         main(["simulate", "--config", analytic_sim_config, "--out", str(out), "--seed", "9"])
         assert (out / "track_9.csv").exists()
         assert not (out / "track_3.csv").exists()
+        # with --seed, the config need not list seeds
+        seedless = write_json(tmp_path / "seedless.json", without(SIM_CONFIG, "seeds"))
+        main(["simulate", "--config", seedless, "--out", str(tmp_path / "seedless"), "--seed", "9"])
+        assert (tmp_path / "seedless" / "track_9.csv").read_bytes() == (out / "track_9.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "spec, covariate",
+        [
+            pytest.param(
+                WAVELET,
+                lambda: AnalyticWavelet(WaveletParams(6, 0, 0, 0.6, 0.2, 0.4, 0.4)),
+                id="wavelet",
+            ),
+            pytest.param(
+                {"type": "random_field", "x_min": -10, "y_min": -10, "cell_size": 1, "n_x": 21,
+                 "n_y": 21, "rho": 3, "seed": 1},
+                lambda: RasterCovariate(generate_random_field(RandomFieldSpec(-10, -10, 1, 21, 21, rho=3, seed=1))),
+                id="random_field",
+            ),
+        ],
+    )
+    def test_covariate_spec_builds_its_covariate(self, tmp_path, spec, covariate):
+        cfg = write_json(tmp_path / "sim.json", with_covariate(spec))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        model = RsfModel([covariate()], SIM_CONFIG["model"]["beta"])
+        write_track_csv(simulate(SimConfig(model, (0.0, 0.0), 0.01, 10, 3)).track, tmp_path / "lib.csv")
+        assert (tmp_path / "out" / "track_3.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_unknown_covariate_type_rejected(self, tmp_path):
+        cfg = write_json(tmp_path / "sim.json", with_covariate({"type": "wavlet"}))
+        with pytest.raises(ValueError, match="unknown covariate type 'wavlet'"):
+            main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
 
 
 class TestFitCommand:
@@ -185,6 +237,10 @@ class TestFitCommand:
         assert manifest["command"] == "fit"
         assert manifest["config_sha256"] == doc["config_sha256"]
         assert manifest["outputs"] == ["fit.json", "fit.txt"]
+        # a file may hold the bare list of covariates instead
+        bare = write_json(tmp_path / "bare.json", [{"type": "raster", "path": "c1.asc"}])
+        main(["fit", "--tracks", str(tmp_path / "track.csv"), "--covariates", bare, "--out", str(tmp_path / "b")])
+        assert (tmp_path / "b" / "fit.json").read_bytes() == (out / "fit.json").read_bytes()
 
     def test_four_covariate_output_shape(self, tmp_path):
         # mirrors a four-covariate coastal fit: 4 estimates + 4 intervals
@@ -471,17 +527,38 @@ class TestStudyCommands:
             main(["scenario1", "--config", cfg, "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("scenario1", {"replications": 0}, "replications must be >= 1, got 0"),
+            ("scenario2", {"n_tracks": 0}, "n_tracks must be >= 1, got 0"),
+            ("irregular", {"mean_intervals": []}, "mean_intervals must not be empty"),
+        ],
+    )
+    def test_empty_study_rejected(self, tmp_path, command, config, message):
+        cfg = write_json(tmp_path / "c.json", TINY_STUDIES[command] | config)
+        with pytest.raises(ValueError, match=message):
+            main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, size, paper_scale",
+        [("scenario1", "replications", 600), ("scenario2", "n_tracks", 200), ("irregular", "n_tracks", 200)],
+    )
+    def test_command_line_overrides(self, tmp_path, command, size, paper_scale, monkeypatch):
+        # the study is stubbed out: it would run at paper scale
+        stub_study(monkeypatch, command)
+        with pytest.raises(Built) as built:
+            main([command, "--out", str(tmp_path / "out"), "--paper-scale", "--seed", "7", "--alpha", "0.1"])
+        config = built.value.args[0]
+        study = getattr(config, "base", config)
+        assert (getattr(study, size), study.seed, study.alpha) == (paper_scale, 7, 0.1)
+
     @pytest.mark.parametrize("command", ["scenario1", "scenario2", "irregular"])
     def test_committed_configs_load(self, tmp_path, command, monkeypatch):
         # every key of configs/*.json names a setting the command reads; the
         # study itself is replaced by a stub that stops the command
-        class Built(Exception):
-            pass
-
-        def stop(config):
-            raise Built(config)
-
-        monkeypatch.setattr(cli, f"run_{command}", stop)
+        stub_study(monkeypatch, command)
         path = Path(__file__).parents[1] / "configs" / f"{command}.json"
         with pytest.raises(Built) as built:
             main([command, "--config", str(path), "--out", str(tmp_path / "out")])
@@ -526,6 +603,90 @@ class TestStudyCommands:
         cfg = write_json(tmp_path / "c.json", config)
         with pytest.raises(ValueError, match=f"unknown .* config keys: {key}$"):
             main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            pytest.param("simulate", without(SIM_CONFIG, "dt"), "missing simulate config keys: dt$", id="simulate"),
+            pytest.param(
+                "simulate", without(SIM_CONFIG, "seeds"), "missing simulate config keys: seeds$", id="simulate-seeds"
+            ),
+            pytest.param(
+                "simulate",
+                {**SIM_CONFIG, "model": without(SIM_CONFIG["model"], "beta")},
+                "missing model config keys: beta$",
+                id="simulate-model",
+            ),
+            pytest.param(
+                "simulate",
+                with_covariate(without(WAVELET, "alpha")),
+                "missing wavelet config keys: alpha$",
+                id="simulate-wavelet",
+            ),
+            pytest.param(
+                "simulate", with_covariate({"type": "raster"}), "missing raster config keys: path$", id="simulate-raster"
+            ),
+            pytest.param(
+                "simulate",
+                with_covariate({**WAVELET, "a": [0]}),
+                r"wavelet config key a must hold two entries, got \[0\]$",
+                id="simulate-wavelet-pair",
+            ),
+            pytest.param(
+                "simulate",
+                with_covariate({"type": "squared_distance", "center": [1]}),
+                r"squared_distance config key center must hold two entries, got \[1\]$",
+                id="simulate-squared_distance-pair",
+            ),
+            pytest.param(
+                "simulate",
+                {**SIM_CONFIG, "x0": [0]},
+                r"simulate config key x0 must hold two entries, got \[0\]$",
+                id="simulate-pair",
+            ),
+            pytest.param(
+                "simulate",
+                with_covariate("squared_distance"),
+                r"covariates must be a list of JSON objects, got \['squared_distance'\]$",
+                id="simulate-covariate-string",
+            ),
+            pytest.param(
+                "fit",
+                {"covariates": "abc"},
+                "covariates must be a list of JSON objects, got 'abc'$",
+                id="fit-string",
+            ),
+            pytest.param("fit", 5, "covariates must be a list of JSON objects, got 5$", id="fit-number"),
+            pytest.param(
+                "gen-cov",
+                {"x_min": 0, "y_min": 0, "cell_size": 1, "n_x": 9, "n_y": 9, "rho": 2},
+                "missing RandomFieldSpec config keys: seed$",
+                id="gen-cov",
+            ),
+            pytest.param(
+                "ud",
+                {"model": SIM_CONFIG["model"], "grid": without(GRID, "n_y")},
+                "missing GridGeometry config keys: n_y$",
+                id="ud-grid",
+            ),
+            pytest.param(
+                "ud",
+                {"model": SIM_CONFIG["model"], "grid": [0.5, 0.5, 1.0, 10, 10]},
+                r"GridGeometry config must be a JSON object, got \[0.5, 0.5, 1.0, 10, 10\]$",
+                id="ud-grid-list",
+            ),
+        ],
+    )
+    def test_missing_config_key_rejected(self, tmp_path, command, config, message):
+        # a missing setting is named, not reported as a KeyError or IndexError
+        cfg = write_json(tmp_path / "c.json", config)
+        if command == "fit":  # the covariates are read first: the track file need not exist
+            args = ["--tracks", str(tmp_path / "t.csv"), "--covariates", cfg]
+        else:
+            args = ["--config", cfg]
+        with pytest.raises(ValueError, match=message):
+            main([command, *args, "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_random_field_key_rejected(self, tmp_path):
         spec = {"name": "c1", "x_min": 0, "y_min": 0, "cell_size": 1, "n_x": 9, "n_y": 9}

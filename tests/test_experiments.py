@@ -28,15 +28,25 @@ TINY = Scenario2Config(
 
 class TestConfigs:
     @pytest.mark.parametrize(
-        "field, message", [("n_points", "got 1 and 8"), ("grid_n", "got 300 and 1")]
+        "changes, message",
+        [
+            ({"n_points": 1}, "n_points and grid_n must be >= 2, got 1 and 8"),
+            ({"grid_n": 1}, "n_points and grid_n must be >= 2, got 300 and 1"),
+            ({"replications": 0}, "replications must be >= 1, got 0"),
+        ],
+        ids=["n_points-got 1 and 8", "grid_n-got 300 and 1", "replications-got 0"],
     )
-    def test_scenario1_rejects_degenerate_fields(self, field, message):
-        with pytest.raises(ValueError, match=f"n_points and grid_n must be >= 2, {message}"):
-            Scenario1Config(**{field: 1})
+    def test_scenario1_rejects_degenerate_fields(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            Scenario1Config(**changes)
 
     @pytest.mark.parametrize(
         "changes, message",
-        [({"n_points": 1}, "n_points must be >= 2, got 1"), ({"levels": ()}, "levels must not be empty")],
+        [
+            ({"n_points": 1}, "n_points must be >= 2, got 1"),
+            ({"levels": ()}, "levels must not be empty"),
+            ({"n_tracks": 0}, "n_tracks must be >= 1, got 0"),
+        ],
     )
     def test_scenario2_rejects_degenerate_fields(self, changes, message):
         with pytest.raises(ValueError, match=message):

@@ -158,6 +158,10 @@ class TestBuildDesign:
         with pytest.raises(ValueError):
             build_design([Track([0.0], [[0.0, 0.0]])], [SquaredDistance((0, 0))])
 
+    def test_no_covariate_rejected(self):
+        with pytest.raises(ValueError, match="need at least one covariate"):
+            build_design([Track([0.0, 1.0], np.zeros((2, 2)))], [])
+
 
 class TestFit:
     def test_exact_recovery_on_noise_free_data(self):
@@ -256,6 +260,9 @@ class TestFit:
         des = synthetic_design(rng, n=2, J=1, nu=(1.0,))  # 2n - J - 4 = -1
         with pytest.raises(InsufficientDataError):
             fit(des)
+        # one increment, two coefficients: not even the estimates are determined
+        with pytest.raises(InsufficientDataError, match="2n - J = 0 <= 0"):
+            fit(synthetic_design(rng, n=1, J=2))
 
     def test_alpha_validation(self):
         rng = np.random.default_rng(11)

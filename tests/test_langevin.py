@@ -147,6 +147,20 @@ class TestSimulate:
         np.testing.assert_array_equal(res.track.times, np.arange(n + 1) * dt)
         assert tuple(res.track.xy[0]) == (1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "dt, n_steps, message",
+        [
+            (0.0, 10, "dt must be positive, got 0.0"),
+            (-0.01, 10, "dt must be positive, got -0.01"),
+            (math.nan, 10, "dt must be positive, got nan"),
+            (math.inf, 10, "dt must be positive, got inf"),
+            (0.01, 0, "n_steps must be >= 1, got 0"),
+        ],
+    )
+    def test_config_validation(self, dt, n_steps, message):
+        with pytest.raises(ValueError, match=message):
+            SimConfig(flat_model(), (0.0, 0.0), dt, n_steps, seed=0)
+
     def test_seed_changes_track(self):
         a = simulate(SimConfig(flat_model(), (0.0, 0.0), 0.01, 50, seed=1))
         b = simulate(SimConfig(flat_model(), (0.0, 0.0), 0.01, 50, seed=2))
@@ -494,6 +508,7 @@ class TestThinIrregular:
         draws = [thin_irregular(track, 0.05, seed) for seed in range(3)]
         assert len(reads) == 1 and track.regular_interval == 0.01
         assert not np.array_equal(draws[0], draws[1])
+        assert Track([0.0], [[0.0, 0.0]]).regular_interval is None  # no interval to be regular
         irregular = Track([0.0, 1.0, 3.0], np.zeros((3, 2)))
         for _ in range(2):  # the cached answer still raises
             with pytest.raises(ValueError, match="regularly sampled"):
@@ -703,6 +718,8 @@ class TestTrackType:
             Track([0.0], [[np.nan, 0.0]])
         with pytest.raises(ValueError):
             Track([], np.zeros((0, 2)))
+        with pytest.raises(ValueError, match=r"xy must have shape \(n, 2\), got \(1, 3\)"):
+            Track([0.0], [[0.0, 0.0, 0.0]])
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)

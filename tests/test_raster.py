@@ -200,13 +200,37 @@ class TestAsciiGrid:
         assert err.value.line_no == 7
 
         path.write_text("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n")
-        with pytest.raises(GridParseError):
+        with pytest.raises(GridParseError) as err:
             read_ascii_grid(path)
+        assert err.value.line_no == 6
 
         path.write_text("ncols 2\nnrows 2\nyllcorner 0\ncellsize 1\n1 2\n3 4\n")
         with pytest.raises(GridParseError) as err:
             read_ascii_grid(path)
         assert "xllcorner" in str(err.value)
+
+        header = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+        for text, line_no, message in [
+            (header.replace("ncols 2", "ncols 2.5") + "1 2\n3 4\n", 1, "ncols must be a positive integer"),
+            (header.replace("ncols 2", "ncols -2") + "1 2\n3 4\n", 1, "ncols must be a positive integer"),
+            (header.replace("nrows 2", "nrows -2") + "1 2\n3 4\n", 2, "nrows must be a positive integer"),
+            (header.replace("ncols 2", "ncols nan") + "1 2\n3 4\n", 1, "ncols must be a positive integer"),
+            (header.replace("ncols 2", "ncols inf") + "1 2\n3 4\n", 1, "ncols must be a positive integer"),
+            (header.replace("ncols 2", "ncols two") + "1 2\n3 4\n", 1, "bad header value 'two'"),
+            # a key after the data must not change the grid read so far
+            (header + "1 2\n3 4\ncellsize 2\n", 8, "'cellsize 2' after the data"),
+            # the values of a short row must not be taken from the next one
+            (header + "1 2 3\n4\n", 6, "expected 2 values in the row, found 3"),
+            (header + "1 2\n3\n", 7, "expected 2 values in the row, found 1"),
+            (header + "1 2\n", 6, "expected 2 rows, found 1"),
+            (header, 5, "no data rows"),
+            # blank lines are skipped, and counted
+            ("\n" + header + "\n1 2\n\n3 oops\n", 10, "bad value in row"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(GridParseError, match=message) as err:
+                read_ascii_grid(path)
+            assert err.value.line_no == line_no, text
 
     def test_nodata_rejected(self, tmp_path):
         path = tmp_path / "g.asc"
@@ -315,6 +339,9 @@ class TestValidation:
             GridGeometry(0, 0, -1.0, 3, 3)
         with pytest.raises(ValueError):
             GridGeometry(0, 0, 1.0, 1, 3)
+        for origin in [(math.nan, 0), (0, math.inf)]:
+            with pytest.raises(ValueError, match="grid origin must be finite"):
+                GridGeometry(*origin, 1.0, 3, 3)
 
     def test_values_must_be_finite(self):
         with pytest.raises(NonFiniteError):
