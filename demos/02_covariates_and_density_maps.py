@@ -17,7 +17,6 @@ from langmove import (
     RasterCovariate,
     RsfModel,
     SquaredDistance,
-    WaveletParams,
     generate_random_field,
     ud_raster,
     write_ascii_grid,
@@ -28,7 +27,7 @@ out_dir = demo_dir / "output"
 out_dir.mkdir(exist_ok=True)
 
 # an oscillating bump, a centering force, and a smoothed random field
-wavelet = AnalyticWavelet(WaveletParams(alpha=6, a1=0, a2=0, omega1=0.6, omega2=0.2, sigma1=0.4, sigma2=0.4))
+wavelet = AnalyticWavelet(alpha=6, a=(0, 0), omega=(0.6, 0.2), sigma=(0.4, 0.4))
 home = SquaredDistance((0.0, 0.0))
 field = generate_random_field(
     RandomFieldSpec(x_min=-8, y_min=-8, cell_size=0.5, n_x=33, n_y=33, rho=2.0, seed=7)

@@ -16,8 +16,10 @@ Config files are JSON.  Covariate sources are objects with a ``type``:
 
 A model is ``{"covariates": [...], "beta": [...], "gamma2": 1.0}`` and a
 grid is ``{"x_min": ..., "y_min": ..., "cell_size": ..., "n_x": ...,
-"n_y": ...}``.  A key that names no setting is an error, in every spec, and
-so is a missing key that has no default.
+"n_y": ...}``.  Beside ``type``, ``name`` and ``path``, a spec's keys are
+the fields of its class (``AnalyticWavelet``, ``RsfModel``, ...) and take
+their defaults.  A key that names no setting is an error, in every spec,
+and so are a missing key without a default and a value of the wrong JSON type.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .covariates import (
     RandomFieldSpec,
     RasterCovariate,
     SquaredDistance,
-    WaveletParams,
     generate_random_field,
 )
 from .experiments import (
@@ -74,30 +75,44 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _known_keys(spec: dict, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    """``spec`` itself, once checked to be a JSON object that holds every key
-    of ``required`` and no key outside ``required`` and ``optional``.
+def _fits(value, type_: str) -> bool:
+    """Whether a JSON value fits a setting declared ``type_`` (as the source
+    spells it): ``float`` takes a number, ``int`` an integer, ``str`` a string,
+    ``tuple[t, ...]`` a list of what ``t`` takes, any other type all but a boolean."""
+    if type_.startswith("tuple["):
+        item = type_[len("tuple["):].split(",")[0]
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    kinds = {"float": (int, float), "int": int, "str": str}.get(type_, object)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _known_keys(spec: dict, what: str, types: dict, optional: tuple[str, ...] = ()) -> dict:
+    """``spec`` itself, once checked to be a JSON object whose keys are keys of
+    ``types``, all of them but ``optional``, each holding a value that fits
+    the type that ``types`` gives it (:func:`_fits`).
 
     Anything else raises ``ValueError`` naming the keys, so a misspelt key
     cannot silently leave a setting at its default.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"{what} config must be a JSON object, got {spec!r}")
-    unknown = sorted(set(spec) - {*required, *optional})
+    unknown = sorted(set(spec) - set(types))
     if unknown:
         raise ValueError(f"unknown {what} config keys: {', '.join(unknown)}")
-    missing = [key for key in required if key not in spec]
+    missing = [key for key in types if key not in spec and key not in optional]
     if missing:
         raise ValueError(f"missing {what} config keys: {', '.join(missing)}")
+    for key, value in spec.items():
+        if not _fits(value, types[key]):
+            raise ValueError(f"{what} config key {key} must be of type {types[key]}, got {value!r}")
     return spec
 
 
-def _pair(spec: dict, what: str, key: str) -> tuple:
-    """The two entries of ``spec[key]``; any other length raises ``ValueError``."""
-    value = spec[key]
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"{what} config key {key} must hold two entries, got {value!r}")
-    return tuple(value)
+def _objects(specs, what: str) -> list:
+    """``specs`` itself, once checked to be a list of JSON objects."""
+    if not (isinstance(specs, list) and all(isinstance(spec, dict) for spec in specs)):
+        raise ValueError(f"{what} must be a list of JSON objects, got {specs!r}")
+    return specs
 
 
 def _distinct(items: list, what: str) -> list:
@@ -108,47 +123,35 @@ def _distinct(items: list, what: str) -> list:
     return items
 
 
-def _dataclass_kwargs(cls, cfg: dict, extra: tuple[str, ...] = ()) -> dict:
+def _dataclass_kwargs(cls, cfg: dict, **extra: str) -> dict:
     """The entries of ``cfg`` that name fields of ``cls``, JSON lists as tuples.
 
-    ``extra`` names the other keys the caller reads itself.  :func:`_known_keys`
-    rejects any other key, and a missing field that has no default.
+    ``extra`` gives the types of the optional keys the caller reads itself.
+    :func:`_known_keys` rejects any other key, a missing field that has no
+    default, and a value that does not fit its field's declared type.
     """
-    names = [f.name for f in fields(cls)]
-    required = tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
-    _known_keys(cfg, cls.__name__, required, (*names, *extra))
+    types = {f.name: f.type for f in fields(cls)}
+    optional = [f.name for f in fields(cls) if f.default is not MISSING or f.default_factory is not MISSING]
+    _known_keys(cfg, cls.__name__, types | extra, (*optional, *extra))
     return {
         name: tuple(cfg[name]) if isinstance(cfg[name], list) else cfg[name]
-        for name in names
+        for name in types
         if name in cfg
     }
 
 
 def _random_field(spec: dict) -> GridRaster:
-    kwargs = _dataclass_kwargs(RandomFieldSpec, spec, extra=("type", "name"))
+    kwargs = _dataclass_kwargs(RandomFieldSpec, spec, type="str", name="str")
     return generate_random_field(RandomFieldSpec(**kwargs))
 
 
 def _covariate_from_spec(spec: dict, base_dir: Path) -> Covariate:
     kind = spec.get("type")
-    if kind == "wavelet":
-        _known_keys(spec, kind, ("type", "alpha", "a", "omega", "sigma"), ("second_sine_axis",))
-        a, omega, sigma = (_pair(spec, kind, key) for key in ("a", "omega", "sigma"))
-        params = WaveletParams(
-            alpha=spec["alpha"],
-            a1=a[0],
-            a2=a[1],
-            omega1=omega[0],
-            omega2=omega[1],
-            sigma1=sigma[0],
-            sigma2=sigma[1],
-        )
-        return AnalyticWavelet(params, spec.get("second_sine_axis", "z1"))
-    if kind == "squared_distance":
-        _known_keys(spec, kind, ("type",), ("center",))
-        return SquaredDistance(_pair(spec, kind, "center") if "center" in spec else (0.0, 0.0))
+    if kind in ("wavelet", "squared_distance"):  # the spec's other keys are the type's fields
+        cls = AnalyticWavelet if kind == "wavelet" else SquaredDistance
+        return cls(**_dataclass_kwargs(cls, spec, type="str"))
     if kind == "raster":
-        _known_keys(spec, kind, ("type", "path"))
+        _known_keys(spec, kind, {"type": "str", "path": "str"})
         return RasterCovariate(read_ascii_grid(base_dir / spec["path"]))
     if kind == "random_field":
         return RasterCovariate(_random_field(spec))
@@ -156,14 +159,12 @@ def _covariate_from_spec(spec: dict, base_dir: Path) -> Covariate:
 
 
 def _covariates(specs: list, base_dir: Path) -> list[Covariate]:
-    if not (isinstance(specs, list) and all(isinstance(spec, dict) for spec in specs)):
-        raise ValueError(f"covariates must be a list of JSON objects, got {specs!r}")
-    return [_covariate_from_spec(spec, base_dir) for spec in specs]
+    return [_covariate_from_spec(spec, base_dir) for spec in _objects(specs, "covariates")]
 
 
 def _model_from_spec(spec: dict, base_dir: Path) -> RsfModel:
-    _known_keys(spec, "model", ("covariates", "beta"), ("gamma2",))
-    return RsfModel(_covariates(spec["covariates"], base_dir), spec["beta"], spec.get("gamma2", 1.0))
+    kwargs = _dataclass_kwargs(RsfModel, spec)
+    return RsfModel(**kwargs | {"covariates": _covariates(spec["covariates"], base_dir)})
 
 
 def _format_value(v) -> str:
@@ -244,16 +245,16 @@ def _fit_counters(res: FitResult) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    required = ("model", "x0", "dt", "n_steps", "seeds")
-    if args.seed is not None:  # it stands in for the config's seeds
-        required = required[:-1]
-    cfg = _known_keys(_load_config(args.config), "simulate", required, ("seeds",))
+    # a config's keys are SimConfig's fields, but it lists seeds; --seed stands in for them
+    types = {f.name: f.type for f in fields(SimConfig) if f.name != "seed"} | {"seeds": "tuple[int, ...]"}
+    optional = ("seeds",) if args.seed is not None else ()
+    cfg = _known_keys(_load_config(args.config), "simulate", types, optional)
     base_dir = Path(args.config).parent
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
     model = _model_from_spec(cfg["model"], base_dir)
     sims = {
-        seed: simulate(SimConfig(model, _pair(cfg, "simulate", "x0"), cfg["dt"], cfg["n_steps"], seed))
+        seed: simulate(SimConfig(model, cfg["x0"], cfg["dt"], cfg["n_steps"], seed))
         for seed in _distinct(cfg["seeds"], "seeds")
     }
     _write_outputs(
@@ -276,7 +277,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     base_dir = Path(args.covariates).parent
     specs = cov_cfg
     if isinstance(cov_cfg, dict):
-        specs = _known_keys(cov_cfg, "covariates file", ("covariates",))["covariates"]
+        specs = _known_keys(cov_cfg, "covariates file", {"covariates": "list"})["covariates"]
     covariates = _covariates(specs, base_dir)
     # e.g. --time-scale 3600 turns epoch-second stamps into hours; t / 1.0 is t
     tracks = [Track(t.times / args.time_scale, t.xy) for t in map(read_track_csv, args.tracks)]
@@ -299,7 +300,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_ud(args: argparse.Namespace) -> int:
-    cfg = _known_keys(_load_config(args.config), "ud", ("model", "grid"))
+    cfg = _known_keys(_load_config(args.config), "ud", {"model": "RsfModel", "grid": "GridGeometry"})
     base_dir = Path(args.config).parent
     model = _model_from_spec(cfg["model"], base_dir)
     geometry = GridGeometry(**_dataclass_kwargs(GridGeometry, cfg["grid"]))
@@ -312,11 +313,13 @@ def _cmd_ud(args: argparse.Namespace) -> int:
 
 def _cmd_gen_cov(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    specs = _known_keys(cfg, "gen-cov", ("fields",))["fields"] if "fields" in cfg else [cfg]
+    many = isinstance(cfg, dict) and "fields" in cfg
+    specs = _objects(_known_keys(cfg, "gen-cov", {"fields": "list"})["fields"], "fields") if many else [cfg]
+    rasters = [_random_field(spec) for spec in specs]  # each spec checked to be a JSON object first
     names = _distinct([spec.get("name", f"cov{k + 1}") for k, spec in enumerate(specs)], "field names")
     writers = {
-        name + ".asc": partial(write_ascii_grid, _random_field(spec))
-        for name, spec in zip(names, specs)
+        name + ".asc": partial(write_ascii_grid, raster)
+        for name, raster in zip(names, rasters)
     }
     _write_outputs(args.out, "gen-cov", cfg, writers, seeds=[spec["seed"] for spec in specs])
     print(f"wrote {', '.join(writers)} to {Path(args.out)}")
@@ -324,19 +327,20 @@ def _cmd_gen_cov(args: argparse.Namespace) -> int:
 
 
 def _study_config(
-    args: argparse.Namespace, cls, paper_scale: dict, extra: tuple[str, ...] = ()
+    args: argparse.Namespace, cls, paper_scale: dict, **extra: str
 ) -> tuple[dict, object]:
-    """The loaded config (empty if none) with the command-line overrides
-    applied, and the study config ``cls`` built from it; ``extra`` names the
-    keys the command reads itself."""
+    """The loaded config (empty if none), and the study config ``cls`` built
+    from it with the command-line overrides applied; ``extra`` gives the
+    types of the keys the command reads itself."""
     cfg = _load_config(args.config) if args.config else {}
+    kwargs = _dataclass_kwargs(cls, cfg, **extra)
     if args.paper_scale:
-        cfg.update(paper_scale)
+        kwargs.update(paper_scale)
     if args.seed is not None:
-        cfg["seed"] = args.seed
+        kwargs["seed"] = args.seed
     if args.alpha is not None:
-        cfg["alpha"] = args.alpha
-    return cfg, cls(**_dataclass_kwargs(cls, cfg, extra))
+        kwargs["alpha"] = args.alpha
+    return cfg, cls(**kwargs)
 
 
 def _cmd_scenario1(args: argparse.Namespace) -> int:
@@ -398,7 +402,7 @@ def _cmd_scenario2(args: argparse.Namespace) -> int:
 
 
 def _cmd_irregular(args: argparse.Namespace) -> int:
-    cfg, s2 = _study_config(args, Scenario2Config, {"n_tracks": 200}, extra=("mean_intervals",))
+    cfg, s2 = _study_config(args, Scenario2Config, {"n_tracks": 200}, mean_intervals="tuple[float, ...]")
     irr = IrregularConfig(s2, tuple(cfg.get("mean_intervals", IrregularConfig.mean_intervals)))
     result = run_irregular(irr)
     rows = result.to_rows()

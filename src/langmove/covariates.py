@@ -6,7 +6,8 @@ point is a one-row array, so there is one array code path per covariate;
 the design matrix and :func:`rasterize` make one call per covariate.
 Each reports its domain through ``extent``: the whole plane (``PLANE``) for
 analytic covariates, the raster's interpolation domain for gridded ones (a
-call raises for its first row outside it).
+call raises for its first row outside it).  The analytic covariates are
+frozen dataclasses, so a model's covariates cannot change under it.
 
 The simulator steps one point at a time, on Python floats.  For it each
 covariate type supplies a source fragment of its gradient (``_fragment``),
@@ -19,17 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateFieldError
-from .raster import PLANE, Extent, GridGeometry, GridRaster, interpolate, interpolate_gradient
+from .raster import PLANE, Extent, GridGeometry, GridRaster, interpolate, interpolate_gradient, two_floats
 from .seeding import derive_rng
 
 __all__ = [
     "Covariate",
-    "WaveletParams",
     "AnalyticWavelet",
     "SquaredDistance",
     "RasterCovariate",
@@ -72,35 +71,11 @@ def _exp_rows(a: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.exp, a.tolist())))
 
 
-@dataclass(frozen=True)
-class WaveletParams:
-    """Parameters of the oscillating-bump analytic covariate.
-
-    ``alpha`` is the amplitude, ``(a1, a2)`` the center offsets,
-    ``(omega1, omega2)`` the angular frequencies and ``(sigma1, sigma2)``
-    the (positive) diagonal entries of the Gaussian quadratic form; all are
-    finite.
-    """
-
-    alpha: float
-    a1: float
-    a2: float
-    omega1: float
-    omega2: float
-    sigma1: float
-    sigma2: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, vars(self).values())):
-            raise ValueError(f"wavelet parameters must be finite, got {self}")
-        if not (self.sigma1 > 0 and self.sigma2 > 0):
-            raise ValueError("sigma1 and sigma2 must be positive")
-
-
+@dataclass(frozen=True, eq=False)
 class AnalyticWavelet(Covariate):
     """Gaussian-windowed product of two sine factors.
 
-    The field is
+    The field, of finite parameters and positive ``sigma = (sigma1, sigma2)``, is
 
         alpha * exp(-sigma1*(z1-a1)^2 - sigma2*(z2-a2)^2)
               * sin(omega1*(z1-a1)) * sin(omega2*(s-a2))
@@ -112,51 +87,61 @@ class AnalyticWavelet(Covariate):
     exact closed forms in both cases.
     """
 
-    def __init__(self, params: WaveletParams, second_sine_axis: str = "z1"):
-        if second_sine_axis not in ("z1", "z2"):
-            raise ValueError(f"second_sine_axis must be 'z1' or 'z2', got {second_sine_axis!r}")
-        self.params = params
-        self.second_sine_axis = second_sine_axis
+    alpha: float
+    a: tuple[float, float]
+    omega: tuple[float, float]
+    sigma: tuple[float, float]
+    second_sine_axis: str = "z1"
+
+    def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
+        for name in ("a", "omega", "sigma"):
+            object.__setattr__(self, name, two_floats(getattr(self, name), name))
+        if not (self.sigma[0] > 0 and self.sigma[1] > 0):
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.second_sine_axis not in ("z1", "z2"):
+            raise ValueError(f"second_sine_axis must be 'z1' or 'z2', got {self.second_sine_axis!r}")
 
     def _factors(self, xy: np.ndarray):
         """The shared factors at each row of ``xy``.  numpy's float64 sin and
         cos equal the math module's, which the Euler stepper uses (the tests
         check this)."""
-        q = self.params
-        d1 = xy[:, 0] - q.a1
-        d2 = xy[:, 1] - q.a2
-        gauss = _exp_rows(-q.sigma1 * d1 * d1 - q.sigma2 * d2 * d2)
-        s1 = np.sin(q.omega1 * d1)
-        arg2 = q.omega2 * (xy[:, 0 if self.second_sine_axis == "z1" else 1] - q.a2)
+        (a1, a2), (omega1, omega2), (sigma1, sigma2) = self.a, self.omega, self.sigma
+        d1 = xy[:, 0] - a1
+        d2 = xy[:, 1] - a2
+        gauss = _exp_rows(-sigma1 * d1 * d1 - sigma2 * d2 * d2)
+        s1 = np.sin(omega1 * d1)
+        arg2 = omega2 * (xy[:, 0 if self.second_sine_axis == "z1" else 1] - a2)
         s2 = np.sin(arg2)
         return d1, d2, gauss, s1, s2, arg2
 
     def value(self, xy: np.ndarray) -> np.ndarray:
         _, _, gauss, s1, s2, _ = self._factors(xy)
-        return self.params.alpha * gauss * s1 * s2
+        return self.alpha * gauss * s1 * s2
 
     def gradient(self, xy: np.ndarray) -> np.ndarray:
-        q = self.params
+        (omega1, omega2), (sigma1, sigma2) = self.omega, self.sigma
         d1, d2, gauss, s1, s2, arg2 = self._factors(xy)
-        c1 = np.cos(q.omega1 * d1)
+        c1 = np.cos(omega1 * d1)
         c2 = np.cos(arg2)
         # product rule over the Gaussian window and the two sine factors
-        gx = -2.0 * q.sigma1 * d1 * s1 * s2 + q.omega1 * c1 * s2
-        gy = -2.0 * q.sigma2 * d2 * s1 * s2
+        gx = -2.0 * sigma1 * d1 * s1 * s2 + omega1 * c1 * s2
+        gy = -2.0 * sigma2 * d2 * s1 * s2
         if self.second_sine_axis == "z1":
-            gx += s1 * q.omega2 * c2
+            gx += s1 * omega2 * c2
         else:
-            gy += s1 * q.omega2 * c2
-        a = q.alpha * gauss
+            gy += s1 * omega2 * c2
+        a = self.alpha * gauss
         return np.column_stack((a * gx, a * gy))
 
     def _fragment(self) -> tuple[str, str, str, dict]:
-        q = self.params
+        (a1, a2), (omega1, omega2), (sigma1, sigma2) = self.a, self.omega, self.sigma
         # -s * d is (-s) * d, and -2.0 * s * d is (-2.0 * s) * d: the same roundings
         constants = {
-            "alpha$": q.alpha, "a1$": q.a1, "a2$": q.a2, "omega1$": q.omega1, "omega2$": q.omega2,
-            "sigma2$": q.sigma2, "neg_sigma1$": -q.sigma1, "m2_sigma1$": -2.0 * q.sigma1,
-            "m2_sigma2$": -2.0 * q.sigma2,
+            "alpha$": self.alpha, "a1$": a1, "a2$": a2, "omega1$": omega1, "omega2$": omega2,
+            "sigma2$": sigma2, "neg_sigma1$": -sigma1, "m2_sigma1$": -2.0 * sigma1,
+            "m2_sigma2$": -2.0 * sigma2,
         }
         z1 = self.second_sine_axis == "z1"
         # the array form's arithmetic, in its order; the second sine's term
@@ -176,13 +161,14 @@ gy = m2_sigma2$ * d2 * s1 * s2{"" if z1 else second}
         return statements, "beta$ * (a * gx)", "beta$ * (a * gy)", constants
 
 
+@dataclass(frozen=True, eq=False)
 class SquaredDistance(Covariate):
-    """Squared Euclidean distance to a fixed center; gradient is 2*(p - center)."""
+    """Squared Euclidean distance to a fixed, finite center; gradient is 2*(p - center)."""
 
-    def __init__(self, center: Sequence[float] = (0.0, 0.0)):
-        self.center = (float(center[0]), float(center[1]))
-        if not all(map(math.isfinite, self.center)):
-            raise ValueError(f"center must be finite, got {self.center}")
+    center: tuple[float, float] = (0.0, 0.0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", two_floats(self.center, "center"))
 
     def value(self, xy: np.ndarray) -> np.ndarray:
         dx = xy[:, 0] - self.center[0]

@@ -30,7 +30,6 @@ from .covariates import (
     RandomFieldSpec,
     RasterCovariate,
     SquaredDistance,
-    WaveletParams,
     generate_random_field,
     rasterize,
 )
@@ -128,18 +127,11 @@ class Scenario1Config:
 def scenario1_covariates(second_sine_axis: str = "z1") -> list[Covariate]:
     """The benchmark covariate set: two localized wavelets and the
     squared distance to the origin (a weak centering force)."""
+    shared = {"alpha": 6.0, "sigma": (0.4, 0.4), "second_sine_axis": second_sine_axis}
     return [
-        AnalyticWavelet(
-            WaveletParams(alpha=6.0, a1=0.0, a2=0.0, omega1=0.6, omega2=0.2, sigma1=0.4, sigma2=0.4),
-            second_sine_axis,
-        ),
-        AnalyticWavelet(
-            WaveletParams(
-                alpha=6.0, a1=-2.0, a2=math.pi / 2.0, omega1=0.1, omega2=0.5, sigma1=0.4, sigma2=0.4
-            ),
-            second_sine_axis,
-        ),
-        SquaredDistance((0.0, 0.0)),
+        AnalyticWavelet(a=(0.0, 0.0), omega=(0.6, 0.2), **shared),
+        AnalyticWavelet(a=(-2.0, math.pi / 2.0), omega=(0.1, 0.5), **shared),
+        SquaredDistance(center=(0.0, 0.0)),
     ]
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonFiniteError, NonIncreasingTimesError, OutOfDomainError
+from .raster import two_floats
 from .rsf import RsfModel
 from .seeding import derive_rng
 
@@ -102,10 +103,7 @@ class SimConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        x0 = (float(self.x0[0]), float(self.x0[1]))
-        if not (math.isfinite(x0[0]) and math.isfinite(x0[1])):
-            raise ValueError(f"x0 must be finite, got {x0}")
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0", two_floats(self.x0, "x0"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -90,6 +90,19 @@ class Extent:
         )
 
 
+def two_floats(value, name: str) -> tuple[float, float]:
+    """The two finite numbers that ``value``, a point or a pair of settings,
+    holds, as floats; anything else raises ``ValueError`` naming ``name``."""
+    pair = value.tolist() if isinstance(value, np.ndarray) else value
+    x, y = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
+    reals = (int, float, np.integer, np.floating)
+    if not (isinstance(x, reals) and isinstance(y, reals)):
+        raise ValueError(f"{name} must hold two numbers, got {value!r}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(x), float(y)
+
+
 #: The domain of a field defined everywhere: every finite point, no infinite or NaN one.
 PLANE = Extent(-sys.float_info.max, sys.float_info.max, -sys.float_info.max, sys.float_info.max)
 
@@ -116,13 +129,12 @@ class GridGeometry:
     n_y: int
 
     def __post_init__(self):
-        object.__setattr__(self, "x_min", float(self.x_min))
-        object.__setattr__(self, "y_min", float(self.y_min))
+        x_min, y_min = two_floats((self.x_min, self.y_min), "grid origin")
+        object.__setattr__(self, "x_min", x_min)
+        object.__setattr__(self, "y_min", y_min)
         object.__setattr__(self, "cell_size", float(self.cell_size))
         object.__setattr__(self, "n_x", int(self.n_x))
         object.__setattr__(self, "n_y", int(self.n_y))
-        if not (math.isfinite(self.x_min) and math.isfinite(self.y_min)):
-            raise ValueError("grid origin must be finite")
         if not (self.cell_size > 0 and math.isfinite(self.cell_size)):
             raise ValueError(f"cell_size must be positive, got {self.cell_size}")
         if self.n_x < 2 or self.n_y < 2:
@@ -258,10 +270,11 @@ def read_ascii_grid(path: str | Path) -> GridRaster:
 
     The header must provide ``ncols``, ``nrows``, ``xllcorner``, ``yllcorner``
     and ``cellsize`` (``NODATA_value`` is optional), before any data;
-    ``ncols`` and ``nrows`` are positive integers.  The body holds ``nrows``
-    lines of ``ncols`` whitespace-separated values with the top line at the
-    highest y.  Corner coordinates refer to the lower-left cell *corner* and
-    are shifted by ``cellsize / 2`` to this module's cell-center convention.
+    ``ncols`` and ``nrows`` are positive integers, and a line that does not
+    open with one of these keys is a row.  The body holds ``nrows`` lines of
+    ``ncols`` whitespace-separated values with the top line at the highest y.
+    Corner coordinates refer to the lower-left cell *corner* and are shifted
+    by ``cellsize / 2`` to this module's cell-center convention.
 
     Raises
     ------
@@ -277,12 +290,12 @@ def read_ascii_grid(path: str | Path) -> GridRaster:
             tokens = line.split()
             if not tokens:
                 continue
-            if tokens[0][0].isalpha():
+            key = tokens[0].lower()
+            if key in _HEADER_KEYS or key == "nodata_value":
                 if data:
                     raise GridParseError(line_no, f"header line {line.rstrip()!r} after the data")
                 if len(tokens) != 2:
                     raise GridParseError(line_no, f"bad header line {line.rstrip()!r}")
-                key = tokens[0].lower()
                 try:
                     header[key] = float(tokens[1])
                 except ValueError:

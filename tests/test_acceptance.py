@@ -44,7 +44,7 @@ from langmove import (
     write_track_csv,
 )
 from langmove.cli import main as cli_main
-from langmove.covariates import AnalyticWavelet, WaveletParams
+from langmove.covariates import AnalyticWavelet
 from langmove.experiments import (
     IrregularConfig,
     Scenario1Config,
@@ -466,9 +466,9 @@ class TestCriterion6NumericalProperties:
         rng = derive_rng(MASTER_SEED, 20)
 
         # gradient vs finite differences for every provider and grad log pi
-        wavelets = [AnalyticWavelet(p, axis) for axis in ("z1", "z2") for p in (
-            WaveletParams(6, 0, 0, 0.6, 0.2, 0.4, 0.4),
-            WaveletParams(6, -2, math.pi / 2, 0.1, 0.5, 0.4, 0.4),
+        wavelets = [AnalyticWavelet(**p, second_sine_axis=axis) for axis in ("z1", "z2") for p in (
+            dict(alpha=6, a=(0, 0), omega=(0.6, 0.2), sigma=(0.4, 0.4)),
+            dict(alpha=6, a=(-2, math.pi / 2), omega=(0.1, 0.5), sigma=(0.4, 0.4)),
         )]
         raster_cov = RasterCovariate(GridRaster(GridGeometry(-6, -6, 1.5, 9, 9), rng.normal(size=(9, 9))))
         providers = [*wavelets, SquaredDistance((0.3, -0.7)), raster_cov]

@@ -18,7 +18,6 @@ from langmove import (
     RsfModel,
     SimConfig,
     Track,
-    WaveletParams,
     read_ascii_grid,
     read_track_csv,
     simulate,
@@ -183,7 +182,7 @@ class TestSimulateCommand:
         [
             pytest.param(
                 WAVELET,
-                lambda: AnalyticWavelet(WaveletParams(6, 0, 0, 0.6, 0.2, 0.4, 0.4)),
+                lambda: AnalyticWavelet(alpha=6, a=(0, 0), omega=(0.6, 0.2), sigma=(0.4, 0.4)),
                 id="wavelet",
             ),
             pytest.param(
@@ -614,13 +613,13 @@ class TestStudyCommands:
             pytest.param(
                 "simulate",
                 {**SIM_CONFIG, "model": without(SIM_CONFIG["model"], "beta")},
-                "missing model config keys: beta$",
+                "missing RsfModel config keys: beta$",
                 id="simulate-model",
             ),
             pytest.param(
                 "simulate",
                 with_covariate(without(WAVELET, "alpha")),
-                "missing wavelet config keys: alpha$",
+                "missing AnalyticWavelet config keys: alpha$",
                 id="simulate-wavelet",
             ),
             pytest.param(
@@ -629,19 +628,19 @@ class TestStudyCommands:
             pytest.param(
                 "simulate",
                 with_covariate({**WAVELET, "a": [0]}),
-                r"wavelet config key a must hold two entries, got \[0\]$",
+                r"a must hold two numbers, got \(0,\)$",
                 id="simulate-wavelet-pair",
             ),
             pytest.param(
                 "simulate",
                 with_covariate({"type": "squared_distance", "center": [1]}),
-                r"squared_distance config key center must hold two entries, got \[1\]$",
+                r"center must hold two numbers, got \(1,\)$",
                 id="simulate-squared_distance-pair",
             ),
             pytest.param(
                 "simulate",
                 {**SIM_CONFIG, "x0": [0]},
-                r"simulate config key x0 must hold two entries, got \[0\]$",
+                r"x0 must hold two numbers, got \[0\]$",
                 id="simulate-pair",
             ),
             pytest.param(
@@ -675,15 +674,148 @@ class TestStudyCommands:
                 r"GridGeometry config must be a JSON object, got \[0.5, 0.5, 1.0, 10, 10\]$",
                 id="ud-grid-list",
             ),
+            # files and entries that are no JSON objects
+            pytest.param(
+                "gen-cov",
+                {"fields": ["abc"]},
+                r"fields must be a list of JSON objects, got \['abc'\]$",
+                id="gen-cov-fields-strings",
+            ),
+            pytest.param(
+                "gen-cov",
+                {"fields": "abc"},
+                "fields must be a list of JSON objects, got 'abc'$",
+                id="gen-cov-fields-string",
+            ),
+            pytest.param(
+                "gen-cov",
+                [{"seed": 1}],
+                r"RandomFieldSpec config must be a JSON object, got \[\{'seed': 1\}\]$",
+                id="gen-cov-list",
+            ),
+            pytest.param(
+                "gen-cov", "x", "RandomFieldSpec config must be a JSON object, got 'x'$", id="gen-cov-string"
+            ),
+            pytest.param(
+                "gen-cov", 5, "RandomFieldSpec config must be a JSON object, got 5$", id="gen-cov-number"
+            ),
+            pytest.param(
+                "scenario1 --seed 3",
+                [TINY_STUDIES["scenario1"]],
+                r"Scenario1Config config must be a JSON object, got \[\{",
+                id="scenario1-list",
+            ),
+            pytest.param(
+                "scenario2 --paper-scale",
+                [TINY_STUDIES["scenario2"]],
+                r"Scenario2Config config must be a JSON object, got \[\{",
+                id="scenario2-list",
+            ),
+            pytest.param(
+                "irregular --alpha 0.1",
+                [TINY_STUDIES["irregular"]],
+                r"Scenario2Config config must be a JSON object, got \[\{",
+                id="irregular-list",
+            ),
+            # a null, string or boolean where a number belongs
+            pytest.param(
+                "scenario2",
+                TINY_STUDIES["scenario2"] | {"n_tracks": None},
+                "Scenario2Config config key n_tracks must be of type int, got None$",
+                id="scenario2-null",
+            ),
+            pytest.param(
+                "scenario2",
+                TINY_STUDIES["scenario2"] | {"levels": [0.01, None]},
+                r"Scenario2Config config key levels must be of type tuple\[float, \.\.\.\], "
+                r"got \[0\.01, None\]$",
+                id="scenario2-levels-null",
+            ),
+            pytest.param(
+                "scenario1",
+                TINY_STUDIES["scenario1"] | {"replications": "3"},
+                "Scenario1Config config key replications must be of type int, got '3'$",
+                id="scenario1-string",
+            ),
+            pytest.param(
+                "scenario1",
+                TINY_STUDIES["scenario1"] | {"replications": True},
+                "Scenario1Config config key replications must be of type int, got True$",
+                id="scenario1-boolean",
+            ),
+            pytest.param(
+                "gen-cov",
+                {"x_min": 0, "y_min": 0, "cell_size": 1, "n_x": 9, "n_y": 9, "rho": None, "seed": 1},
+                "RandomFieldSpec config key rho must be of type float, got None$",
+                id="gen-cov-null",
+            ),
+            pytest.param(
+                "gen-cov",
+                {"x_min": 0, "y_min": 0, "cell_size": 1, "n_x": 9, "n_y": 9, "rho": 2, "seed": "a"},
+                "RandomFieldSpec config key seed must be of type int, got 'a'$",
+                id="gen-cov-string-seed",
+            ),
+            pytest.param(
+                "ud",
+                {"model": SIM_CONFIG["model"], "grid": {**GRID, "cell_size": None}},
+                "GridGeometry config key cell_size must be of type float, got None$",
+                id="ud-grid-null",
+            ),
+            pytest.param(
+                "simulate",
+                {**SIM_CONFIG, "dt": None},
+                "simulate config key dt must be of type float, got None$",
+                id="simulate-null",
+            ),
+            pytest.param(
+                "simulate",
+                {**SIM_CONFIG, "seeds": ["a"]},
+                r"simulate config key seeds must be of type tuple\[int, \.\.\.\], got \['a'\]$",
+                id="simulate-seeds-string",
+            ),
+            pytest.param(
+                "simulate",
+                {**SIM_CONFIG, "model": {**SIM_CONFIG["model"], "gamma2": "1"}},
+                "RsfModel config key gamma2 must be of type float, got '1'$",
+                id="simulate-model-string",
+            ),
+            pytest.param(
+                "simulate",
+                with_covariate({**WAVELET, "alpha": None}),
+                "AnalyticWavelet config key alpha must be of type float, got None$",
+                id="simulate-wavelet-null",
+            ),
+            # and where a name, a path or a list of numbers belongs, in keys a command reads itself
+            pytest.param(
+                "irregular",
+                TINY_STUDIES["irregular"] | {"mean_intervals": [None]},
+                r"Scenario2Config config key mean_intervals must be of type tuple\[float, \.\.\.\], "
+                r"got \[None\]$",
+                id="irregular-null",
+            ),
+            pytest.param(
+                "gen-cov",
+                {"name": 5, "x_min": 0, "y_min": 0, "cell_size": 1, "n_x": 9, "n_y": 9, "rho": 2, "seed": 1},
+                "RandomFieldSpec config key name must be of type str, got 5$",
+                id="gen-cov-number-name",
+            ),
+            pytest.param(
+                "simulate",
+                with_covariate({"type": "raster", "path": 5}),
+                "raster config key path must be of type str, got 5$",
+                id="simulate-raster-number-path",
+            ),
         ],
     )
     def test_missing_config_key_rejected(self, tmp_path, command, config, message):
-        # a missing setting is named, not reported as a KeyError or IndexError
+        # a missing setting, or one of the wrong kind, is named, not reported
+        # as a KeyError, IndexError, TypeError or AttributeError
         cfg = write_json(tmp_path / "c.json", config)
+        command, *flags = command.split()  # a study's command-line overrides
         if command == "fit":  # the covariates are read first: the track file need not exist
             args = ["--tracks", str(tmp_path / "t.csv"), "--covariates", cfg]
         else:
-            args = ["--config", cfg]
+            args = ["--config", cfg, *flags]
         with pytest.raises(ValueError, match=message):
             main([command, *args, "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()

@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import FrozenInstanceError
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,6 @@ from langmove import (
     RasterCovariate,
     RsfModel,
     SquaredDistance,
-    WaveletParams,
     generate_random_field,
 )
 from langmove.covariates import _window_counts, rasterize
@@ -31,10 +31,8 @@ from langmove.errors import DegenerateFieldError, OutOfDomainError
 from langmove.seeding import derive_rng
 from test_rsf import stepper_probe, unit_step
 
-TABLE_PARAMS_1 = WaveletParams(alpha=6, a1=0, a2=0, omega1=0.6, omega2=0.2, sigma1=0.4, sigma2=0.4)
-TABLE_PARAMS_2 = WaveletParams(
-    alpha=6, a1=-2, a2=math.pi / 2, omega1=0.1, omega2=0.5, sigma1=0.4, sigma2=0.4
-)
+TABLE_PARAMS_1 = dict(alpha=6, a=(0, 0), omega=(0.6, 0.2), sigma=(0.4, 0.4))
+TABLE_PARAMS_2 = dict(alpha=6, a=(-2, math.pi / 2), omega=(0.1, 0.5), sigma=(0.4, 0.4))
 
 
 def finite_difference_gradient(cov, p, h=1e-6):
@@ -46,26 +44,25 @@ def finite_difference_gradient(cov, p, h=1e-6):
 
 class TestWavelet:
     def test_zero_on_first_sine_axis(self):
-        w = AnalyticWavelet(TABLE_PARAMS_2)
+        w = AnalyticWavelet(**TABLE_PARAMS_2)
         # z1 = a1 makes the first sine factor vanish
         assert w.value(np.array([(-2.0, 3.3)])).tolist() == [0.0]
 
     def test_reference_value(self):
         # 6 * exp(-0.4) * sin(0.6) * sin(0.2), evaluated independently
-        w = AnalyticWavelet(TABLE_PARAMS_1)
+        w = AnalyticWavelet(**TABLE_PARAMS_1)
         assert w.value(np.array([(1.0, 0.0)])) == pytest.approx([0.45116752325614478], rel=1e-14)
 
     def test_z2_dependence_is_gaussian_only(self):
         # in the default form both sines take z1, so two points differing
         # only in z2 have a value ratio equal to their Gaussian-factor ratio
-        w = AnalyticWavelet(TABLE_PARAMS_2)
-        q = TABLE_PARAMS_2
+        w = AnalyticWavelet(**TABLE_PARAMS_2)
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.uniform(-4, 4)
             y1, y2 = rng.uniform(-4, 4, size=2)
-            g1 = math.exp(-q.sigma2 * (y1 - q.a2) ** 2)
-            g2 = math.exp(-q.sigma2 * (y2 - q.a2) ** 2)
+            g1 = math.exp(-w.sigma[1] * (y1 - w.a[1]) ** 2)
+            g2 = math.exp(-w.sigma[1] * (y2 - w.a[1]) ** 2)
             v1, v2 = w.value(np.array([(x, y1), (x, y2)]))
             assert v1 * g2 == pytest.approx(v2 * g1, rel=1e-12, abs=1e-15)
 
@@ -73,7 +70,7 @@ class TestWavelet:
     def test_gradient_matches_finite_differences(self, axis):
         rng = np.random.default_rng(1)
         for params in (TABLE_PARAMS_1, TABLE_PARAMS_2):
-            w = AnalyticWavelet(params, axis)
+            w = AnalyticWavelet(**params, second_sine_axis=axis)
             for _ in range(25):
                 p = tuple(rng.uniform(-4, 4, size=2))
                 gx, gy = w.gradient(np.array([p]))[0]
@@ -83,23 +80,31 @@ class TestWavelet:
 
     def test_gradient_zero_where_both_sines_vanish(self):
         # with a1 == a2, both sine factors vanish at the Gaussian center
-        params = WaveletParams(alpha=3, a1=1.5, a2=1.5, omega1=0.7, omega2=0.3, sigma1=0.2, sigma2=0.5)
-        w = AnalyticWavelet(params)
+        w = AnalyticWavelet(alpha=3, a=(1.5, 1.5), omega=(0.7, 0.3), sigma=(0.2, 0.5))
         gx, gy = w.gradient(np.array([(1.5, 1.5)]))[0]
         assert gy == 0.0
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
-            AnalyticWavelet(TABLE_PARAMS_1, "z3")
+            AnalyticWavelet(**TABLE_PARAMS_1, second_sine_axis="z3")
         with pytest.raises(ValueError):
-            WaveletParams(alpha=1, a1=0, a2=0, omega1=1, omega2=1, sigma1=0.0, sigma2=1)
+            AnalyticWavelet(alpha=1, a=(0, 0), omega=(1, 1), sigma=(0.0, 1))
 
     @pytest.mark.parametrize("field", ["alpha", "a1", "a2", "omega1", "omega2", "sigma1", "sigma2"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_parameters_must_be_finite(self, field, bad):
-        params = dict(alpha=1, a1=0, a2=0, omega1=1, omega2=1, sigma1=1, sigma2=1)
-        with pytest.raises(ValueError, match="must be finite"):
-            WaveletParams(**{**params, field: bad})
+        # each of the seven numbers, named by the field that holds it
+        n = dict(alpha=1, a1=0, a2=0, omega1=1, omega2=1, sigma1=1, sigma2=1) | {field: bad}
+        with pytest.raises(ValueError, match=f"^{field.rstrip('12')} must be finite"):
+            AnalyticWavelet(
+                n["alpha"], (n["a1"], n["a2"]), (n["omega1"], n["omega2"]), (n["sigma1"], n["sigma2"])
+            )
+
+    @pytest.mark.parametrize("field", ["a", "omega", "sigma"])
+    @pytest.mark.parametrize("bad", [(0, 0, 1), (0,), (0, "x"), 5])
+    def test_pairs_must_hold_two_numbers(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must hold two numbers, got"):
+            AnalyticWavelet(**TABLE_PARAMS_1 | {field: bad})
 
 
 class TestSquaredDistance:
@@ -119,6 +124,24 @@ class TestSquaredDistance:
         with pytest.raises(ValueError, match="center must be finite"):
             SquaredDistance(center)
 
+    @pytest.mark.parametrize("center", [(1, 2, 99), (1,), (0, "x"), (0, None), 5, np.array(5.0)])
+    def test_center_must_hold_two_numbers(self, center):
+        # three entries were cut to two, silently
+        with pytest.raises(ValueError, match="^center must hold two numbers, got"):
+            SquaredDistance(center)
+
+
+def test_analytic_covariates_are_frozen():
+    # a model compiles its drift from its covariates once: none may change under it
+    center, wavelet = SquaredDistance(), AnalyticWavelet(**TABLE_PARAMS_1)
+    with pytest.raises(FrozenInstanceError):
+        center.center = (5.0, 5.0)
+    with pytest.raises(FrozenInstanceError):
+        wavelet.second_sine_axis = "z2"
+    # equality and hashing stay by identity
+    assert center != SquaredDistance() and wavelet != AnalyticWavelet(**TABLE_PARAMS_1)
+    assert len({center, SquaredDistance()}) == 2
+
 
 class TestDispatch:
     def test_value_and_gradient_squared_distance(self):
@@ -137,7 +160,7 @@ class TestDispatch:
             cov.value(np.array([(10.0, 0.0)]))
 
     def test_wavelet_variant_delegates(self):
-        w = AnalyticWavelet(TABLE_PARAMS_1)
+        w = AnalyticWavelet(**TABLE_PARAMS_1)
         model = RsfModel([w], [1.0])
         p = np.array([(0.7, -0.3)])
         assert model.log_pi_unnormalized(p).tobytes() == w.value(p).tobytes()
@@ -158,7 +181,7 @@ class TestDispatch:
             assert gy == pytest.approx(fy, rel=1e-4, abs=1e-8)
 
     def test_rasterize_samples_cell_centers(self):
-        w = AnalyticWavelet(TABLE_PARAMS_1)
+        w = AnalyticWavelet(**TABLE_PARAMS_1)
         geom = GridGeometry(-2, -2, 1.0, 5, 5)
         raster = rasterize(w, geom)
         xy = np.array([(0.0, 0.0), (2.0, -2.0)])
@@ -208,15 +231,13 @@ def raster_and_points(draw):
     return raster, np.array(rows, dtype=float)
 
 
-wavelet_params = st.builds(
-    WaveletParams,
-    alpha=st.floats(-10, 10),
-    a1=st.floats(-5, 5),
-    a2=st.floats(-5, 5),
-    omega1=st.floats(-3, 3),
-    omega2=st.floats(-3, 3),
-    sigma1=st.floats(0.01, 2),
-    sigma2=st.floats(0.01, 2),
+wavelet_params = st.fixed_dictionaries(
+    {
+        "alpha": st.floats(-10, 10),
+        "a": st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+        "omega": st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+        "sigma": st.tuples(st.floats(0.01, 2), st.floats(0.01, 2)),
+    }
 )
 analytic_points = st.lists(
     st.tuples(st.floats(-12, 12), st.floats(-12, 12)), min_size=1, max_size=40
@@ -238,7 +259,7 @@ class TestPointKernels:
         geom = GridGeometry(-6, -6, 1.5, 9, 9)
         covs = [
             RasterCovariate(GridRaster(geom, rng.normal(size=(9, 9)))),
-            AnalyticWavelet(TABLE_PARAMS_2, "z2"),
+            AnalyticWavelet(**TABLE_PARAMS_2, second_sine_axis="z2"),
             SquaredDistance((0.3, -0.2)),
         ]
         model = RsfModel(covs, [0.8, -1.3, -0.05])
@@ -266,7 +287,7 @@ class TestArrayCalls:
     @settings(max_examples=200, deadline=None)
     @given(wavelet_params, st.sampled_from(["z1", "z2"]), analytic_points)
     def test_wavelet(self, params, axis, xy):
-        w = AnalyticWavelet(params, axis)
+        w = AnalyticWavelet(**params, second_sine_axis=axis)
         assert_same_bits(w.value(xy), one_row_calls(w.value, xy))
         assert_stepper_steps_by(w.gradient(xy), w, xy)
         assert_same_bits(w.gradient(xy), one_row_calls(w.gradient, xy))
@@ -281,7 +302,7 @@ class TestArrayCalls:
 
     def test_shapes(self):
         xy = np.zeros((3, 2))
-        for cov in (AnalyticWavelet(TABLE_PARAMS_1), SquaredDistance((1.0, 2.0))):
+        for cov in (AnalyticWavelet(**TABLE_PARAMS_1), SquaredDistance((1.0, 2.0))):
             assert cov.value(xy).shape == (3,)
             assert cov.gradient(xy).shape == (3, 2)
 
@@ -296,7 +317,7 @@ class TestArrayCalls:
 
     def test_rasterize_matches_one_point_calls(self):
         geom = GridGeometry(-3.3, -1.7, 0.7, 9, 6)
-        for cov in (AnalyticWavelet(TABLE_PARAMS_2, "z1"), AnalyticWavelet(TABLE_PARAMS_2, "z2")):
+        for cov in (AnalyticWavelet(**TABLE_PARAMS_2, second_sine_axis=axis) for axis in ("z1", "z2")):
             expected = [[cov.value(np.array([(x, y)]))[0] for x in geom.x_centers().tolist()]
                         for y in geom.y_centers().tolist()]
             assert_same_bits(rasterize(cov, geom).values, expected)

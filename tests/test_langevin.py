@@ -19,7 +19,6 @@ from langmove import (
     SimConfig,
     SquaredDistance,
     Track,
-    WaveletParams,
     build_design,
     read_track_csv,
     simulate,
@@ -278,8 +277,12 @@ def two_raster_model():
 
 
 def analytic_model():
-    params = WaveletParams(alpha=6, a1=-2, a2=math.pi / 2, omega1=0.1, omega2=0.5, sigma1=0.4, sigma2=0.4)
-    covs = [AnalyticWavelet(params, "z1"), AnalyticWavelet(params, "z2"), SquaredDistance((0.5, -0.3))]
+    params = dict(alpha=6, a=(-2, math.pi / 2), omega=(0.1, 0.5), sigma=(0.4, 0.4))
+    covs = [
+        AnalyticWavelet(**params, second_sine_axis="z1"),
+        AnalyticWavelet(**params, second_sine_axis="z2"),
+        SquaredDistance((0.5, -0.3)),
+    ]
     return RsfModel(covs, [-1.0, 0.7, -0.05], gamma2=1.3)
 
 
@@ -296,9 +299,11 @@ def overlapping_rasters_model():
     [-2, 1.25] is a strict intersection, with two sides from each grid."""
     rng = np.random.default_rng(14)
     grids = [GridGeometry(-2.0, -2.0, 0.5, 9, 9), GridGeometry(-1.25, -2.75, 0.5, 9, 9)]
-    params = WaveletParams(alpha=6, a1=-2, a2=math.pi / 2, omega1=0.1, omega2=0.5, sigma1=0.4, sigma2=0.4)
+    wavelet = AnalyticWavelet(
+        alpha=6, a=(-2, math.pi / 2), omega=(0.1, 0.5), sigma=(0.4, 0.4), second_sine_axis="z2"
+    )
     first, second = (RasterCovariate(GridRaster(g, rng.normal(size=(9, 9)))) for g in grids)
-    return RsfModel([first, AnalyticWavelet(params, "z2"), second], [1.5, 0.4, -0.8], gamma2=4.0)
+    return RsfModel([first, wavelet, second], [1.5, 0.4, -0.8], gamma2=4.0)
 
 
 class TestCompiledStep:
@@ -379,13 +384,19 @@ class TestDivergence:
             with pytest.raises(ValueError, match="x0 must be finite"):
                 SimConfig(flat_model(), x0, 0.01, 10, seed=0)
 
+    @pytest.mark.parametrize("x0", [(0, 0, 7), (0,), (0, "x"), (0, None)])
+    def test_start_must_hold_two_numbers(self, x0):
+        # three entries were cut to two, silently
+        with pytest.raises(ValueError, match="^x0 must hold two numbers, got"):
+            SimConfig(flat_model(), x0, 0.01, 10, seed=0)
+
     @pytest.mark.parametrize("beta", [[5.0], [-5.0], [5.0, 1.0]])
     def test_diverging_track_names_first_non_finite_location(self, beta):
         # the quadratic well's chain multiplies x by 1 + gamma2 * beta * dt
         # = 3.5 (or -1.5) per step, so at dt = 0.5 it overflows; a wavelet's
         # kernel then meets an infinite location
-        params = WaveletParams(alpha=6, a1=0, a2=0, omega1=0.6, omega2=0.2, sigma1=0.4, sigma2=0.4)
-        covs = [SquaredDistance(), AnalyticWavelet(params)][: len(beta)]
+        wavelet = AnalyticWavelet(alpha=6, a=(0, 0), omega=(0.6, 0.2), sigma=(0.4, 0.4))
+        covs = [SquaredDistance(), wavelet][: len(beta)]
         cfg = SimConfig(RsfModel(covs, beta), (0.1, 0.0), 0.5, 3000, seed=0)
         with np.errstate(over="ignore"):  # the wavelet's exponent overflows first
             xy, _ = reference_steps(cfg)

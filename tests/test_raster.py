@@ -226,11 +226,24 @@ class TestAsciiGrid:
             (header, 5, "no data rows"),
             # blank lines are skipped, and counted
             ("\n" + header + "\n1 2\n\n3 oops\n", 10, "bad value in row"),
+            # a line is a header line only if its first word is a header key
+            (header + "foo 7\n1 2\n3 4\n", 6, "bad value in row: 'foo 7'"),
+            (
+                header.replace("cellsize 1\n", "foo 7\ncellsize 1\n") + "1 2\n3 4\n",
+                5,
+                "missing header key 'cellsize'",
+            ),
         ]:
             path.write_text(text)
             with pytest.raises(GridParseError, match=message) as err:
                 read_ascii_grid(path)
             assert err.value.line_no == line_no, text
+
+        # nan and inf open a row, not a header line: the row is non-finite
+        for rows in ("nan 3\n1 2\n", "1 2\ninf 3\n", "NaN 3\n1 2\n"):
+            path.write_text(header + rows)
+            with pytest.raises(NonFiniteError):
+                read_ascii_grid(path)
 
     def test_nodata_rejected(self, tmp_path):
         path = tmp_path / "g.asc"

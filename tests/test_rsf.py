@@ -15,7 +15,6 @@ from langmove import (
     RasterCovariate,
     RsfModel,
     SquaredDistance,
-    WaveletParams,
     ud_raster,
 )
 from langmove.covariates import Covariate, rasterize
@@ -35,8 +34,8 @@ def random_rasters(geom, k, seed):
 def mixed_model():
     """A raster, both wavelet forms and a squared distance: four drift terms."""
     (raster,) = random_rasters(GridGeometry(-6.0, -6.0, 1.5, 9, 9), 1, seed=9)
-    params = WaveletParams(alpha=6, a1=-2, a2=1.5, omega1=0.1, omega2=0.5, sigma1=0.4, sigma2=0.4)
-    wavelets = [AnalyticWavelet(params, "z1"), AnalyticWavelet(params, "z2")]
+    params = dict(alpha=6, a=(-2, 1.5), omega=(0.1, 0.5), sigma=(0.4, 0.4))
+    wavelets = [AnalyticWavelet(**params, second_sine_axis=axis) for axis in ("z1", "z2")]
     covs = [raster, *wavelets, SquaredDistance((0.5, 0.0))]
     return RsfModel(covs, [0.8, -1.3, 0.6, -0.05])
 
@@ -54,8 +53,7 @@ def well_model():
 def narrow_wavelet_model():
     """One wavelet with beta 1.0 whose window underflows to 0.0 beyond about
     5 from its center: there its gradient is -0.0 where the sines are negative."""
-    params = WaveletParams(alpha=6, a1=0, a2=0, omega1=0.6, omega2=0.2, sigma1=30, sigma2=30)
-    return RsfModel([AnalyticWavelet(params)], [1.0])
+    return RsfModel([AnalyticWavelet(alpha=6, a=(0, 0), omega=(0.6, 0.2), sigma=(30, 30))], [1.0])
 
 
 def stepper_probe(model, xy):
@@ -168,8 +166,13 @@ def drawn_covariate(kind, rng):
     if kind in ("z1", "z2"):
         a1, a2, omega1, omega2 = rng.uniform(-3, 3, size=4)
         sigma1, sigma2 = rng.uniform(0.05, 1.0, size=2)
-        params = WaveletParams(rng.uniform(-8, 8), a1, a2, omega1, omega2, sigma1, sigma2)
-        return AnalyticWavelet(params, kind)
+        return AnalyticWavelet(
+            alpha=rng.uniform(-8, 8),
+            a=(a1, a2),
+            omega=(omega1, omega2),
+            sigma=(sigma1, sigma2),
+            second_sine_axis=kind,
+        )
     if kind == "well":
         return SquaredDistance(rng.uniform(-3, 3, size=2))
     (raster,) = random_rasters(GRID_A if kind == "raster_a" else GRID_B, 1, seed=rng)
@@ -358,9 +361,7 @@ class TestMergedDrift:
     def test_raster_wavelet_raster_merges_the_two_rasters(self):
         geom = GridGeometry(-4.0, -4.0, 1.0, 9, 9)
         r1, r2 = random_rasters(geom, 2, seed=3)
-        wavelet = AnalyticWavelet(
-            WaveletParams(alpha=6, a1=0, a2=0, omega1=0.6, omega2=0.2, sigma1=0.4, sigma2=0.4)
-        )
+        wavelet = AnalyticWavelet(alpha=6, a=(0, 0), omega=(0.6, 0.2), sigma=(0.4, 0.4))
         model = RsfModel([r1, wavelet, r2], [0.8, -1.3, 2.5])
         (b0, merged), (b1, wav) = drift_terms(model.beta, model.covariates)
         assert (b0, b1, wav) == (1.0, -1.3, wavelet)
