@@ -55,7 +55,7 @@ from .experiments import (
 )
 from .inference import FitResult, pooled_fit
 from .langevin import SimConfig, Track, read_track_csv, simulate, write_track_csv
-from .raster import GridGeometry, GridRaster, read_ascii_grid, write_ascii_grid
+from .raster import GridGeometry, read_ascii_grid, write_ascii_grid
 from .rsf import RsfModel, density_maps
 
 __all__ = ["main"]
@@ -140,9 +140,8 @@ def _dataclass_kwargs(cls, cfg: dict, **extra: str) -> dict:
     }
 
 
-def _random_field(spec: dict) -> GridRaster:
-    kwargs = _dataclass_kwargs(RandomFieldSpec, spec, type="str", name="str")
-    return generate_random_field(RandomFieldSpec(**kwargs))
+def _random_field_spec(spec: dict) -> RandomFieldSpec:
+    return RandomFieldSpec(**_dataclass_kwargs(RandomFieldSpec, spec, type="str", name="str"))
 
 
 def _covariate_from_spec(spec: dict, base_dir: Path) -> Covariate:
@@ -154,7 +153,7 @@ def _covariate_from_spec(spec: dict, base_dir: Path) -> Covariate:
         _known_keys(spec, kind, {"type": "str", "path": "str"})
         return RasterCovariate(read_ascii_grid(base_dir / spec["path"]))
     if kind == "random_field":
-        return RasterCovariate(_random_field(spec))
+        return RasterCovariate(generate_random_field(_random_field_spec(spec)))
     raise ValueError(f"unknown covariate type {kind!r}")
 
 
@@ -252,6 +251,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     base_dir = Path(args.config).parent
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
+    if not cfg["seeds"]:
+        raise ValueError("seeds must list at least one seed, got []")
     model = _model_from_spec(cfg["model"], base_dir)
     sims = {
         seed: simulate(SimConfig(model, cfg["x0"], cfg["dt"], cfg["n_steps"], seed))
@@ -315,11 +316,14 @@ def _cmd_gen_cov(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     many = isinstance(cfg, dict) and "fields" in cfg
     specs = _objects(_known_keys(cfg, "gen-cov", {"fields": "list"})["fields"], "fields") if many else [cfg]
-    rasters = [_random_field(spec) for spec in specs]  # each spec checked to be a JSON object first
+    field_specs = [_random_field_spec(spec) for spec in specs]  # each spec checked to be a JSON object first
     names = _distinct([spec.get("name", f"cov{k + 1}") for k, spec in enumerate(specs)], "field names")
+    for name in names:  # each names a file in --out
+        if not name or Path(name).name != name:
+            raise ValueError(f"field name must be a plain file name, got {name!r}")
     writers = {
-        name + ".asc": partial(write_ascii_grid, raster)
-        for name, raster in zip(names, rasters)
+        name + ".asc": partial(write_ascii_grid, generate_random_field(field))
+        for name, field in zip(names, field_specs)
     }
     _write_outputs(args.out, "gen-cov", cfg, writers, seeds=[spec["seed"] for spec in specs])
     print(f"wrote {', '.join(writers)} to {Path(args.out)}")

@@ -58,10 +58,11 @@ class Covariate:
         replaces the ``$`` ending each name of ``constants`` with the term's
         tag, so the source depends only on the type; the generated stepper
         binds them to locals once per call, so one the statements assign
-        keeps its value to the next step.  The statements may use ``exp``,
-        ``sin`` and ``cos``, and assign no name the stepper uses (``x``,
-        ``y``, ``sx``, ``sy``, and its arguments, such as ``xs``, ``ys``,
-        ``i``)."""
+        keeps its value to the next step: a raster keeps its cell's bounds
+        and corner differences there, a cache that starts empty on each
+        call.  The statements may use ``exp``, ``sin`` and ``cos``, and
+        assign no name the stepper uses (``x``, ``y``, ``sx``, ``sy``, and
+        its arguments, such as ``xs``, ``ys``, ``i``)."""
         raise NotImplementedError
 
 
@@ -186,22 +187,25 @@ class SquaredDistance(Covariate):
 _RASTER_STATEMENTS = """\
 u = (x - x_lo$) / h$
 w = (y - y_lo$) / h$
-ix = int(u)
-if ix > ix_last$:  # the right domain edge
-    ix = ix_last$
-iy = int(w)
-if iy > iy_last$:  # the top domain edge
-    iy = iy_last$
-u -= ix
-w -= iy
-if ix != cx$ or iy != cy$:  # a new cell: the differences of its corner values
-    cx$, cy$ = ix, iy
+if not (u_lo$ <= u < u_hi$ and w_lo$ <= w < w_hi$):  # a new cell: its bounds and corner differences
+    ix = int(u)
+    if ix > ix_last$:  # the right domain edge
+        ix = ix_last$
+    iy = int(w)
+    if iy > iy_last$:  # the top domain edge
+        iy = iy_last$
+    u_lo$ = float(ix)
+    u_hi$ = u_lo$ + 1.0
+    w_lo$ = float(iy)
+    w_hi$ = w_lo$ + 1.0
     lo = rows$[iy]
     hi = rows$[iy + 1]
     dx0$ = lo[ix + 1] - lo[ix]
     dx1$ = hi[ix + 1] - hi[ix]
     dy0$ = hi[ix] - lo[ix]
     dy1$ = hi[ix + 1] - lo[ix + 1]
+u -= u_lo$
+w -= w_lo$
 gx = ((1.0 - w) * dx0$ + w * dx1$) / h$
 gy = ((1.0 - u) * dy0$ + u * dy1$) / h$
 """
@@ -222,12 +226,22 @@ class RasterCovariate(Covariate):
 
     def _fragment(self) -> tuple[str, str, str, dict]:
         """:func:`~langmove.raster.interpolate_gradient` at one point, on the
-        values as nested lists, keeping a cell's corner differences until a
-        step leaves it."""
+        values as nested lists, keeping a cell's bounds in grid units and
+        its corner differences until a step leaves it.
+
+        A point at grid coordinates ``(u, w)`` is in the cached cell when
+        ``u_lo <= u < u_hi`` and ``w_lo <= w < w_hi``, the bounds
+        ``float(ix)`` and ``float(ix) + 1.0`` (and the same for rows).  For
+        ``u >= 0`` that is the cell that ``int(u)`` locates, which only a
+        point outside the cache computes; a point on the right edge
+        ``u == n_x - 1`` fails the test and is clamped to the last column
+        again.  ``u - float(ix)`` rounds as ``u - ix`` does.  The cache
+        starts empty, ``1.0 <= u < 0.0``, on each stepper call."""
         g = self.raster.geom
         constants = {
             "x_lo$": g.x_min, "y_lo$": g.y_min, "h$": g.cell_size, "ix_last$": g.n_x - 2,
-            "iy_last$": g.n_y - 2, "cx$": -1, "cy$": -1, "rows$": self.raster.values.tolist(),
+            "iy_last$": g.n_y - 2, "rows$": self.raster.values.tolist(),
+            "u_lo$": 1.0, "u_hi$": 0.0, "w_lo$": 1.0, "w_hi$": 0.0,
         }
         return _RASTER_STATEMENTS, "beta$ * gx", "beta$ * gy", constants
 

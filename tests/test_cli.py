@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +165,14 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         cfg = write_json(tmp_path / "sim.json", SIM_CONFIG | {"seeds": [3, 4, 3]})
         with pytest.raises(ValueError, match="repeated seeds: 3"):
+            main(["simulate", "--config", cfg, "--out", str(out)])
+        assert not out.exists()
+
+    def test_empty_seeds_rejected(self, tmp_path):
+        # no seed would write no track, only a manifest
+        out = tmp_path / "out"
+        cfg = write_json(tmp_path / "sim.json", SIM_CONFIG | {"seeds": []})
+        with pytest.raises(ValueError, match=r"seeds must list at least one seed, got \[\]$"):
             main(["simulate", "--config", cfg, "--out", str(out)])
         assert not out.exists()
 
@@ -388,6 +397,20 @@ class TestGenCovCommand:
         with pytest.raises(ValueError, match="repeated field names: a"):
             main(["gen-cov", "--config", write_json(tmp_path / "f.json", fields), "--out", str(out)])
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", ""])
+    def test_name_with_a_directory_part_rejected(self, tmp_path, monkeypatch, name):
+        # a name is a file in --out: none is written outside it, and no field
+        # is generated before every name is checked
+        generated = []
+        monkeypatch.setattr(cli, "generate_random_field", generated.append)
+        field = {"x_min": 0, "y_min": 0, "cell_size": 1, "n_x": 11, "n_y": 11, "rho": 2}
+        fields = {"fields": [field | {"name": "a", "seed": 1}, field | {"name": name, "seed": 2}]}
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"field name must be a plain file name, got '{re.escape(name)}'$"):
+            main(["gen-cov", "--config", write_json(tmp_path / "f.json", fields), "--out", str(out)])
+        assert not out.exists() and not generated
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
 
     def test_nan_rho_rejected(self, tmp_path):
         # json.load reads NaN: the spec names rho, not the smoothing code

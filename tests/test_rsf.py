@@ -297,6 +297,52 @@ class TestGeneratedKernel:
             model = RsfModel(covs, beta)
             assert stepper_probe(model, xy).tobytes() == unit_step(model, xy).tobytes()
 
+    def test_warm_cell_cache_on_cell_and_domain_edges(self, monkeypatch):
+        # one stepper call along a path of cell bounds: a step on the cached
+        # cell's right or top edge enters the next cell, one on its left or
+        # bottom edge keeps it, and one on the right or top domain edge is
+        # located again in the last cell.  Every coordinate is in [32, 64),
+        # so the noise is an exact difference and each step lands on its
+        # target exactly.
+        geom = GridGeometry(32.0, 40.0, 0.5, 8, 8)
+        (raster,) = random_rasters(geom, 1, seed=15)
+        steps = RsfModel([raster], [1.0]).euler_steps
+        box, half = (geom.x_min, geom.x_max, geom.y_min, geom.y_max), 0.01
+        path = [  # in grid units (u, w), with the cell the drift reads there
+            (2.5, 3.5),  # inside cell (2, 3)
+            (2.25, 3.75),  # inside it
+            (3.0, 3.5),  # its right edge: cell (3, 3)
+            (3.0, 3.25),  # the left edge of cell (3, 3)
+            (2.5, 3.5),  # back in cell (2, 3)
+            (2.5, 4.0),  # its top edge: cell (2, 4)
+            (2.75, 4.0),  # the bottom edge of cell (2, 4)
+            (6.5, 6.5),  # the last cell, (6, 6)
+            (7.0, 6.5),  # x == x_hi
+            (6.5, 7.0),  # y == y_hi
+            (7.0, 7.0),  # both
+            (6.75, 6.75),
+        ]
+        targets = [(geom.x_min + u * geom.cell_size, geom.y_min + w * geom.cell_size) for u, w in path]
+
+        def cold(x, y, nx, ny):
+            """One step from a fresh stepper call: an empty cache."""
+            return steps(x, y, [nx], [ny], 0, half, *box)[:2]
+
+        noise = []
+        for (x, y), (tx, ty) in zip(targets, targets[1:]):
+            ax, ay = cold(x, y, 0.0, 0.0)  # x + half * sx
+            noise.append((tx - ax, ty - ay))
+        xs, ys = (list(c) for c in zip(*noise))
+        located = []
+        with monkeypatch.context() as m:
+            m.setitem(steps.__globals__, "int", lambda v: located.append(v) or int(v))
+            assert steps(*targets[0], xs, ys, 0, half, *box) == (*targets[-1], len(xs))
+        assert list(zip(xs, ys)) == targets[1:]
+        for (x, y), (nx, ny), location in zip(targets, noise, targets[1:]):
+            assert cold(x, y, nx, ny) == location
+        # the cell is located on entering it and on the domain edge, and only then
+        assert located == [c for k in (0, 2, 4, 5, 7, 8, 9, 10) for c in path[k]]
+
     def test_kernel_where_neighbour_differences_overflow(self):
         # +-1e308 neighbours differ by +-inf along x, y or both: the stepper
         # is built and run without a warning (warnings are errors here) and
