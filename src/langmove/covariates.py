@@ -6,8 +6,8 @@ point is a one-row array, so there is one array code path per covariate;
 the design matrix and :func:`rasterize` make one call per covariate.
 Each reports its domain through ``extent``: the whole plane (``PLANE``) for
 analytic covariates, the raster's interpolation domain for gridded ones (a
-call raises for its first row outside it).  The analytic covariates are
-frozen dataclasses, so a model's covariates cannot change under it.
+call raises for its first row outside it).  The covariates are frozen
+dataclasses, so a model's covariates cannot change under it.
 
 The simulator steps one point at a time, on Python floats.  For it each
 covariate type supplies a source fragment of its gradient (``_fragment``),
@@ -53,16 +53,16 @@ class Covariate:
     def _fragment(self) -> tuple[str, str, str, dict]:
         """``(statements, tx, ty, constants)``: statements that read the
         Python floats ``x, y`` (inside ``extent``), then two expressions
-        over their locals that give ``beta$`` times the gradient there, with
-        the array form's arithmetic in its order.  The drift compiler
-        replaces the ``$`` ending each name of ``constants`` with the term's
-        tag, so the source depends only on the type; the generated stepper
-        binds them to locals once per call, so one the statements assign
-        keeps its value to the next step: a raster keeps its cell's bounds
-        and corner differences there, a cache that starts empty on each
-        call.  The statements may use ``exp``, ``sin`` and ``cos``, and
-        assign no name the stepper uses (``x``, ``y``, ``sx``, ``sy``, and
-        its arguments, such as ``xs``, ``ys``, ``i``)."""
+        over their locals that give the gradient there, with the array
+        form's arithmetic in its order; the drift compiler multiplies them
+        by the term's ``beta``.  It replaces the ``$`` ending each name of
+        ``constants`` with the term's tag, so the source depends only on
+        the type; the generated stepper binds them to locals once per call,
+        so one the statements assign keeps its value to the next step: a
+        raster keeps its cell's bounds and corner differences there, a
+        cache that starts empty on each call.  The statements may use
+        ``exp``, ``sin`` and ``cos``, and assign no name the stepper uses
+        (``x``, ``y``, ``sx``, ``sy``, and its arguments, such as ``xs``, ``ys``, ``i``)."""
         raise NotImplementedError
 
 
@@ -159,7 +159,7 @@ s2 = sin(arg2)
 gx = m2_sigma1$ * d1 * s1 * s2 + omega1$ * cos(w1) * s2{second if z1 else ""}
 gy = m2_sigma2$ * d2 * s1 * s2{"" if z1 else second}
 """
-        return statements, "beta$ * (a * gx)", "beta$ * (a * gy)", constants
+        return statements, "a * gx", "a * gy", constants
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +181,7 @@ class SquaredDistance(Covariate):
 
     def _fragment(self) -> tuple[str, str, str, dict]:
         constants = {"cx$": self.center[0], "cy$": self.center[1]}
-        return "", "beta$ * (2.0 * (x - cx$))", "beta$ * (2.0 * (y - cy$))", constants
+        return "", "2.0 * (x - cx$)", "2.0 * (y - cy$)", constants
 
 
 _RASTER_STATEMENTS = """\
@@ -211,12 +211,15 @@ gy = ((1.0 - u) * dy0$ + u * dy1$) / h$
 """
 
 
+@dataclass(frozen=True, eq=False)
 class RasterCovariate(Covariate):
     """Bilinear interpolant of a gridded field, restricted to the grid hull."""
 
-    def __init__(self, raster: GridRaster):
-        self.raster = raster
-        self.extent = raster.extent
+    raster: GridRaster
+
+    @property
+    def extent(self) -> Extent:
+        return self.raster.extent
 
     def value(self, xy: np.ndarray) -> np.ndarray:
         return interpolate(self.raster, xy)
@@ -243,7 +246,7 @@ class RasterCovariate(Covariate):
             "iy_last$": g.n_y - 2, "rows$": self.raster.values.tolist(),
             "u_lo$": 1.0, "u_hi$": 0.0, "w_lo$": 1.0, "w_hi$": 0.0,
         }
-        return _RASTER_STATEMENTS, "beta$ * gx", "beta$ * gy", constants
+        return _RASTER_STATEMENTS, "gx", "gy", constants
 
 
 def rasterize(cov: Covariate, geometry: GridGeometry) -> GridRaster:

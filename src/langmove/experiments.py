@@ -19,7 +19,7 @@ results do not depend on scheduling or worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -62,8 +62,12 @@ PARAM_NAMES_S1 = ("beta1", "beta2", "beta3", "gamma2")
 
 
 def _stride(interval: float, fine_dt: float) -> int:
-    """Fine steps per ``interval``, which must be a positive multiple of ``fine_dt``."""
-    stride = round(interval / fine_dt)
+    """Fine steps per ``interval``, which must be a positive multiple of
+    ``fine_dt``, itself positive and finite."""
+    if not (0 < fine_dt < math.inf):
+        raise ValueError(f"fine_dt must be positive and finite, got {fine_dt}")
+    ratio = interval / fine_dt
+    stride = round(ratio) if abs(ratio) < math.inf else 0  # a NaN or infinite ratio is no multiple
     if stride < 1 or abs(stride * fine_dt - interval) > 1e-9 * interval:
         raise ValueError(f"interval {interval} is not a multiple of fine_dt {fine_dt}")
     return stride
@@ -117,6 +121,7 @@ class Scenario1Config:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.n_points < 2 or self.grid_n < 2:
             raise ValueError(f"n_points and grid_n must be >= 2, got {self.n_points} and {self.grid_n}")
+        _stride(self.thin_interval, self.fine_dt)
 
     @property
     def n_fine_steps(self) -> int:
@@ -222,13 +227,11 @@ def run_scenario1(cfg: Scenario1Config) -> Scenario1Result:
     grid's hull.  Replication failures are recorded, not fatal.
     """
     stride = _stride(cfg.thin_interval, cfg.fine_dt)
-    covs = scenario1_covariates(cfg.second_sine_axis)
-    model = RsfModel(covs, cfg.beta, cfg.gamma2)
+    model = scenario1_model(cfg)
     disc_covs = scenario1_discretized_covariates(cfg)
     grid_extent = disc_covs[0].extent
 
-    analytic = np.full((cfg.replications, 4), np.nan)
-    discretized = np.full((cfg.replications, 4), np.nan)
+    estimates = {mode: np.full((cfg.replications, 4), np.nan) for mode in ("analytic", "discretized")}
     failures: list[tuple[int, str, str]] = []
     tracks: list[Track] = []
     n_clamped = 0
@@ -239,18 +242,16 @@ def run_scenario1(cfg: Scenario1Config) -> Scenario1Result:
         n_clamped += sim.n_clamped
         thinned = _thinned(sim, thin_regular(sim.track, stride))
         tracks.append(thinned)
-        try:
-            res = fit(build_design([thinned], covs), alpha=cfg.alpha)
-            analytic[rep] = [*res.beta_hat, res.gamma2_hat]
-        except LangmoveError as err:
-            failures.append((rep, "analytic", str(err)))
-        try:
-            off_grid = ~grid_extent.contains_points(thinned.xy)[:-1]
-            res = fit(build_design([thinned], disc_covs, [off_grid]), alpha=cfg.alpha)
-            discretized[rep] = [*res.beta_hat, res.gamma2_hat]
-        except LangmoveError as err:
-            failures.append((rep, "discretized", str(err)))
-    return Scenario1Result(cfg, analytic, discretized, failures, n_clamped, tracks)
+        off_grid = ~grid_extent.contains_points(thinned.xy)[:-1]
+        for mode, covariates, bad in (
+            ("analytic", model.covariates, None), ("discretized", disc_covs, [off_grid])
+        ):
+            try:
+                res = fit(build_design([thinned], covariates, bad), alpha=cfg.alpha)
+                estimates[mode][rep] = [*res.beta_hat, res.gamma2_hat]
+            except LangmoveError as err:
+                failures.append((rep, mode, str(err)))
+    return Scenario1Result(cfg, estimates["analytic"], estimates["discretized"], failures, n_clamped, tracks)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +301,7 @@ class Scenario2Config:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
         if not self.levels:
             raise ValueError("levels must not be empty")
+        self.strides()
 
     def strides(self) -> list[int]:
         return [_stride(level, self.fine_dt) for level in self.levels]
@@ -470,7 +472,8 @@ class IrregularConfig:
 
     Thinning starts from the full fine tracks of the base configuration
     (whose ``levels`` determine the simulated length), so both schemes
-    subsample the same data.
+    subsample the same data.  Every mean interval must be a multiple of the
+    base's ``fine_dt``, so that the regular scheme thins at exactly it.
     """
 
     base: Scenario2Config = field(default_factory=Scenario2Config)
@@ -479,6 +482,8 @@ class IrregularConfig:
     def __post_init__(self):
         if not self.mean_intervals:
             raise ValueError("mean_intervals must not be empty")
+        for interval in self.mean_intervals:
+            _stride(interval, self.base.fine_dt)
 
 
 @dataclass
@@ -519,37 +524,30 @@ def run_irregular(
 ) -> IrregularResult:
     """Compare regular and random thinning on the same fine tracks.
 
-    Every mean interval must be a multiple of the fine step, so that the
-    regular scheme thins at exactly that interval, every thinned track
-    must keep ``n_points`` points, so that both schemes fit the same number
-    of increments, and given ``sims`` must fit the base config (see
-    :func:`_study_tracks`); otherwise ``ValueError`` is raised before any fit.
+    The regular scheme is :func:`run_scenario2` with the mean intervals as
+    levels, on the same sims.  Every thinned track must keep ``n_points``
+    points, so that both schemes fit the same number of increments, and
+    given ``sims`` must fit the base config (see :func:`_study_tracks`);
+    otherwise ``ValueError`` is raised before any fit.
     """
     s2 = cfg.base
-    strides = [_stride(interval, s2.fine_dt) for interval in cfg.mean_intervals]
     sims, covariates = _study_tracks(s2, sims)
-    schedules: dict[float, dict[str, list[np.ndarray]]] = {}
-    for k, (interval, stride) in enumerate(zip(cfg.mean_intervals, strides)):
-        schedules[interval] = {
-            "regular": [thin_regular(sim.track, stride, s2.n_points) for sim in sims],
-            "irregular": [
-                thin_irregular(sim.track, interval, derive_seed(s2.seed, 3, k, i), s2.n_points)
-                for i, sim in enumerate(sims)
-            ],
-        }
-        for scheme, keeps in schedules[interval].items():
-            _check_kept(keeps, s2.n_points, f"{scheme} thinning at mean interval {interval:g}")
-    fits: dict[str, dict[float, FitResult]] = {"regular": {}, "irregular": {}}
-    dropped: dict[float, dict[str, int]] = {interval: {} for interval in schedules}
+    schedules: dict[float, list[np.ndarray]] = {}
+    for k, interval in enumerate(cfg.mean_intervals):
+        schedules[interval] = [
+            thin_irregular(sim.track, interval, derive_seed(s2.seed, 3, k, i), s2.n_points)
+            for i, sim in enumerate(sims)
+        ]
+        _check_kept(schedules[interval], s2.n_points, f"irregular thinning at mean interval {interval:g}")
+    regular = run_scenario2(replace(s2, levels=cfg.mean_intervals), sims)
+    irregular: dict[float, FitResult] = {}
+    dropped: dict[float, dict[str, int]] = {}
     gap_stats: dict[float, tuple[float, float]] = {}
-    for interval, by_scheme in schedules.items():
-        for scheme, keeps in by_scheme.items():
-            res, dropped[interval][scheme] = _clamp_free_fit(sims, keeps, covariates, s2.alpha)
-            fits[scheme][interval] = res
-        keeps = by_scheme["irregular"]
+    for interval, keeps in schedules.items():
+        irregular[interval], n_dropped = _clamp_free_fit(sims, keeps, covariates, s2.alpha)
+        dropped[interval] = {"regular": regular.dropped_increments[interval], "irregular": n_dropped}
         gaps = np.concatenate([np.diff(sim.track.times[keep]) for sim, keep in zip(sims, keeps)])
         gap_stats[interval] = (float(gaps.mean()), float(gaps.std()))
-    n_clamp_events = sum(s.n_clamped for s in sims)
     return IrregularResult(
-        cfg, fits["regular"], fits["irregular"], gap_stats, len(sims), n_clamp_events, dropped
+        cfg, regular.fits, irregular, gap_stats, len(sims), regular.n_clamp_events, dropped
     )

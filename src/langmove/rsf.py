@@ -135,8 +135,9 @@ def _compile_drift(terms: Sequence[tuple[float, Covariate]]):
     loop on Python floats, generated from the fragments
     (``Covariate._fragment``) of the ``(beta, covariate)`` terms in order,
     with no inner calls.  It sums ``beta`` times each term's gradient as
-    :meth:`RsfModel.grad_log_pi` does: the first term starts the sums
-    ``sx, sy`` and the others are added.
+    :meth:`RsfModel.grad_log_pi` does: each term adds ``beta * (tx)``, the
+    gradient computed first, the first term starting the sums ``sx, sy``
+    and the others added.
 
     From index ``i`` of the noise lists ``xs, ys`` it steps to
     ``(x + half * sx + xs[i], y + half * sy + ys[i])``, writes the location
@@ -157,7 +158,7 @@ def _compile_drift(terms: Sequence[tuple[float, Covariate]]):
         statements, tx, ty, own = cov._fragment()
         statements, tx, ty = (part.replace("$", tag) for part in (statements, tx, ty))
         op = "=" if j == 0 else "+="
-        drift += [*statements.splitlines(), f"sx {op} {tx}", f"sy {op} {ty}"]
+        drift += [*statements.splitlines(), f"sx {op} beta{tag} * ({tx})", f"sy {op} beta{tag} * ({ty})"]
         constants.update({name.replace("$", tag): v for name, v in own.items()})
         constants["beta" + tag] = beta
     source = _SOURCE.format(

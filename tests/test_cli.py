@@ -1,6 +1,7 @@
 """Command-line surface: configs in, deterministic files out."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -534,13 +535,48 @@ class TestStudyCommands:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "command, key", [("irregular", "mean_intervals"), ("scenario2", "levels")]
+        "command, changes, message",
+        [
+            # 0.055 is 5.5 fine steps: no regular schedule thins at exactly that interval
+            pytest.param(
+                "irregular", {"mean_intervals": [0.055]}, "interval 0.055 is not a multiple of fine_dt 0.01$",
+                id="irregular-mean_intervals",
+            ),
+            pytest.param(
+                "scenario2", {"levels": [0.055]}, "interval 0.055 is not a multiple of fine_dt 0.01$",
+                id="scenario2-levels",
+            ),
+            # an interval that is not finite, and a fine step that is not positive and finite
+            pytest.param(
+                "irregular", {"mean_intervals": [math.nan]}, "interval nan is not a multiple of fine_dt 0.01$",
+                id="irregular-mean_intervals-nan",
+            ),
+            pytest.param(
+                "scenario2", {"levels": [0.05, math.inf]}, "interval inf is not a multiple of fine_dt 0.01$",
+                id="scenario2-levels-inf",
+            ),
+            pytest.param(
+                "scenario1", {"thin_interval": -math.inf}, "interval -inf is not a multiple of fine_dt 0.01$",
+                id="scenario1-thin_interval-minus-inf",
+            ),
+            pytest.param(
+                "scenario1", {"fine_dt": 0}, "fine_dt must be positive and finite, got 0$", id="scenario1-fine_dt-0"
+            ),
+            pytest.param(
+                "scenario2", {"fine_dt": math.inf}, "fine_dt must be positive and finite, got inf$",
+                id="scenario2-fine_dt-inf",
+            ),
+            pytest.param(
+                "irregular", {"fine_dt": -0.01}, "fine_dt must be positive and finite, got -0.01$",
+                id="irregular-fine_dt-negative",
+            ),
+        ],
     )
-    def test_interval_off_the_fine_grid_rejected(self, tmp_path, command, key):
-        # 0.055 is 5.5 fine steps: no regular schedule thins at exactly that interval
-        tiny = {"n_tracks": 2, "n_points": 20, "levels": [0.1], **TINY_RANDOM_FIELD, key: [0.055]}
-        cfg = write_json(tmp_path / "c.json", tiny)
-        with pytest.raises(ValueError, match="0.055 is not a multiple of fine_dt"):
+    def test_interval_off_the_fine_grid_rejected(self, tmp_path, monkeypatch, command, changes, message):
+        # the config is rejected when it is built, before the study simulates anything
+        stub_study(monkeypatch, command)
+        cfg = write_json(tmp_path / "c.json", TINY_STUDIES[command] | changes)
+        with pytest.raises(ValueError, match=message):
             main([command, "--config", cfg, "--out", str(tmp_path / "out")])
 
     def test_single_point_tracks_rejected(self, tmp_path):

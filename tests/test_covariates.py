@@ -131,15 +131,23 @@ class TestSquaredDistance:
             SquaredDistance(center)
 
 
-def test_analytic_covariates_are_frozen():
+def test_covariates_are_frozen():
     # a model compiles its drift from its covariates once: none may change under it
     center, wavelet = SquaredDistance(), AnalyticWavelet(**TABLE_PARAMS_1)
+    raster = GridRaster(GridGeometry(0, 0, 1.0, 9, 9), np.zeros((9, 9)))
+    other = GridRaster(GridGeometry(5, 5, 0.5, 9, 9), np.ones((9, 9)))
+    field = RasterCovariate(raster)
     with pytest.raises(FrozenInstanceError):
         center.center = (5.0, 5.0)
     with pytest.raises(FrozenInstanceError):
         wavelet.second_sine_axis = "z2"
+    with pytest.raises(FrozenInstanceError):
+        field.raster = other
+    # the domain is the raster's, read from it
+    assert field.extent == raster.extent
     # equality and hashing stay by identity
     assert center != SquaredDistance() and wavelet != AnalyticWavelet(**TABLE_PARAMS_1)
+    assert field != RasterCovariate(raster)
     assert len({center, SquaredDistance()}) == 2
 
 

@@ -1,5 +1,6 @@
 """Summaries of the study results."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -33,8 +34,15 @@ class TestConfigs:
             ({"n_points": 1}, "n_points and grid_n must be >= 2, got 1 and 8"),
             ({"grid_n": 1}, "n_points and grid_n must be >= 2, got 300 and 1"),
             ({"replications": 0}, "replications must be >= 1, got 0"),
+            ({"fine_dt": 0.0}, "fine_dt must be positive and finite, got 0.0"),
+            ({"fine_dt": math.nan}, "fine_dt must be positive and finite, got nan"),
+            ({"thin_interval": math.inf}, "interval inf is not a multiple of fine_dt 0.01"),
+            ({"thin_interval": math.nan}, "interval nan is not a multiple of fine_dt 0.01"),
         ],
-        ids=["n_points-got 1 and 8", "grid_n-got 300 and 1", "replications-got 0"],
+        ids=[
+            "n_points-got 1 and 8", "grid_n-got 300 and 1", "replications-got 0", "fine_dt-0", "fine_dt-nan",
+            "thin_interval-inf", "thin_interval-nan",
+        ],
     )
     def test_scenario1_rejects_degenerate_fields(self, changes, message):
         with pytest.raises(ValueError, match=message):
@@ -46,6 +54,11 @@ class TestConfigs:
             ({"n_points": 1}, "n_points must be >= 2, got 1"),
             ({"levels": ()}, "levels must not be empty"),
             ({"n_tracks": 0}, "n_tracks must be >= 1, got 0"),
+            ({"fine_dt": -0.01}, "fine_dt must be positive and finite, got -0.01"),
+            ({"fine_dt": math.inf}, "fine_dt must be positive and finite, got inf"),
+            ({"levels": (0.05, math.inf)}, "interval inf is not a multiple of fine_dt 0.01"),
+            ({"levels": (math.nan,)}, "interval nan is not a multiple of fine_dt 0.01"),
+            ({"levels": (0.055,)}, "interval 0.055 is not a multiple of fine_dt 0.01"),
         ],
     )
     def test_scenario2_rejects_degenerate_fields(self, changes, message):
@@ -53,6 +66,18 @@ class TestConfigs:
             Scenario2Config(**changes)
         with pytest.raises(ValueError, match=message):
             replace(TINY, **changes)
+
+    @pytest.mark.parametrize(
+        "mean_intervals, message",
+        [
+            ((0.05, math.inf), "interval inf is not a multiple of fine_dt 0.01"),
+            ((math.nan,), "interval nan is not a multiple of fine_dt 0.01"),
+            ((0.055,), "interval 0.055 is not a multiple of fine_dt 0.01"),
+        ],
+    )
+    def test_irregular_rejects_degenerate_intervals(self, mean_intervals, message):
+        with pytest.raises(ValueError, match=message):
+            IrregularConfig(TINY, mean_intervals)
 
 
 class TestScenario1Result:
@@ -155,6 +180,18 @@ class TestDroppedIncrements:
             full = CLAMPING.n_tracks * (CLAMPING.n_points - 1)
             assert result.fits[level].n == full - expected
         assert sum(result.dropped_increments.values()) > 0
+
+    def test_irregular_takes_its_regular_scheme_from_scenario2(self):
+        sims = scenario2_tracks(CLAMPING)
+        cfg = IrregularConfig(base=CLAMPING, mean_intervals=(0.05, 0.5))
+        result = run_irregular(cfg, sims)
+        regular = run_scenario2(replace(CLAMPING, levels=cfg.mean_intervals), sims)
+        for interval in cfg.mean_intervals:
+            got, expected = result.regular[interval], regular.fits[interval]
+            for name in ("beta_hat", "gamma2_hat", "n", "condition_number"):
+                assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(expected, name)).tobytes()
+            assert result.dropped_increments[interval]["regular"] == regular.dropped_increments[interval]
+        assert sum(regular.dropped_increments.values()) > 0
 
     def test_irregular(self):
         sims = scenario2_tracks(CLAMPING)
