@@ -49,6 +49,7 @@ from .experiments import (
     IrregularConfig,
     Scenario1Config,
     Scenario2Config,
+    distinct,
     run_irregular,
     run_scenario1,
     run_scenario2,
@@ -113,14 +114,6 @@ def _objects(specs, what: str) -> list:
     if not (isinstance(specs, list) and all(isinstance(spec, dict) for spec in specs)):
         raise ValueError(f"{what} must be a list of JSON objects, got {specs!r}")
     return specs
-
-
-def _distinct(items: list, what: str) -> list:
-    """``items`` itself, once checked to repeat none: each names an output file."""
-    repeated = sorted({str(v) for v in items if items.count(v) > 1})
-    if repeated:
-        raise ValueError(f"repeated {what}: {', '.join(repeated)}")
-    return items
 
 
 def _dataclass_kwargs(cls, cfg: dict, **extra: str) -> dict:
@@ -256,7 +249,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     model = _model_from_spec(cfg["model"], base_dir)
     sims = {
         seed: simulate(SimConfig(model, cfg["x0"], cfg["dt"], cfg["n_steps"], seed))
-        for seed in _distinct(cfg["seeds"], "seeds")
+        for seed in distinct(cfg["seeds"], "seeds")
     }
     _write_outputs(
         args.out,
@@ -317,7 +310,7 @@ def _cmd_gen_cov(args: argparse.Namespace) -> int:
     many = isinstance(cfg, dict) and "fields" in cfg
     specs = _objects(_known_keys(cfg, "gen-cov", {"fields": "list"})["fields"], "fields") if many else [cfg]
     field_specs = [_random_field_spec(spec) for spec in specs]  # each spec checked to be a JSON object first
-    names = _distinct([spec.get("name", f"cov{k + 1}") for k, spec in enumerate(specs)], "field names")
+    names = distinct([spec.get("name", f"cov{k + 1}") for k, spec in enumerate(specs)], "field names")
     for name in names:  # each names a file in --out
         if not name or Path(name).name != name:
             raise ValueError(f"field name must be a plain file name, got {name!r}")

@@ -34,7 +34,7 @@ from .covariates import (
     rasterize,
 )
 from .errors import LangmoveError
-from .inference import FitResult, build_design, fit
+from .inference import FitResult, build_design, check_alpha, fit
 from .langevin import SimConfig, SimResult, Track, simulate, thin_irregular, thin_regular
 from .raster import GridGeometry, GridRaster
 from .rsf import RsfModel
@@ -71,6 +71,15 @@ def _stride(interval: float, fine_dt: float) -> int:
     if stride < 1 or abs(stride * fine_dt - interval) > 1e-9 * interval:
         raise ValueError(f"interval {interval} is not a multiple of fine_dt {fine_dt}")
     return stride
+
+
+def distinct(items: Sequence, what: str) -> Sequence:
+    """``items`` itself, once checked to repeat none: each names an output
+    (a file, a table row or a manifest entry)."""
+    repeated = sorted({str(v) for v in items if items.count(v) > 1})
+    if repeated:
+        raise ValueError(f"repeated {what}: {', '.join(repeated)}")
+    return items
 
 
 def _thinned(sim: SimResult, keep: np.ndarray) -> Track:
@@ -122,6 +131,7 @@ class Scenario1Config:
         if self.n_points < 2 or self.grid_n < 2:
             raise ValueError(f"n_points and grid_n must be >= 2, got {self.n_points} and {self.grid_n}")
         _stride(self.thin_interval, self.fine_dt)
+        check_alpha(self.alpha)
 
     @property
     def n_fine_steps(self) -> int:
@@ -302,6 +312,8 @@ class Scenario2Config:
         if not self.levels:
             raise ValueError("levels must not be empty")
         self.strides()
+        distinct(self.levels, "levels")
+        check_alpha(self.alpha)
 
     def strides(self) -> list[int]:
         return [_stride(level, self.fine_dt) for level in self.levels]
@@ -484,6 +496,7 @@ class IrregularConfig:
             raise ValueError("mean_intervals must not be empty")
         for interval in self.mean_intervals:
             _stride(interval, self.base.fine_dt)
+        distinct(self.mean_intervals, "mean_intervals")
 
 
 @dataclass

@@ -54,10 +54,9 @@ __all__ = [
 ]
 
 
-#: Kept increments per group of :func:`build_design`: consecutive tracks share
-#: one domain check and one gradient call per covariate up to this many rows,
-#: and a longer track is a group of its own, so the working memory stays
-#: that of one long track.
+#: Kept increments per gradient call of :func:`build_design`: the kept starts
+#: of all the tracks are cut into chunks of this many rows, so the working
+#: memory of a gradient stays bounded for any track length.
 GROUP_ROWS = 4096
 
 
@@ -91,10 +90,10 @@ def build_design(
     conditioned on its own start, so dropping an increment is the same as
     cutting the track there.  Gradients are evaluated at the kept starts
     only, so any other location may lie outside gridded covariate domains.
-    Consecutive tracks are pooled into groups of at most ``GROUP_ROWS``
-    kept increments, or one longer track, with one domain check and one
-    array call per covariate each; every row is computed on its own, so the
-    grouping does not change a bit of the design.
+    Each track fills its rows in place; one domain check runs over all the
+    kept starts, each covariate's gradient is taken in ``GROUP_ROWS``-row
+    chunks, and one finiteness check follows; every row is computed on its
+    own, so the chunking does not change a bit of the design.
 
     Raises
     ------
@@ -130,58 +129,38 @@ def build_design(
     J = len(covariates)
     domain = functools.reduce(Extent.intersect, (c.extent for c in covariates))
 
-    # each group fills its rows of the x block [0, n) and of the y block [n, 2n)
-    y, d, t_delta = np.empty(2 * n), np.empty((2 * n, J)), np.empty(2 * n)
-    lo = 0
-    for group in _groups(kept):
-        rows = sum(len(kept[k]) for k in group)
-        x_rows = slice(lo, lo + rows)
-        y_rows = slice(n + lo, n + lo + rows)
-        lo += rows
-        starts = _stack([tracks[k].xy[kept[k]] for k in group])
-        outside = ~domain.contains_points(starts)
-        if outside.any():
-            k, loc = _track_location(kept, group, int(np.argmax(outside)))
-            raise OutOfDomainError(*tracks[k].xy[loc], f"track {k}: track location {loc}")
-        sqrt_d = np.sqrt(_stack([tracks[k].intervals[kept[k]] for k in group]))
-        steps = _stack([np.diff(tracks[k].xy, axis=0)[kept[k]] for k in group])
-        t_delta[x_rows] = t_delta[y_rows] = sqrt_d
-        y[x_rows], y[y_rows] = (steps / sqrt_d[:, None]).T
+    # each track fills its rows of the x block [0, n) and of the y block [n, 2n)
+    y, t_delta, starts = np.empty(2 * n), np.empty(2 * n), np.empty((n, 2))
+    hi = 0
+    for track, keep in zip(tracks, kept):
+        lo, hi = hi, hi + len(keep)
+        starts[lo:hi] = track.xy[keep]
+        sqrt_d = np.sqrt(track.intervals[keep])
+        t_delta[lo:hi] = t_delta[n + lo : n + hi] = sqrt_d
+        y[lo:hi], y[n + lo : n + hi] = (np.diff(track.xy, axis=0)[keep] / sqrt_d[:, None]).T
+    outside = ~domain.contains_points(starts)
+    if outside.any():
+        k, loc = _track_location(kept, int(np.argmax(outside)))
+        raise OutOfDomainError(*tracks[k].xy[loc], f"track {k}: track location {loc}")
+    d = np.empty((2 * n, J))
+    for lo in range(0, n, GROUP_ROWS):
+        hi = min(lo + GROUP_ROWS, n)
         for j, cov in enumerate(covariates):
-            d[x_rows, j], d[y_rows, j] = 0.5 * cov.gradient(starts).T
-        finite = np.isfinite(d[x_rows]).all(axis=1) & np.isfinite(d[y_rows]).all(axis=1)
-        if not finite.all():
-            k, loc = _track_location(kept, group, int(np.argmin(finite)))
-            raise NonFiniteError(f"non-finite covariate gradient at track {k}: track location {loc}")
+            d[lo:hi, j], d[n + lo : n + hi, j] = 0.5 * cov.gradient(starts[lo:hi]).T
+    finite = np.isfinite(d[:n]).all(axis=1) & np.isfinite(d[n:]).all(axis=1)
+    if not finite.all():
+        k, loc = _track_location(kept, int(np.argmin(finite)))
+        raise NonFiniteError(f"non-finite covariate gradient at track {k}: track location {loc}")
     return DesignMatrices(y=y, d=d, t_delta=t_delta, n=n, J=J)
 
 
-def _track_location(kept: Sequence[np.ndarray], group: range, i: int) -> tuple[int, int]:
-    """The track ``k`` of row ``i`` of ``group``'s rows, and its location."""
-    for k in group:
+def _track_location(kept: Sequence[np.ndarray], i: int) -> tuple[int, int]:
+    """The track ``k`` of kept row ``i``, and its location."""
+    for k in range(len(kept)):
         if i < len(kept[k]):
             break
         i -= len(kept[k])
     return k, int(kept[k][i])
-
-
-def _groups(kept: Sequence[np.ndarray]) -> list[range]:
-    """Consecutive track indices in groups of at most ``GROUP_ROWS`` kept
-    rows, or of one track with more."""
-    groups: list[range] = []
-    first = rows = 0
-    for k, keep in enumerate(kept):
-        if k > first and rows + len(keep) > GROUP_ROWS:
-            groups.append(range(first, k))
-            first, rows = k, 0
-        rows += len(keep)
-    groups.append(range(first, len(kept)))
-    return groups
-
-
-def _stack(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts end to end, without a copy of a lone part."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,6 +224,12 @@ class FitResult:
         return "\n".join(lines)
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ``ValueError`` unless ``alpha`` is in (0, 0.5)."""
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
+
+
 def fit(design: DesignMatrices, alpha: float = 0.05) -> FitResult:
     """Closed-form estimates from assembled design matrices.
 
@@ -278,8 +263,7 @@ def fit(design: DesignMatrices, alpha: float = 0.05) -> FitResult:
     DegenerateFitError
         If the residual variance is (numerically) zero; carries ``nu_hat``.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
+    check_alpha(alpha)
     n, J = design.n, design.J
     m = 2 * n - J
     if m <= 0:

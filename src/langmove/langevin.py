@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonFiniteError, NonIncreasingTimesError, OutOfDomainError
-from .raster import two_floats
+from .raster import one_int, two_floats
 from .rsf import RsfModel
 from .seeding import derive_rng
 
@@ -198,7 +198,7 @@ def simulate(cfg: SimConfig) -> SimResult:
 
 
 def _check_cap(n_points: int | None) -> None:
-    if n_points is not None and n_points < 1:
+    if n_points is not None and one_int(n_points, "n_points") < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
 
 
@@ -208,7 +208,7 @@ def thin_regular(track: Track, stride: int, n_points: int | None = None) -> np.n
 
     The thinned track is ``Track(track.times[keep], track.xy[keep])``.
     """
-    if stride < 1:
+    if one_int(stride, "stride") < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     _check_cap(n_points)
     stop = len(track) if n_points is None else min(len(track), n_points * stride)

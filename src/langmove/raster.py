@@ -103,6 +103,14 @@ def two_floats(value, name: str) -> tuple[float, float]:
     return float(x), float(y)
 
 
+def one_int(value, name: str) -> int:
+    """``value``, an integer (a numpy one included, a ``bool`` not), as an
+    ``int``; anything else raises ``ValueError`` naming ``name``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 #: The domain of a field defined everywhere: every finite point, no infinite or NaN one.
 PLANE = Extent(-sys.float_info.max, sys.float_info.max, -sys.float_info.max, sys.float_info.max)
 
@@ -133,8 +141,8 @@ class GridGeometry:
         object.__setattr__(self, "x_min", x_min)
         object.__setattr__(self, "y_min", y_min)
         object.__setattr__(self, "cell_size", float(self.cell_size))
-        object.__setattr__(self, "n_x", int(self.n_x))
-        object.__setattr__(self, "n_y", int(self.n_y))
+        object.__setattr__(self, "n_x", one_int(self.n_x, "n_x"))
+        object.__setattr__(self, "n_y", one_int(self.n_y, "n_y"))
         if not (self.cell_size > 0 and math.isfinite(self.cell_size)):
             raise ValueError(f"cell_size must be positive, got {self.cell_size}")
         if self.n_x < 2 or self.n_y < 2:

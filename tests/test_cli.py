@@ -579,6 +579,30 @@ class TestStudyCommands:
         with pytest.raises(ValueError, match=message):
             main([command, "--config", cfg, "--out", str(tmp_path / "out")])
 
+    @pytest.mark.parametrize(
+        "command, changes, message",
+        [
+            ("scenario2", {"levels": [0.05, 0.05]}, "repeated levels: 0.05$"),
+            ("irregular", {"mean_intervals": [0.1, 0.1]}, "repeated mean_intervals: 0.1$"),
+        ],
+    )
+    def test_repeated_interval_rejected(self, tmp_path, monkeypatch, command, changes, message):
+        # rejected when the config is built: the study would have written
+        # each repeated row twice
+        stub_study(monkeypatch, command)
+        cfg = write_json(tmp_path / "c.json", TINY_STUDIES[command] | changes)
+        with pytest.raises(ValueError, match=message):
+            main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["scenario1", "scenario2", "irregular"])
+    def test_alpha_rejected_before_the_study(self, tmp_path, monkeypatch, command):
+        stub_study(monkeypatch, command)
+        cfg = write_json(tmp_path / "c.json", TINY_STUDIES[command])
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 0.5\), got 0.7$"):
+            main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--alpha", "0.7"])
+        assert not (tmp_path / "out").exists()
+
     def test_single_point_tracks_rejected(self, tmp_path):
         cfg = write_json(tmp_path / "s1.json", TINY_STUDIES["scenario1"] | {"n_points": 1})
         with pytest.raises(ValueError, match="n_points and grid_n must be >= 2, got 1 and 8"):

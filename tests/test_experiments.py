@@ -79,6 +79,23 @@ class TestConfigs:
         with pytest.raises(ValueError, match=message):
             IrregularConfig(TINY, mean_intervals)
 
+    def test_repeated_intervals_rejected(self):
+        # a repeated level or mean interval would give two identical table
+        # rows but one manifest entry
+        with pytest.raises(ValueError, match=r"^repeated levels: 0.05$"):
+            replace(TINY, levels=(0.05, 0.1, 0.05))
+        with pytest.raises(ValueError, match=r"^repeated mean_intervals: 0.1$"):
+            IrregularConfig(TINY, (0.1, 0.05, 0.1))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, -0.1, math.nan])
+    def test_alpha_outside_the_open_interval_rejected(self, alpha):
+        # the rule fit applies, checked before any track is simulated
+        message = rf"^alpha must be in \(0, 0.5\), got {alpha}$"
+        with pytest.raises(ValueError, match=message):
+            Scenario1Config(alpha=alpha)
+        with pytest.raises(ValueError, match=message):
+            replace(TINY, alpha=alpha)
+
 
 class TestScenario1Result:
     @pytest.mark.parametrize("mode", ["discretised", "Analytic", ""])

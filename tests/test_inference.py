@@ -410,9 +410,9 @@ def stacked_per_track(tracks, covariates, bad):
 
 
 class TestGroupedDesign:
-    """Consecutive tracks share a domain check and one gradient call per
-    covariate up to ``GROUP_ROWS`` kept rows; the design is that of the
-    tracks one at a time, byte for byte."""
+    """The kept starts of all the tracks are cut into ``GROUP_ROWS``-row
+    chunks, one gradient call per covariate each, after one domain check;
+    the design is that of the tracks one at a time, byte for byte."""
 
     def covariates(self):
         geom = GridGeometry(-10, -10, 0.5, 41, 41)
@@ -420,21 +420,22 @@ class TestGroupedDesign:
         return [CountingCovariate(raster), CountingCovariate(SquaredDistance((1.0, -2.0)))]
 
     @pytest.mark.parametrize(
-        "kept_rows, groups",
+        "kept_rows, calls",
         [
-            # short and long tracks; the long one is a group of its own
-            (
-                [40, 300, GROUP_ROWS + 900, 7, 250, 0, 120],
-                [[40, 300], [GROUP_ROWS + 900], [7, 250, 0, 120]],
-            ),
-            # a group that ends exactly at the constant
-            ([GROUP_ROWS // 2, GROUP_ROWS // 2, 1], [[GROUP_ROWS // 2, GROUP_ROWS // 2], [1]]),
-            ([GROUP_ROWS - 1, 1, 1], [[GROUP_ROWS - 1, 1], [1]]),
-            ([GROUP_ROWS, GROUP_ROWS + 1, 3], [[GROUP_ROWS], [GROUP_ROWS + 1], [3]]),
+            # short and long tracks, 5,713 rows: the first cut is inside the long track
+            ([40, 300, GROUP_ROWS + 900, 7, 250, 0, 120], [GROUP_ROWS, 1617]),
+            # two cuts inside one track
+            ([3, 2 * GROUP_ROWS + 5, 10], [GROUP_ROWS, GROUP_ROWS, 18]),
+            # a cut that falls exactly on a track boundary
+            ([GROUP_ROWS // 2, GROUP_ROWS // 2, 1], [GROUP_ROWS, 1]),
+            ([GROUP_ROWS - 1, 1, 1], [GROUP_ROWS, 1]),
+            ([GROUP_ROWS, GROUP_ROWS + 1, 3], [GROUP_ROWS, GROUP_ROWS, 4]),
+            # fewer rows than the constant: one call
+            ([5, 0, 7], [12]),
         ],
-        ids=["mixed", "two-halves", "one-short", "at-and-over"],
+        ids=["mixed", "inside-a-track", "two-halves", "one-short", "at-and-over", "one-call"],
     )
-    def test_matches_the_per_track_designs(self, kept_rows, groups):
+    def test_matches_the_per_track_designs(self, kept_rows, calls):
         rng = np.random.default_rng(len(kept_rows) + kept_rows[0])
         tracks, bad = [], []
         for rows in kept_rows:
@@ -448,7 +449,7 @@ class TestGroupedDesign:
         covs = self.covariates()
         des = build_design(tracks, covs, bad)
         for cov in covs:
-            assert cov.calls == [sum(g) for g in groups]
+            assert cov.calls == calls and max(cov.calls) <= GROUP_ROWS
         ref = stacked_per_track(tracks, covs, bad)
         assert des.n == sum(kept_rows)
         for got, want in zip((des.y, des.d, des.t_delta), ref):
@@ -460,8 +461,11 @@ class TestGroupedDesign:
         ids=["second-of-a-pooled-group", "third-of-a-pooled-group", "long-track", "later-group"],
     )
     def test_out_of_domain_names_track_and_location(self, track, location):
-        # groups [0, 1, 2], [3], [4, 5]; the first three increments of every
-        # track are flagged, and a flagged start outside the domain is ignored
+        # the first chunk pools tracks 0-2 and the start of 3, the second
+        # the end of 3 (with location GROUP_ROWS - 2) and the start of 4,
+        # the third the end of 4 and track 5; the first three increments of
+        # every track are flagged, and a flagged start outside the domain
+        # is ignored
         rng = np.random.default_rng(31)
         lengths = [30, 20, 40, GROUP_ROWS + 10, GROUP_ROWS - 60, 25]
         tracks = [walk(rng, n) for n in lengths]
@@ -471,12 +475,29 @@ class TestGroupedDesign:
         xy[track][location] = (0.0, -30.0)
         xy[track][location + 1] = (40.0, 40.0)  # a second bad start: the first is named
         tracks = [Track(t.times, p) for t, p in zip(tracks, xy)]
+        covs = self.covariates()
         with pytest.raises(OutOfDomainError) as err:
-            build_design(tracks, self.covariates(), bad)
+            build_design(tracks, covs, bad)
         assert str(err.value) == (
             f"point (0.0, -30.0) is outside the interpolation domain "
             f"(track {track}: track location {location})"
         )
+        assert all(cov.calls == [] for cov in covs)  # no gradient was taken
+
+    def test_out_of_domain_comes_before_a_non_finite_gradient(self):
+        # the gradient is infinite for x in [2, 5) (as in TestBuildDesign);
+        # track 0 starts there in the first chunk, track 1 leaves the domain
+        # in the second
+        geom = GridGeometry(0.0, 0.0, 1.0, 5, 5)
+        cov = CountingCovariate(
+            RasterCovariate(GridRaster(geom, np.tile([1.0, 2.0, 1e308, -1e308, 1e308], (5, 1))))
+        )
+        n = GROUP_ROWS + 2
+        track0 = Track(np.arange(n), np.tile([2.5, 0.5], (n, 1)))
+        track1 = Track([0.0, 1.0, 2.0], [[0.5, 0.5], [9.0, 9.0], [0.5, 0.5]])
+        with pytest.raises(OutOfDomainError, match=r"\(track 1: track location 1\)$"):
+            build_design([track0, track1], [cov])
+        assert cov.calls == []
 
 
 class TestMetamorphic:

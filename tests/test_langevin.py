@@ -445,6 +445,27 @@ class TestThinRegular:
         with pytest.raises(ValueError, match="n_points must be >= 1"):
             thin_regular(track, 1, n_points=0)
 
+    @pytest.mark.parametrize("stride", [2.5, 2.0, "2", True, None])
+    def test_stride_must_be_an_integer(self, stride):
+        # a fractional stride used to return float "indices"
+        track = Track(np.arange(10) * 0.01, np.zeros((10, 2)))
+        with pytest.raises(ValueError, match=r"^stride must be an integer, got "):
+            thin_regular(track, stride)
+
+    @pytest.mark.parametrize("n_points", [2.5, 3.0, True])
+    def test_cap_must_be_an_integer(self, n_points):
+        # thin_regular(track, 2, 2.5) returned [0., 2., 4.]; thin_irregular
+        # failed in numpy with an untyped TypeError
+        track = Track(np.arange(10) * 0.01, np.zeros((10, 2)))
+        with pytest.raises(ValueError, match=r"^n_points must be an integer, got "):
+            thin_regular(track, 2, n_points)
+        with pytest.raises(ValueError, match=r"^n_points must be an integer, got "):
+            thin_irregular(track, 0.02, 1, n_points)
+
+    def test_numpy_integer_stride_accepted(self):
+        track = Track(np.arange(10) * 0.01, np.zeros((10, 2)))
+        np.testing.assert_array_equal(thin_regular(track, np.int64(4)), [0, 4, 8])
+
     def test_indices_are_the_capped_arange(self):
         for n in (1, 2, 99, 100, 101, 1000):
             track = Track(np.arange(n) * 0.01, np.zeros((n, 2)))

@@ -13,6 +13,7 @@ from langmove import (
     Extent,
     GridGeometry,
     GridRaster,
+    RandomFieldSpec,
     interpolate,
     interpolate_gradient,
     read_ascii_grid,
@@ -355,6 +356,21 @@ class TestValidation:
         for origin in [(math.nan, 0), (0, math.inf)]:
             with pytest.raises(ValueError, match="grid origin must be finite"):
                 GridGeometry(*origin, 1.0, 3, 3)
+
+    @pytest.mark.parametrize(
+        "n_x, n_y, name",
+        [(9.7, 3, "n_x"), ("9", 3, "n_x"), (3, 3.0, "n_y"), (True, 3, "n_x"), (3, None, "n_y")],
+    )
+    def test_counts_must_be_integers(self, n_x, n_y, name):
+        # a float count used to be truncated: 9.7 columns built 9
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            GridGeometry(0, 0, 1, n_x, n_y)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            RandomFieldSpec(0, 0, 1, n_x, n_y, 2, 1)
+
+    def test_numpy_integer_counts_accepted(self):
+        geom = GridGeometry(0, 0, 1, np.int64(4), np.int32(3))
+        assert (geom.n_x, geom.n_y) == (4, 3) and type(geom.n_x) is int
 
     def test_values_must_be_finite(self):
         with pytest.raises(NonFiniteError):
