@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateFieldError
 from .raster import PLANE, Extent, GridGeometry, GridRaster, interpolate, interpolate_gradient, two_floats
-from .seeding import derive_rng
+from .seeding import check_seed, derive_rng
 
 __all__ = [
     "Covariate",
@@ -275,6 +275,7 @@ class RandomFieldSpec:
     def __post_init__(self):
         if not (self.rho > 0 and math.isfinite(self.rho)):
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        check_seed(self.seed)
         GridGeometry(self.x_min, self.y_min, self.cell_size, self.n_x, self.n_y)
 
     @property

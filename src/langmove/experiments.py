@@ -36,9 +36,9 @@ from .covariates import (
 from .errors import LangmoveError
 from .inference import FitResult, build_design, check_alpha, fit
 from .langevin import SimConfig, SimResult, Track, simulate, thin_irregular, thin_regular
-from .raster import GridGeometry, GridRaster
+from .raster import GridGeometry, GridRaster, one_int
 from .rsf import RsfModel
-from .seeding import derive_rng, derive_seed
+from .seeding import check_seed, derive_rng, derive_seed
 
 __all__ = [
     "Scenario1Config",
@@ -126,11 +126,12 @@ class Scenario1Config:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.replications < 1:
+        if one_int(self.replications, "replications") < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if self.n_points < 2 or self.grid_n < 2:
+        if one_int(self.n_points, "n_points") < 2 or one_int(self.grid_n, "grid_n") < 2:
             raise ValueError(f"n_points and grid_n must be >= 2, got {self.n_points} and {self.grid_n}")
         _stride(self.thin_interval, self.fine_dt)
+        check_seed(self.seed)
         check_alpha(self.alpha)
 
     @property
@@ -279,13 +280,14 @@ class Scenario2Config:
     coarsest level by construction.
 
     Start points are uniform over the grid shrunk by ``start_margin`` on
-    every side: spreading tracks widens the sampled covariate range (the
-    driver of coefficient precision) while keeping early boundary contact
-    rare.  Boundary clamps still happen on long tracks; the affected
-    thinned increments are dropped from the fits (the ``bad`` masks of
-    :func:`~langmove.inference.build_design`) rather than
-    refusing whole tracks, which at this scale would discard most of the
-    data for a handful of clamped steps.
+    every side (at most half the grid's span, which leaves the centre):
+    spreading tracks widens the sampled covariate range (the driver of
+    coefficient precision) while keeping early boundary contact rare.
+    Boundary clamps still happen on long tracks; the affected thinned
+    increments are dropped from the fits (the ``bad`` masks of
+    :func:`~langmove.inference.build_design`) rather than refusing whole
+    tracks, which at this scale would discard most of the data for a
+    handful of clamped steps.
     """
 
     n_tracks: int = 50
@@ -305,14 +307,21 @@ class Scenario2Config:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.n_tracks < 1:
+        if one_int(self.n_tracks, "n_tracks") < 1:
             raise ValueError(f"n_tracks must be >= 1, got {self.n_tracks}")
-        if self.n_points < 2:
+        if one_int(self.n_points, "n_points") < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        ext = GridGeometry(
+            self.grid_x_min, self.grid_y_min, self.grid_cell_size, self.grid_n_x, self.grid_n_y
+        ).extent
+        m = self.start_margin  # scenario2_tracks draws from [x_lo + m, x_hi - m] x [y_lo + m, y_hi - m]
+        if not (0 <= m and ext.x_lo + m <= ext.x_hi - m and ext.y_lo + m <= ext.y_hi - m):  # NaN, inf fail
+            raise ValueError(f"start_margin must be in [0, half the grid's span], got {m}")
         if not self.levels:
             raise ValueError("levels must not be empty")
         self.strides()
         distinct(self.levels, "levels")
+        check_seed(self.seed)
         check_alpha(self.alpha)
 
     def strides(self) -> list[int]:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NonFiniteError, NonIncreasingTimesError, OutOfDomainError
 from .raster import one_int, two_floats
 from .rsf import RsfModel
-from .seeding import derive_rng
+from .seeding import check_seed, derive_rng
 
 __all__ = [
     "Track",
@@ -101,8 +101,9 @@ class SimConfig:
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 1:
+        if one_int(self.n_steps, "n_steps") < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        check_seed(self.seed)
         object.__setattr__(self, "x0", two_floats(self.x0, "x0"))
 
 
@@ -120,8 +121,8 @@ class SimResult:
         return len(self.clamped)
 
 
-#: Rows turned into Python floats at a time, by simulate and write_track_csv: enough
-#: to amortize the conversion, few enough that memory does not grow with the track.
+#: Rows turned into Python floats at a time by write_track_csv: enough to amortize
+#: the conversion, few enough that memory does not grow with the track.
 BLOCK_ROWS = 256
 
 
@@ -137,15 +138,16 @@ def simulate(cfg: SimConfig) -> SimResult:
     proposal is projected onto the domain boundary and its step index is
     recorded in ``SimResult.clamped``.
 
-    The steps run on Python floats in the model's Euler stepper
-    (:attr:`RsfModel.euler_steps`, generated with the drift inline once per
-    model), one call per ``BLOCK_ROWS`` noise rows, which it overwrites with
-    the locations; the noise is scaled by ``sqrt(gamma2 * dt)`` in numpy
-    first (the same product per element).  At a proposal outside the domain
-    the stepper returns; this function clamps it (or raises) into its slot
-    and resumes at the next.  So the drift sees only points inside the
-    domain, and the stepper skips the rasters' domain checks.  The result
-    equals stepping with ``grad_log_pi`` bit for bit.
+    The noise is drawn into rows ``1..`` of the returned location array and
+    scaled there by ``sqrt(gamma2 * dt)`` (the same product per element).
+    The model's Euler stepper (:attr:`RsfModel.euler_steps`, generated with
+    the drift inline once per model) then steps on Python floats through
+    memoryviews of that array's x and y columns, writing each location over
+    its noise.  At a proposal outside the domain the stepper returns; this
+    function clamps it (or raises) into its slot and resumes at the next.
+    So the drift sees only points inside the domain, and the stepper skips
+    the rasters' domain checks.  The result equals stepping with
+    ``grad_log_pi`` bit for bit.
 
     Clamped locations do not follow the model; the studies in
     ``experiments`` drop the increments they affect from their fits (the
@@ -167,33 +169,27 @@ def simulate(cfg: SimConfig) -> SimResult:
         raise OutOfDomainError(x, y, "start point")
     x_lo, x_hi, y_lo, y_hi = dom.x_lo, dom.x_hi, dom.y_lo, dom.y_hi
 
-    rng = derive_rng(cfg.seed)
-    noise = rng.standard_normal((cfg.n_steps, 2))
-    noise *= math.sqrt(model.gamma2 * cfg.dt)  # the product each step would round
-    half = 0.5 * model.gamma2 * cfg.dt
-    steps = model.euler_steps
-
     pts = np.empty((cfg.n_steps + 1, 2))
     pts[0] = x, y
-    cols = pts[1:].T  # the x and y columns of the locations after the start
+    derive_rng(cfg.seed).standard_normal(out=pts[1:])  # the noise, overwritten by the locations
+    pts[1:] *= math.sqrt(model.gamma2 * cfg.dt)  # the product each step would round
+    half = 0.5 * model.gamma2 * cfg.dt
+    steps = model.euler_steps
     clamped: list[int] = []
-    for k0 in range(0, cfg.n_steps, BLOCK_ROWS):
-        xs, ys = noise[k0 : k0 + BLOCK_ROWS].T.tolist()  # the stepper overwrites them
+    with memoryview(pts[1:, 0]) as xs, memoryview(pts[1:, 1]) as ys:
         x, y, i = steps(x, y, xs, ys, 0, half, x_lo, x_hi, y_lo, y_hi)
-        while i < len(xs):  # proposal i left the domain
-            k = k0 + i + 1
+        while i < cfg.n_steps:  # proposal i left the domain
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise NonFiniteError(
-                    f"location {k} of the track is non-finite ({x}, {y}): "
+                    f"location {i + 1} of the track is non-finite ({x}, {y}): "
                     f"the drift diverges at dt={cfg.dt}"
                 )
             x, y = dom.clamp(x, y)
-            clamped.append(k)
+            clamped.append(i + 1)
             xs[i], ys[i] = x, y
             x, y, i = steps(x, y, xs, ys, i + 1, half, x_lo, x_hi, y_lo, y_hi)
-        cols[:, k0 : k0 + len(xs)] = xs, ys
-    del noise  # the peak stays at two (n, 2) arrays while the timestamps are made
-    times = np.arange(cfg.n_steps + 1, dtype=float) * cfg.dt
+    times = np.arange(cfg.n_steps + 1, dtype=float)
+    times *= cfg.dt
     return SimResult(Track(times, pts), tuple(clamped), cfg)
 
 
@@ -234,6 +230,7 @@ def thin_irregular(
     Requires a regular input spacing ``dt`` (:attr:`Track.regular_interval`)
     with ``mean_interval >= dt``.
     """
+    check_seed(seed)
     _check_cap(n_points)
     n = len(track)
     if n < 2:

@@ -6,7 +6,7 @@ array of points and return an ``(n,)`` and an ``(n, 2)`` array.  The
 model's domain is the intersection of its covariates' extents.  From the
 covariates' source fragments, each model generates one function once, on
 Python floats: :attr:`RsfModel.euler_steps`, the simulator's Euler loop
-over a block of noise with the gradient inline.  The array gradient and
+over the x and y noise with the gradient inline.  The array gradient and
 the stepper sum the drift terms by one rule, the first term starting the
 sum and the others added in order, so each step is ``x + half *
 grad_log_pi(x) + noise`` bit for bit.  The normalizing constant over the
@@ -93,9 +93,9 @@ class RsfModel:
     def euler_steps(self):
         """``steps(x, y, xs, ys, i, half, x_lo, x_hi, y_lo, y_hi) -> (x, y, i)``:
         the Euler loop of :func:`~langmove.langevin.simulate` with the drift
-        inline, writing the locations over the noise lists up to the first
-        proposal outside the box (see :func:`_compile_drift`); built on first
-        use, once per model."""
+        inline, writing the locations over the noise sequences up to the
+        first proposal outside the box (see :func:`_compile_drift`); built on
+        first use, once per model."""
         return _compile_drift(self._drift)
 
     def domain(self) -> Extent:
@@ -139,12 +139,14 @@ def _compile_drift(terms: Sequence[tuple[float, Covariate]]):
     gradient computed first, the first term starting the sums ``sx, sy``
     and the others added.
 
-    From index ``i`` of the noise lists ``xs, ys`` it steps to
+    From index ``i`` of the noise sequences ``xs, ys`` it steps to
     ``(x + half * sx + xs[i], y + half * sy + ys[i])``, writes the location
     into slot ``i``, and returns ``(x, y, i)`` at the first proposal outside
     the box, its slot left as noise, or else the last point and
     ``len(xs)``.  It checks no term's domain, so the caller passes a box
-    inside every term's domain and a start point in the box.
+    inside every term's domain and a start point in the box.  It indexes
+    whatever writable float sequences it is given: memoryviews of the
+    location array's columns in ``simulate``, lists in the tests.
 
     Each term's constants (and its ``beta``) are tagged with its position
     and passed as one tuple to a generated ``make``, whose stepper unpacks

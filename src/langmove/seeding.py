@@ -27,7 +27,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .raster import one_int
+
 __all__ = ["derive_rng", "derive_seed"]
+
+
+def check_seed(seed) -> None:
+    """Raise ``ValueError`` naming ``seed`` unless it is a non-negative
+    integer (numpy's included, a ``bool`` not), the seeds ``SeedSequence``
+    takes.  The configs that hold a seed check it when they are built, and
+    ``thin_irregular`` when it is called."""
+    if one_int(seed, "seed") < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:

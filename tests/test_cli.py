@@ -177,6 +177,15 @@ class TestSimulateCommand:
             main(["simulate", "--config", cfg, "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds, flags", [([3, -4], []), ([3], ["--seed", "-1"])])
+    def test_negative_seed_rejected(self, tmp_path, seeds, flags):
+        # numpy's SeedSequence rejected it with a traceback naming no setting
+        out = tmp_path / "out"
+        cfg = write_json(tmp_path / "sim.json", SIM_CONFIG | {"seeds": seeds})
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -\d$"):
+            main(["simulate", "--config", cfg, "--out", str(out), *flags])
+        assert not out.exists()
+
     def test_seed_override(self, tmp_path, analytic_sim_config):
         out = tmp_path / "out"
         main(["simulate", "--config", analytic_sim_config, "--out", str(out), "--seed", "9"])
@@ -601,6 +610,14 @@ class TestStudyCommands:
         cfg = write_json(tmp_path / "c.json", TINY_STUDIES[command])
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 0.5\), got 0.7$"):
             main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--alpha", "0.7"])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", list(TINY_STUDIES))
+    def test_negative_seed_rejected_before_the_study(self, tmp_path, monkeypatch, command):
+        stub_study(monkeypatch, command)
+        cfg = write_json(tmp_path / "c.json", TINY_STUDIES[command])
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "-1"])
         assert not (tmp_path / "out").exists()
 
     def test_single_point_tracks_rejected(self, tmp_path):

@@ -366,6 +366,13 @@ class TestRandomField:
         with pytest.raises(ValueError, match="rho must be positive and finite"):
             RandomFieldSpec(x_min=0, y_min=0, cell_size=1.0, n_x=10, n_y=10, rho=rho, seed=1)
 
+    @pytest.mark.parametrize(
+        "seed, message", [(-1, "seed must be >= 0, got -1"), (2.5, "seed must be an integer, got 2.5")]
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RandomFieldSpec(x_min=0, y_min=0, cell_size=1.0, n_x=10, n_y=10, rho=2.0, seed=seed)
+
     def test_degenerate_field_rejected(self):
         # a window covering the whole grid averages every cell identically
         spec = RandomFieldSpec(x_min=0, y_min=0, cell_size=1.0, n_x=2, n_y=2, rho=10.0, seed=8)

@@ -38,10 +38,18 @@ class TestConfigs:
             ({"fine_dt": math.nan}, "fine_dt must be positive and finite, got nan"),
             ({"thin_interval": math.inf}, "interval inf is not a multiple of fine_dt 0.01"),
             ({"thin_interval": math.nan}, "interval nan is not a multiple of fine_dt 0.01"),
+            # a float count failed later, in range() or np.empty, and a bad
+            # seed in numpy's SeedSequence, naming no setting
+            ({"replications": 2.5}, "replications must be an integer, got 2.5"),
+            ({"n_points": 3.0}, "n_points must be an integer, got 3.0"),
+            ({"grid_n": True}, "grid_n must be an integer, got True"),
+            ({"seed": -3}, "seed must be >= 0, got -3"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ],
         ids=[
             "n_points-got 1 and 8", "grid_n-got 300 and 1", "replications-got 0", "fine_dt-0", "fine_dt-nan",
-            "thin_interval-inf", "thin_interval-nan",
+            "thin_interval-inf", "thin_interval-nan", "replications-2.5", "n_points-3.0", "grid_n-True",
+            "seed--3", "seed-1.5",
         ],
     )
     def test_scenario1_rejects_degenerate_fields(self, changes, message):
@@ -59,6 +67,16 @@ class TestConfigs:
             ({"levels": (0.05, math.inf)}, "interval inf is not a multiple of fine_dt 0.01"),
             ({"levels": (math.nan,)}, "interval nan is not a multiple of fine_dt 0.01"),
             ({"levels": (0.055,)}, "interval 0.055 is not a multiple of fine_dt 0.01"),
+            ({"n_tracks": 1.5}, "n_tracks must be an integer, got 1.5"),
+            ({"n_points": 2.5}, "n_points must be an integer, got 2.5"),
+            ({"seed": -3}, "seed must be >= 0, got -3"),
+            # a margin over half the span (50 on the default grid, 20 on
+            # TINY's) left no start point, and failed in numpy after both
+            # fields were generated
+            ({"start_margin": 60.0}, r"start_margin must be in \[0, half the grid's span\], got 60.0"),
+            ({"start_margin": -1.0}, r"start_margin must be in \[0, half the grid's span\], got -1.0"),
+            ({"start_margin": math.nan}, r"start_margin must be in \[0, half the grid's span\], got nan"),
+            ({"start_margin": math.inf}, r"start_margin must be in \[0, half the grid's span\], got inf"),
         ],
     )
     def test_scenario2_rejects_degenerate_fields(self, changes, message):
@@ -86,6 +104,13 @@ class TestConfigs:
             replace(TINY, levels=(0.05, 0.1, 0.05))
         with pytest.raises(ValueError, match=r"^repeated mean_intervals: 0.1$"):
             IrregularConfig(TINY, (0.1, 0.05, 0.1))
+
+    def test_start_margin_of_half_the_span_starts_every_track_at_the_centre(self):
+        # TINY's grid spans [-20, 20] on both axes
+        with pytest.raises(ValueError, match="start_margin"):
+            replace(TINY, start_margin=20.5)
+        sims = scenario2_tracks(replace(TINY, start_margin=20.0))
+        assert [tuple(sim.track.xy[0]) for sim in sims] == [(0.0, 0.0)] * TINY.n_tracks
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, -0.1, math.nan])
     def test_alpha_outside_the_open_interval_rejected(self, alpha):
