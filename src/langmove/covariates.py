@@ -54,13 +54,15 @@ class Covariate:
         """``(statements, tx, ty, constants)``: statements that read the
         Python floats ``x, y`` (inside ``extent``), then two expressions
         over their locals that give the gradient there, with the array
-        form's arithmetic in its order; the drift compiler multiplies them
-        by the term's ``beta``.  It replaces the ``$`` ending each name of
-        ``constants`` with the term's tag, so the source depends only on
-        the type; the generated stepper binds them to locals once per call,
-        so one the statements assign keeps its value to the next step: a
-        raster keeps its cell's bounds and corner differences there, a
-        cache that starts empty on each call.  The statements may use
+        form's arithmetic in its order, where an operation whose result is
+        its input (a raster's division by a cell of 1.0) may be left out;
+        the drift compiler multiplies them by the term's ``beta`` unless it
+        is 1.0.  It replaces the ``$`` ending each name of ``constants``
+        with the term's tag, so the source depends only on the type and on
+        which operations it leaves out; the generated stepper binds them to
+        locals once per call, so one the statements assign keeps its value
+        to the next step: a raster keeps its cell's bounds and corner
+        differences there, a cache that starts empty on each call.  The statements may use
         ``exp``, ``sin`` and ``cos``, and assign no name the stepper uses
         (``x``, ``y``, ``sx``, ``sy``, and its arguments, such as ``xs``, ``ys``, ``i``)."""
         raise NotImplementedError
@@ -185,8 +187,8 @@ class SquaredDistance(Covariate):
 
 
 _RASTER_STATEMENTS = """\
-u = (x - x_lo$) / h$
-w = (y - y_lo$) / h$
+u = (x - x_lo$){per_h}
+w = (y - y_lo$){per_h}
 if not (u_lo$ <= u < u_hi$ and w_lo$ <= w < w_hi$):  # a new cell: its bounds and corner differences
     ix = int(u)
     if ix > ix_last$:  # the right domain edge
@@ -206,8 +208,8 @@ if not (u_lo$ <= u < u_hi$ and w_lo$ <= w < w_hi$):  # a new cell: its bounds an
     dy1$ = hi[ix + 1] - lo[ix + 1]
 u -= u_lo$
 w -= w_lo$
-gx = ((1.0 - w) * dx0$ + w * dx1$) / h$
-gy = ((1.0 - u) * dy0$ + u * dy1$) / h$
+gx = ((1.0 - w) * dx0$ + w * dx1$){per_h}
+gy = ((1.0 - u) * dy0$ + u * dy1$){per_h}
 """
 
 
@@ -239,14 +241,22 @@ class RasterCovariate(Covariate):
         point outside the cache computes; a point on the right edge
         ``u == n_x - 1`` fails the test and is clamped to the last column
         again.  ``u - float(ix)`` rounds as ``u - ix`` does.  The cache
-        starts empty, ``1.0 <= u < 0.0``, on each stepper call."""
+        starts empty, ``1.0 <= u < 0.0``, on each stepper call.
+
+        On a grid of cell 1.0 the four divisions by the cell are left out:
+        ``v / 1.0`` is ``v`` for every double, so the source differs from
+        another cell's, not the result."""
         g = self.raster.geom
         constants = {
             "x_lo$": g.x_min, "y_lo$": g.y_min, "h$": g.cell_size, "ix_last$": g.n_x - 2,
             "iy_last$": g.n_y - 2, "rows$": self.raster.values.tolist(),
             "u_lo$": 1.0, "u_hi$": 0.0, "w_lo$": 1.0, "w_hi$": 0.0,
         }
-        return _RASTER_STATEMENTS, "gx", "gy", constants
+        per_h = " / h$"
+        if g.cell_size == 1.0:
+            del constants["h$"]
+            per_h = ""
+        return _RASTER_STATEMENTS.format(per_h=per_h), "gx", "gy", constants
 
 
 def rasterize(cov: Covariate, geometry: GridGeometry) -> GridRaster:

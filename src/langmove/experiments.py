@@ -133,6 +133,8 @@ class Scenario1Config:
         _stride(self.thin_interval, self.fine_dt)
         check_seed(self.seed)
         check_alpha(self.alpha)
+        if not 0 < self.grid_half_width < math.inf:
+            raise ValueError(f"grid_half_width must be positive and finite, got {self.grid_half_width}")
 
     @property
     def n_fine_steps(self) -> int:

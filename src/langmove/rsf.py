@@ -9,7 +9,9 @@ Python floats: :attr:`RsfModel.euler_steps`, the simulator's Euler loop
 over the x and y noise with the gradient inline.  The array gradient and
 the stepper sum the drift terms by one rule, the first term starting the
 sum and the others added in order, so each step is ``x + half *
-grad_log_pi(x) + noise`` bit for bit.  The normalizing constant over the
+grad_log_pi(x) + noise`` bit for bit; the stepper leaves out only the
+multiplications by a ``beta`` of 1.0 and the divisions by a raster cell
+of 1.0, whose results are their inputs.  The normalizing constant over the
 study region has no closed form; it cancels in the gradient, which is all
 the simulation and inference paths need, and is approximated by a midpoint
 Riemann sum when a density map is requested.
@@ -137,7 +139,9 @@ def _compile_drift(terms: Sequence[tuple[float, Covariate]]):
     with no inner calls.  It sums ``beta`` times each term's gradient as
     :meth:`RsfModel.grad_log_pi` does: each term adds ``beta * (tx)``, the
     gradient computed first, the first term starting the sums ``sx, sy``
-    and the others added.
+    and the others added.  A term whose ``beta`` is 1.0 (every merged
+    raster table's) adds ``(tx)``: ``1.0 * g`` is ``g`` for every double,
+    so the step is the same bit for bit.
 
     From index ``i`` of the noise sequences ``xs, ys`` it steps to
     ``(x + half * sx + xs[i], y + half * sy + ys[i])``, writes the location
@@ -148,10 +152,12 @@ def _compile_drift(terms: Sequence[tuple[float, Covariate]]):
     whatever writable float sequences it is given: memoryviews of the
     location array's columns in ``simulate``, lists in the tests.
 
-    Each term's constants (and its ``beta``) are tagged with its position
-    and passed as one tuple to a generated ``make``, whose stepper unpacks
-    it into locals once per call; so they never enter the source, and
-    models of the same covariate types share one compiled ``make``.
+    Each term's constants (and its ``beta`` unless 1.0) are tagged with its
+    position and passed as one tuple to a generated ``make``, whose stepper
+    unpacks it into locals once per call; so they never enter the source,
+    and models of the same covariate types and the same unit constants
+    (which terms have a ``beta`` of 1.0 and which rasters a cell of 1.0)
+    share one compiled ``make``.
     """
     drift = []
     constants = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
@@ -160,9 +166,12 @@ def _compile_drift(terms: Sequence[tuple[float, Covariate]]):
         statements, tx, ty, own = cov._fragment()
         statements, tx, ty = (part.replace("$", tag) for part in (statements, tx, ty))
         op = "=" if j == 0 else "+="
-        drift += [*statements.splitlines(), f"sx {op} beta{tag} * ({tx})", f"sy {op} beta{tag} * ({ty})"]
         constants.update({name.replace("$", tag): v for name, v in own.items()})
-        constants["beta" + tag] = beta
+        times = ""
+        if beta != 1.0:
+            constants["beta" + tag] = beta
+            times = f"beta{tag} * "
+        drift += [*statements.splitlines(), f"sx {op} {times}({tx})", f"sy {op} {times}({ty})"]
     source = _SOURCE.format(
         constants=", ".join(constants), drift=textwrap.indent("\n".join(drift), " " * 12)
     )

@@ -18,6 +18,7 @@ import json
 import math
 import time
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -431,13 +432,22 @@ class TestCriterion5StationarityOracle:
 
     def test_criterion_5(self):
         start = time.perf_counter()
-        beta = -0.5
+        beta, gamma2, dt, alpha = -0.5, 1.0, 0.01, 0.01
         center = (0.0, 0.0)
-        model = RsfModel([SquaredDistance(center)], [beta], gamma2=1.0)
-        res = simulate(SimConfig(model, center, 0.01, 1_000_000, seed=MASTER_SEED))
+        model = RsfModel([SquaredDistance(center)], [beta], gamma2=gamma2)
+        res = simulate(SimConfig(model, center, dt, 1_000_000, seed=MASTER_SEED))
         xy = res.track.xy
         var = xy.var(axis=0)
         mean_dist = math.hypot(xy[:, 0].mean() - center[0], xy[:, 1].mean() - center[1])
+        # each coordinate of the Euler chain is an AR(1), x' = r x + noise of
+        # variance gamma2 * dt: its stationary variance is exact, and the
+        # sample variance of n points has the AR(1) SE
+        r = 1.0 + gamma2 * beta * dt
+        var_euler = gamma2 * dt / (1.0 - r * r)
+        n = len(xy)
+        se = math.sqrt(2.0 * var_euler**2 * (1.0 + r * r) / (n * (1.0 - r * r)))
+        z = (var - var_euler) / se
+        z_bound = NormalDist().inv_cdf(1.0 - alpha / 4.0)  # two-sided, over two coordinates
         elapsed = time.perf_counter() - start
 
         report(
@@ -447,6 +457,12 @@ class TestCriterion5StationarityOracle:
                     "per-coordinate variance in [0.9, 1.1]",
                     bool(np.all((0.9 <= var) & (var <= 1.1))),
                     f"var={var.round(4).tolist()}",
+                ),
+                (
+                    f"per-coordinate variance within Phi^-1(1 - alpha/4) = {z_bound:.3f} AR(1) SE of the "
+                    f"Euler chain's gamma2*dt/(1 - r^2), r = 1 + gamma2*beta*dt (alpha = {alpha})",
+                    bool(np.all(np.abs(z) <= z_bound)),
+                    f"target={var_euler:.6f} SE={se:.4f} z={z[0]:+.2f}/{z[1]:+.2f}",
                 ),
                 (
                     "empirical mean within 0.05 of center",

@@ -45,11 +45,17 @@ class TestConfigs:
             ({"grid_n": True}, "grid_n must be an integer, got True"),
             ({"seed": -3}, "seed must be >= 0, got -3"),
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            # run_scenario1 failed later, naming the derived cell_size or grid origin
+            *(
+                ({"grid_half_width": v}, f"grid_half_width must be positive and finite, got {v}")
+                for v in (-1.0, 0.0, math.nan, math.inf)
+            ),
         ],
         ids=[
             "n_points-got 1 and 8", "grid_n-got 300 and 1", "replications-got 0", "fine_dt-0", "fine_dt-nan",
             "thin_interval-inf", "thin_interval-nan", "replications-2.5", "n_points-3.0", "grid_n-True",
-            "seed--3", "seed-1.5",
+            "seed--3", "seed-1.5", "grid_half_width--1.0", "grid_half_width-0.0", "grid_half_width-nan",
+            "grid_half_width-inf",
         ],
     )
     def test_scenario1_rejects_degenerate_fields(self, changes, message):

@@ -1,5 +1,6 @@
 """Log-density, gradient, and gridded density maps."""
 
+import functools
 import inspect
 
 import numpy as np
@@ -157,12 +158,13 @@ class TestGradLogPi:
 
 GRID_A = GridGeometry(-6.0, -6.0, 1.5, 9, 9)
 GRID_B = GridGeometry(-5.0, -5.5, 0.5, 21, 23)
+GRID_U = GridGeometry(-6.0, -6.0, 1.0, 13, 13)  # a unit cell: the stepper divides by none
 KINDS = ("z1", "z2", "well", "raster_a", "raster_b")
 
 
 def drawn_covariate(kind, rng):
     """A covariate of ``kind`` (a wavelet of either sine axis, a squared
-    distance, or a raster on grid A or B) with parameters drawn from ``rng``."""
+    distance, or a raster on grid A, B or U) with parameters drawn from ``rng``."""
     if kind in ("z1", "z2"):
         a1, a2, omega1, omega2 = rng.uniform(-3, 3, size=4)
         sigma1, sigma2 = rng.uniform(0.05, 1.0, size=2)
@@ -175,7 +177,8 @@ def drawn_covariate(kind, rng):
         )
     if kind == "well":
         return SquaredDistance(rng.uniform(-3, 3, size=2))
-    (raster,) = random_rasters(GRID_A if kind == "raster_a" else GRID_B, 1, seed=rng)
+    grid = {"raster_a": GRID_A, "raster_b": GRID_B, "raster_u": GRID_U}[kind]
+    (raster,) = random_rasters(grid, 1, seed=rng)
     return raster
 
 
@@ -207,6 +210,57 @@ class TestGeneratedKernel:
         # step (the probes above each start afresh)
         cfg = SimConfig(model, (0.0, 0.0), 0.01, 300, seed)
         assert simulate(cfg).track.xy.tobytes() == reference_steps(cfg)[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "kinds, beta",
+        [
+            (["raster_u"], [-1.3]),  # no divisions by the cell
+            (["raster_a"], [1.0]),  # no multiplication by beta
+            (["raster_u", "raster_u"], [0.7, -2.1]),  # a merged table: neither
+            (["raster_u", "z1", "well"], [0.6, -1.1, -0.05]),
+        ],
+        ids=["unit-cell", "unit-beta", "merged-unit-cell", "unit-cell-wavelet-well"],
+    )
+    def test_unit_constants_fold_and_keep_the_bytes(self, kinds, beta, monkeypatch):
+        sources = []
+        monkeypatch.setattr("langmove.rsf._compiled", lambda source: sources.append(source) or _compiled(source))
+        rng = np.random.default_rng(16)
+        covs = [drawn_covariate(kind, rng) for kind in kinds]
+        model = RsfModel(covs, beta)
+        model.euler_steps
+        # a term multiplies by its beta unless it is 1.0, and a raster
+        # divides by its cell unless it is 1.0
+        (source,) = sources
+        for j, (b, cov) in enumerate(model._drift):
+            assert (f"beta_{j} *" in source) == (b != 1.0)
+            divides = isinstance(cov, RasterCovariate) and cov.raster.geom.cell_size != 1.0
+            assert (f"/ h_{j}" in source) == divides
+        # random points, the nodes of both grids (the unit grid's include its
+        # edges and corners), and the well's center
+        xy = np.vstack(
+            [
+                rng.uniform(-6, 6, size=(100, 2)),
+                np.stack(np.meshgrid(np.arange(-6.0, 6.5), np.arange(-6.0, 6.5)), axis=-1).reshape(-1, 2),
+                np.stack(np.meshgrid(np.arange(-6.0, 6.1, 1.5), np.arange(-6.0, 6.1, 1.5)), axis=-1).reshape(-1, 2),
+                [c.center for c in covs if isinstance(c, SquaredDistance)] or np.empty((0, 2)),
+            ]
+        )
+        assert stepper_probe(model, xy).tobytes() == unit_step(model, xy).tobytes()
+        cfg = SimConfig(model, (0.0, 0.0), 0.01, 300, 4)
+        assert simulate(cfg).track.xy.tobytes() == reference_steps(cfg)[0].tobytes()
+
+    def test_unit_constants_compile_apart(self, monkeypatch):
+        compiled = functools.lru_cache(_compiled.__wrapped__)
+        monkeypatch.setattr("langmove.rsf._compiled", compiled)
+        unit_a, unit_b = random_rasters(GRID_U, 2, seed=17)
+        (coarse,) = random_rasters(GRID_A, 1, seed=18)
+        # two unit-cell rasters of other tables and betas share one compile
+        RsfModel([unit_a], [0.7]).euler_steps
+        RsfModel([unit_b], [-1.2]).euler_steps
+        assert compiled.cache_info().misses == 1
+        # a cell of 1.5 keeps its divisions: the same type compiles again
+        RsfModel([coarse], [0.7]).euler_steps
+        assert compiled.cache_info().misses == 2
 
     def test_kernel_is_built_once_per_model(self, monkeypatch):
         built = []
