@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import MISSING, asdict, fields
 from functools import partial
@@ -56,7 +55,7 @@ from .experiments import (
 )
 from .inference import FitResult, pooled_fit
 from .langevin import SimConfig, Track, read_track_csv, simulate, write_track_csv
-from .raster import GridGeometry, read_ascii_grid, write_ascii_grid
+from .raster import GridGeometry, positive, read_ascii_grid, write_ascii_grid
 from .rsf import RsfModel, density_maps
 
 __all__ = ["main"]
@@ -244,13 +243,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     base_dir = Path(args.config).parent
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
-    if not cfg["seeds"]:
-        raise ValueError("seeds must list at least one seed, got []")
+    seeds = distinct(cfg["seeds"], "seeds")
     model = _model_from_spec(cfg["model"], base_dir)
-    sims = {
-        seed: simulate(SimConfig(model, cfg["x0"], cfg["dt"], cfg["n_steps"], seed))
-        for seed in distinct(cfg["seeds"], "seeds")
-    }
+    sims = {seed: simulate(SimConfig(model, cfg["x0"], cfg["dt"], cfg["n_steps"], seed)) for seed in seeds}
     _write_outputs(
         args.out,
         "simulate",
@@ -265,8 +260,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    if not (args.time_scale > 0 and math.isfinite(args.time_scale)):
-        raise ValueError(f"--time-scale must be positive and finite, got {args.time_scale}")
+    positive(args.time_scale, "--time-scale")
     cov_cfg = _load_config(args.covariates)
     base_dir = Path(args.covariates).parent
     specs = cov_cfg

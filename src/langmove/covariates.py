@@ -24,8 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFieldError
-from .raster import PLANE, Extent, GridGeometry, GridRaster, interpolate, interpolate_gradient, two_floats
-from .seeding import check_seed, derive_rng
+from .raster import (
+    PLANE, Extent, GridGeometry, GridRaster, at_least, interpolate, interpolate_gradient, positive, two_floats
+)
+from .seeding import derive_rng
 
 __all__ = [
     "Covariate",
@@ -283,9 +285,8 @@ class RandomFieldSpec:
     seed: int
 
     def __post_init__(self):
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
-        check_seed(self.seed)
+        positive(self.rho, "rho")
+        at_least(self.seed, 0, "seed")
         GridGeometry(self.x_min, self.y_min, self.cell_size, self.n_x, self.n_y)
 
     @property

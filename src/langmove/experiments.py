@@ -36,9 +36,9 @@ from .covariates import (
 from .errors import LangmoveError
 from .inference import FitResult, build_design, check_alpha, fit
 from .langevin import SimConfig, SimResult, Track, simulate, thin_irregular, thin_regular
-from .raster import GridGeometry, GridRaster, one_int
+from .raster import GridGeometry, GridRaster, at_least, positive
 from .rsf import RsfModel
-from .seeding import check_seed, derive_rng, derive_seed
+from .seeding import derive_rng, derive_seed
 
 __all__ = [
     "Scenario1Config",
@@ -63,9 +63,7 @@ PARAM_NAMES_S1 = ("beta1", "beta2", "beta3", "gamma2")
 
 def _stride(interval: float, fine_dt: float) -> int:
     """Fine steps per ``interval``, which must be a positive multiple of
-    ``fine_dt``, itself positive and finite."""
-    if not (0 < fine_dt < math.inf):
-        raise ValueError(f"fine_dt must be positive and finite, got {fine_dt}")
+    ``fine_dt``, itself positive and finite (the configs check it first)."""
     ratio = interval / fine_dt
     stride = round(ratio) if abs(ratio) < math.inf else 0  # a NaN or infinite ratio is no multiple
     if stride < 1 or abs(stride * fine_dt - interval) > 1e-9 * interval:
@@ -74,8 +72,10 @@ def _stride(interval: float, fine_dt: float) -> int:
 
 
 def distinct(items: Sequence, what: str) -> Sequence:
-    """``items`` itself, once checked to repeat none: each names an output
-    (a file, a table row or a manifest entry)."""
+    """``items`` itself, once checked to be non-empty and to repeat none:
+    each names an output (a file, a table row or a manifest entry)."""
+    if not items:
+        raise ValueError(f"{what} must not be empty")
     repeated = sorted({str(v) for v in items if items.count(v) > 1})
     if repeated:
         raise ValueError(f"repeated {what}: {', '.join(repeated)}")
@@ -126,15 +126,14 @@ class Scenario1Config:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if one_int(self.replications, "replications") < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if one_int(self.n_points, "n_points") < 2 or one_int(self.grid_n, "grid_n") < 2:
-            raise ValueError(f"n_points and grid_n must be >= 2, got {self.n_points} and {self.grid_n}")
+        at_least(self.replications, 1, "replications")
+        at_least(self.n_points, 2, "n_points")
+        at_least(self.grid_n, 2, "grid_n")
+        positive(self.fine_dt, "fine_dt")
         _stride(self.thin_interval, self.fine_dt)
-        check_seed(self.seed)
+        at_least(self.seed, 0, "seed")
         check_alpha(self.alpha)
-        if not 0 < self.grid_half_width < math.inf:
-            raise ValueError(f"grid_half_width must be positive and finite, got {self.grid_half_width}")
+        positive(self.grid_half_width, "grid_half_width")
 
     @property
     def n_fine_steps(self) -> int:
@@ -309,21 +308,18 @@ class Scenario2Config:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if one_int(self.n_tracks, "n_tracks") < 1:
-            raise ValueError(f"n_tracks must be >= 1, got {self.n_tracks}")
-        if one_int(self.n_points, "n_points") < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        at_least(self.n_tracks, 1, "n_tracks")
+        at_least(self.n_points, 2, "n_points")
         ext = GridGeometry(
             self.grid_x_min, self.grid_y_min, self.grid_cell_size, self.grid_n_x, self.grid_n_y
         ).extent
         m = self.start_margin  # scenario2_tracks draws from [x_lo + m, x_hi - m] x [y_lo + m, y_hi - m]
         if not (0 <= m and ext.x_lo + m <= ext.x_hi - m and ext.y_lo + m <= ext.y_hi - m):  # NaN, inf fail
             raise ValueError(f"start_margin must be in [0, half the grid's span], got {m}")
-        if not self.levels:
-            raise ValueError("levels must not be empty")
+        positive(self.fine_dt, "fine_dt")
         self.strides()
         distinct(self.levels, "levels")
-        check_seed(self.seed)
+        at_least(self.seed, 0, "seed")
         check_alpha(self.alpha)
 
     def strides(self) -> list[int]:
@@ -503,8 +499,6 @@ class IrregularConfig:
     mean_intervals: tuple[float, ...] = (0.05, 0.5)
 
     def __post_init__(self):
-        if not self.mean_intervals:
-            raise ValueError("mean_intervals must not be empty")
         for interval in self.mean_intervals:
             _stride(interval, self.base.fine_dt)
         distinct(self.mean_intervals, "mean_intervals")

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonFiniteError, NonIncreasingTimesError, OutOfDomainError
-from .raster import one_int, two_floats
+from .raster import at_least, positive, two_floats
 from .rsf import RsfModel
-from .seeding import check_seed, derive_rng
+from .seeding import derive_rng
 
 __all__ = [
     "Track",
@@ -99,11 +99,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if one_int(self.n_steps, "n_steps") < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        check_seed(self.seed)
+        positive(self.dt, "dt")
+        at_least(self.n_steps, 1, "n_steps")
+        at_least(self.seed, 0, "seed")
         object.__setattr__(self, "x0", two_floats(self.x0, "x0"))
 
 
@@ -193,20 +191,15 @@ def simulate(cfg: SimConfig) -> SimResult:
     return SimResult(Track(times, pts), tuple(clamped), cfg)
 
 
-def _check_cap(n_points: int | None) -> None:
-    if n_points is not None and one_int(n_points, "n_points") < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
-
-
 def thin_regular(track: Track, stride: int, n_points: int | None = None) -> np.ndarray:
     """Indices of every ``stride``-th location (0, stride, 2*stride, ...),
     the first ``n_points`` of them if given.
 
     The thinned track is ``Track(track.times[keep], track.xy[keep])``.
     """
-    if one_int(stride, "stride") < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    _check_cap(n_points)
+    at_least(stride, 1, "stride")
+    if n_points is not None:
+        at_least(n_points, 1, "n_points")
     stop = len(track) if n_points is None else min(len(track), n_points * stride)
     return np.arange(0, stop, stride)
 
@@ -228,10 +221,12 @@ def thin_irregular(
     the cap keeps a prefix of the uncapped indices.
 
     Requires a regular input spacing ``dt`` (:attr:`Track.regular_interval`)
-    with ``mean_interval >= dt``.
+    with a finite ``mean_interval >= dt``.
     """
-    check_seed(seed)
-    _check_cap(n_points)
+    at_least(seed, 0, "seed")
+    if n_points is not None:
+        at_least(n_points, 1, "n_points")
+    positive(mean_interval, "mean_interval")
     n = len(track)
     if n < 2:
         return np.zeros(1, dtype=np.int64)

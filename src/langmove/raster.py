@@ -103,12 +103,22 @@ def two_floats(value, name: str) -> tuple[float, float]:
     return float(x), float(y)
 
 
-def one_int(value, name: str) -> int:
-    """``value``, an integer (a numpy one included, a ``bool`` not), as an
-    ``int``; anything else raises ``ValueError`` naming ``name``."""
+def at_least(value, k: int, name: str) -> int:
+    """``value``, an integer (a numpy one included, a ``bool`` not) of at
+    least ``k``, as an ``int``; anything else raises ``ValueError`` naming ``name``."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < k:
+        raise ValueError(f"{name} must be >= {k}, got {value}")
     return int(value)
+
+
+def positive(value, name: str):
+    """``value`` itself, once checked to be positive and finite (NaN is
+    neither); anything else raises ``ValueError`` naming ``name``."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 #: The domain of a field defined everywhere: every finite point, no infinite or NaN one.
@@ -124,7 +134,7 @@ class GridGeometry:
     x_min, y_min : float
         Coordinates of the lower-left cell center.
     cell_size : float
-        Side length of each (square) cell; must be positive.
+        Side length of each (square) cell; must be positive and finite.
     n_x, n_y : int
         Cell counts along x and y; at least 2 each so that bilinear
         interpolation has a full 2x2 node set.
@@ -140,13 +150,9 @@ class GridGeometry:
         x_min, y_min = two_floats((self.x_min, self.y_min), "grid origin")
         object.__setattr__(self, "x_min", x_min)
         object.__setattr__(self, "y_min", y_min)
-        object.__setattr__(self, "cell_size", float(self.cell_size))
-        object.__setattr__(self, "n_x", one_int(self.n_x, "n_x"))
-        object.__setattr__(self, "n_y", one_int(self.n_y, "n_y"))
-        if not (self.cell_size > 0 and math.isfinite(self.cell_size)):
-            raise ValueError(f"cell_size must be positive, got {self.cell_size}")
-        if self.n_x < 2 or self.n_y < 2:
-            raise ValueError(f"need at least 2x2 cells, got {self.n_x}x{self.n_y}")
+        object.__setattr__(self, "cell_size", positive(float(self.cell_size), "cell_size"))
+        object.__setattr__(self, "n_x", at_least(self.n_x, 2, "n_x"))
+        object.__setattr__(self, "n_y", at_least(self.n_y, 2, "n_y"))
 
     @property
     def x_max(self) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .covariates import Covariate, RasterCovariate
 from .errors import NonFiniteError
-from .raster import Extent, GridGeometry, GridRaster
+from .raster import Extent, GridGeometry, GridRaster, positive
 
 __all__ = ["RsfModel", "density_maps", "drift_terms", "ud_raster"]
 
@@ -55,7 +55,7 @@ class RsfModel:
         covariate, negative avoidance.
     gamma2 : float
         Speed parameter; scales both drift and diffusion of the movement
-        model and must be positive.
+        model and must be positive and finite.
     """
 
     covariates: tuple[Covariate, ...]
@@ -73,11 +73,9 @@ class RsfModel:
             )
         if not np.all(np.isfinite(b)):
             raise ValueError("beta must be finite")
-        if not (self.gamma2 > 0 and np.isfinite(self.gamma2)):
-            raise ValueError(f"gamma2 must be positive, got {self.gamma2}")
         b.setflags(write=False)
         object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "gamma2", float(self.gamma2))
+        object.__setattr__(self, "gamma2", float(positive(self.gamma2, "gamma2")))
         object.__setattr__(self, "_drift", drift_terms(b.tolist(), self.covariates))
 
     def log_pi_unnormalized(self, xy: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 All randomness in the package flows through :func:`derive_rng` so that
 experiment suites are reproducible across runs and worker counts.
 ``derive_rng(s, *key)`` is numpy's PCG64 (``default_rng``) seeded with
-``SeedSequence(entropy=s, spawn_key=key)``.
+``SeedSequence(entropy=s, spawn_key=key)``.  Every config and function
+that takes a seed checks up front that it is an integer ``>= 0``.
 
 Seed layout.  A function that takes a plain seed ``s`` (``simulate``,
 ``thin_irregular``, ``generate_random_field``, and so the CLI's
@@ -27,18 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .raster import one_int
-
 __all__ = ["derive_rng", "derive_seed"]
-
-
-def check_seed(seed) -> None:
-    """Raise ``ValueError`` naming ``seed`` unless it is a non-negative
-    integer (numpy's included, a ``bool`` not), the seeds ``SeedSequence``
-    takes.  The configs that hold a seed check it when they are built, and
-    ``thin_irregular`` when it is called."""
-    if one_int(seed, "seed") < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:

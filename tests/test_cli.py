@@ -173,7 +173,7 @@ class TestSimulateCommand:
         # no seed would write no track, only a manifest
         out = tmp_path / "out"
         cfg = write_json(tmp_path / "sim.json", SIM_CONFIG | {"seeds": []})
-        with pytest.raises(ValueError, match=r"seeds must list at least one seed, got \[\]$"):
+        with pytest.raises(ValueError, match=r"seeds must not be empty$"):
             main(["simulate", "--config", cfg, "--out", str(out)])
         assert not out.exists()
 
@@ -408,6 +408,13 @@ class TestGenCovCommand:
             main(["gen-cov", "--config", write_json(tmp_path / "f.json", fields), "--out", str(out)])
         assert not out.exists()
 
+    def test_empty_field_list_rejected(self, tmp_path):
+        # it wrote a manifest listing no output and printed "wrote  to out"
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="^field names must not be empty$"):
+            main(["gen-cov", "--config", write_json(tmp_path / "f.json", {"fields": []}), "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["../escaped", "a/b", ""])
     def test_name_with_a_directory_part_rejected(self, tmp_path, monkeypatch, name):
         # a name is a file in --out: none is written outside it, and no field
@@ -622,7 +629,7 @@ class TestStudyCommands:
 
     def test_single_point_tracks_rejected(self, tmp_path):
         cfg = write_json(tmp_path / "s1.json", TINY_STUDIES["scenario1"] | {"n_points": 1})
-        with pytest.raises(ValueError, match="n_points and grid_n must be >= 2, got 1 and 8"):
+        with pytest.raises(ValueError, match="n_points must be >= 2, got 1"):
             main(["scenario1", "--config", cfg, "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 

@@ -150,10 +150,12 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "dt, n_steps, message",
         [
-            (0.0, 10, "dt must be positive, got 0.0"),
-            (-0.01, 10, "dt must be positive, got -0.01"),
-            (math.nan, 10, "dt must be positive, got nan"),
-            (math.inf, 10, "dt must be positive, got inf"),
+            *(  # the id leaves out the message's value, which its first part gives
+                pytest.param(
+                    dt, 10, f"dt must be positive and finite, got {dt}", id=f"{dt}-10-dt must be positive and finite"
+                )
+                for dt in (0.0, -0.01, math.nan, math.inf)
+            ),
             (0.01, 0, "n_steps must be >= 1, got 0"),
             # a float failed in numpy and True in the stepper, naming no setting
             (0.01, 10.5, "n_steps must be an integer, got 10.5"),
@@ -558,6 +560,14 @@ class TestThinIrregular:
             thin_irregular(self.fine_track(100), 0.005, seed=0)
         with pytest.raises(ValueError, match="n_points must be >= 1"):
             thin_irregular(self.fine_track(100), 0.05, seed=0, n_points=0)
+
+    @pytest.mark.parametrize("mean_interval", [math.nan, math.inf])
+    def test_non_finite_mean_interval_rejected(self, mean_interval):
+        # mean_interval < dt is false for both, so numpy's geometric draw
+        # failed with "p <= 0, p > 1 or p contains NaNs", naming no setting
+        message = f"^mean_interval must be positive and finite, got {mean_interval}$"
+        with pytest.raises(ValueError, match=message):
+            thin_irregular(self.fine_track(100), mean_interval, seed=0)
 
     def test_regularity_worked_out_once_per_track(self, monkeypatch):
         reads = []

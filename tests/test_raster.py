@@ -347,11 +347,10 @@ class TestAsciiGridBytes:
 
 class TestValidation:
     def test_geometry_invariants(self):
-        with pytest.raises(ValueError):
-            GridGeometry(0, 0, 0.0, 3, 3)
-        with pytest.raises(ValueError):
-            GridGeometry(0, 0, -1.0, 3, 3)
-        with pytest.raises(ValueError):
+        for cell_size in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^cell_size must be positive and finite, got {cell_size}$"):
+                GridGeometry(0, 0, cell_size, 3, 3)
+        with pytest.raises(ValueError, match="^n_x must be >= 2, got 1$"):
             GridGeometry(0, 0, 1.0, 1, 3)
         for origin in [(math.nan, 0), (0, math.inf)]:
             with pytest.raises(ValueError, match="grid origin must be finite"):

@@ -567,10 +567,9 @@ class TestUdRaster:
 
 class TestValidation:
     def test_gamma2_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RsfModel([SquaredDistance((0, 0))], [1.0], gamma2=0.0)
-        with pytest.raises(ValueError):
-            RsfModel([SquaredDistance((0, 0))], [1.0], gamma2=-1.0)
+        for gamma2 in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^gamma2 must be positive and finite, got {gamma2}$"):
+                RsfModel([SquaredDistance((0, 0))], [1.0], gamma2=gamma2)
 
     def test_beta_shape_and_finiteness(self):
         with pytest.raises(ValueError):
