@@ -120,9 +120,10 @@ def _dataclass_kwargs(cls, cfg: dict, **extra: str) -> dict:
 
     ``extra`` gives the types of the optional keys the caller reads itself.
     :func:`_known_keys` rejects any other key, a missing field that has no
-    default, and a value that does not fit its field's declared type.
+    default, and a value that does not fit its field's declared type, where
+    an array (``RsfModel.beta``) takes what a tuple of floats takes.
     """
-    types = {f.name: f.type for f in fields(cls)}
+    types = {f.name: "tuple[float, ...]" if f.type == "np.ndarray" else f.type for f in fields(cls)}
     optional = [f.name for f in fields(cls) if f.default is not MISSING or f.default_factory is not MISSING]
     _known_keys(cfg, cls.__name__, types | extra, (*optional, *extra))
     return {

@@ -326,11 +326,15 @@ def generate_random_field(spec: RandomFieldSpec) -> GridRaster:
     Raises
     ------
     DegenerateFieldError
-        If the smoothed field is constant, so the rescaling is undefined.
+        If ``rho`` reaches from corner to corner of the grid (the kernel's
+        inclusion test, for the two cells farthest apart): every window
+        holds every cell, so the smoothed field is constant up to rounding.
     """
     from scipy.signal import convolve2d  # imported here: it is most of the package's import time
 
     geom = spec.geometry
+    if ((geom.n_x - 1) ** 2 + (geom.n_y - 1) ** 2) * geom.cell_size**2 <= spec.rho**2:
+        raise DegenerateFieldError(f"every window of rho {spec.rho} covers the whole grid; cannot normalize")
     rng = derive_rng(spec.seed)
     raw = rng.random((geom.n_y, geom.n_x))
 
@@ -344,6 +348,4 @@ def generate_random_field(spec: RandomFieldSpec) -> GridRaster:
 
     lo = smoothed.min()
     hi = smoothed.max()
-    if hi == lo:
-        raise DegenerateFieldError("smoothed field is constant; cannot normalize")
     return GridRaster(geom, (smoothed - lo) / (hi - lo))

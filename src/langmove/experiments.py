@@ -36,7 +36,7 @@ from .covariates import (
 from .errors import LangmoveError
 from .inference import FitResult, build_design, check_alpha, fit
 from .langevin import SimConfig, SimResult, Track, simulate, thin_irregular, thin_regular
-from .raster import GridGeometry, GridRaster, at_least, positive
+from .raster import GridGeometry, at_least, positive, two_floats
 from .rsf import RsfModel
 from .seeding import derive_rng, derive_seed
 
@@ -51,7 +51,6 @@ __all__ = [
     "scenario1_model",
     "scenario1_discretized_covariates",
     "run_scenario1",
-    "scenario2_fields",
     "scenario2_model",
     "scenario2_tracks",
     "run_scenario2",
@@ -131,9 +130,10 @@ class Scenario1Config:
         at_least(self.grid_n, 2, "grid_n")
         positive(self.fine_dt, "fine_dt")
         _stride(self.thin_interval, self.fine_dt)
-        at_least(self.seed, 0, "seed")
         check_alpha(self.alpha)
         positive(self.grid_half_width, "grid_half_width")
+        # the model and a SimConfig check second_sine_axis, beta, gamma2, seed and x0 by their own rules
+        SimConfig(scenario1_model(self), self.x0, self.fine_dt, self.n_fine_steps, self.seed)
 
     @property
     def n_fine_steps(self) -> int:
@@ -310,17 +310,23 @@ class Scenario2Config:
     def __post_init__(self):
         at_least(self.n_tracks, 1, "n_tracks")
         at_least(self.n_points, 2, "n_points")
-        ext = GridGeometry(
-            self.grid_x_min, self.grid_y_min, self.grid_cell_size, self.grid_n_x, self.grid_n_y
-        ).extent
+        ext = self.field_spec(0).geometry.extent  # the spec checks the seed, rho and the grid
         m = self.start_margin  # scenario2_tracks draws from [x_lo + m, x_hi - m] x [y_lo + m, y_hi - m]
         if not (0 <= m and ext.x_lo + m <= ext.x_hi - m and ext.y_lo + m <= ext.y_hi - m):  # NaN, inf fail
             raise ValueError(f"start_margin must be in [0, half the grid's span], got {m}")
         positive(self.fine_dt, "fine_dt")
         self.strides()
         distinct(self.levels, "levels")
-        at_least(self.seed, 0, "seed")
         check_alpha(self.alpha)
+        two_floats(self.beta, "beta")  # their model needs the fields, so they keep rules of their own
+        positive(self.gamma2, "gamma2")
+
+    def field_spec(self, k: int) -> RandomFieldSpec:
+        """The spec of covariate field ``k``, drawn from stream ``(0, k)`` of the seed."""
+        return RandomFieldSpec(
+            self.grid_x_min, self.grid_y_min, self.grid_cell_size, self.grid_n_x, self.grid_n_y,
+            self.rho, derive_seed(self.seed, 0, k),
+        )
 
     def strides(self) -> list[int]:
         return [_stride(level, self.fine_dt) for level in self.levels]
@@ -330,27 +336,11 @@ class Scenario2Config:
         return (self.n_points - 1) * max(self.strides())
 
 
-def scenario2_fields(cfg: Scenario2Config) -> tuple[GridRaster, GridRaster]:
-    """The two random covariate fields (streams 0 and 1 of the master seed)."""
-    def make(k: int) -> GridRaster:
-        return generate_random_field(
-            RandomFieldSpec(
-                x_min=cfg.grid_x_min,
-                y_min=cfg.grid_y_min,
-                cell_size=cfg.grid_cell_size,
-                n_x=cfg.grid_n_x,
-                n_y=cfg.grid_n_y,
-                rho=cfg.rho,
-                seed=derive_seed(cfg.seed, 0, k),
-            )
-        )
-
-    return make(0), make(1)
-
-
 def scenario2_model(cfg: Scenario2Config) -> RsfModel:
-    c1, c2 = scenario2_fields(cfg)
-    return RsfModel([RasterCovariate(c1), RasterCovariate(c2)], cfg.beta, cfg.gamma2)
+    """The true model: ``cfg.beta`` and ``cfg.gamma2`` on the random fields 0
+    and 1 (:meth:`Scenario2Config.field_spec`), generated on each call."""
+    covariates = [RasterCovariate(generate_random_field(cfg.field_spec(k))) for k in (0, 1)]
+    return RsfModel(covariates, cfg.beta, cfg.gamma2)
 
 
 def scenario2_tracks(cfg: Scenario2Config, model: RsfModel | None = None) -> list[SimResult]:
@@ -364,16 +354,10 @@ def scenario2_tracks(cfg: Scenario2Config, model: RsfModel | None = None) -> lis
     starts = np.column_stack(
         [rng.uniform(lo_x, hi_x, cfg.n_tracks), rng.uniform(lo_y, hi_y, cfg.n_tracks)]
     )
-    sims = []
-    for i in range(cfg.n_tracks):
-        sims.append(
-            simulate(
-                SimConfig(
-                    model, tuple(starts[i]), cfg.fine_dt, cfg.n_fine_steps, derive_seed(cfg.seed, 1, i)
-                )
-            )
-        )
-    return sims
+    return [
+        simulate(SimConfig(model, tuple(xy), cfg.fine_dt, cfg.n_fine_steps, derive_seed(cfg.seed, 1, i)))
+        for i, xy in enumerate(starts)
+    ]
 
 
 def _study_tracks(

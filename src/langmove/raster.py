@@ -276,7 +276,12 @@ def interpolate_gradient(raster: GridRaster, xy: np.ndarray) -> np.ndarray:
     return np.column_stack((gx, gy))
 
 
-_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
+#: Each required header key, with the rule of the GridGeometry setting it gives, and its wording.
+_HEADER_RULES = {
+    **dict.fromkeys(("ncols", "nrows"), (lambda v: v >= 2 and v.is_integer(), "an integer >= 2")),
+    **dict.fromkeys(("xllcorner", "yllcorner"), (math.isfinite, "finite")),
+    "cellsize": (lambda v: 0 < v < math.inf, "positive and finite"),
+}
 
 
 def read_ascii_grid(path: str | Path) -> GridRaster:
@@ -284,7 +289,8 @@ def read_ascii_grid(path: str | Path) -> GridRaster:
 
     The header must provide ``ncols``, ``nrows``, ``xllcorner``, ``yllcorner``
     and ``cellsize`` (``NODATA_value`` is optional), before any data;
-    ``ncols`` and ``nrows`` are positive integers, and a line that does not
+    ``ncols`` and ``nrows`` are integers of at least 2, the corners finite
+    and ``cellsize`` positive and finite, and a line that does not
     open with one of these keys is a row.  The body holds ``nrows`` lines of
     ``ncols`` whitespace-separated values with the top line at the highest y.
     Corner coordinates refer to the lower-left cell *corner* and are shifted
@@ -305,7 +311,7 @@ def read_ascii_grid(path: str | Path) -> GridRaster:
             if not tokens:
                 continue
             key = tokens[0].lower()
-            if key in _HEADER_KEYS or key == "nodata_value":
+            if key in _HEADER_RULES or key == "nodata_value":
                 if data:
                     raise GridParseError(line_no, f"header line {line.rstrip()!r} after the data")
                 if len(tokens) != 2:
@@ -314,11 +320,12 @@ def read_ascii_grid(path: str | Path) -> GridRaster:
                     header[key] = float(tokens[1])
                 except ValueError:
                     raise GridParseError(line_no, f"bad header value {tokens[1]!r}") from None
-                if key in ("ncols", "nrows") and not (header[key] >= 1 and header[key].is_integer()):
-                    raise GridParseError(line_no, f"{key} must be a positive integer, got {tokens[1]!r}")
+                holds, rule = _HEADER_RULES.get(key, (None, None))
+                if holds and not holds(header[key]):
+                    raise GridParseError(line_no, f"{key} must be {rule}, got {tokens[1]!r}")
             else:
                 if not data:
-                    for key in _HEADER_KEYS:
+                    for key in _HEADER_RULES:
                         if key not in header:
                             raise GridParseError(line_no, f"missing header key {key!r}")
                     n_x = int(header["ncols"])

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .raster import at_least
+
 __all__ = ["derive_rng", "derive_seed"]
 
 
@@ -57,5 +59,5 @@ def derive_seed(seed: int, *key: int) -> int:
     *key))`` is a different stream from ``derive_rng(s, *key)``, equally
     determined by ``(s, key)`` and independent across keys.
     """
-    state = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(4)
-    return int.from_bytes(state.tobytes(), "little")
+    sequence = np.random.SeedSequence(entropy=at_least(seed, 0, "seed"), spawn_key=tuple(key))
+    return int.from_bytes(sequence.generate_state(4).tobytes(), "little")

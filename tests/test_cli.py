@@ -27,7 +27,7 @@ from langmove import (
     write_ascii_grid,
     write_track_csv,
 )
-from langmove import cli
+from langmove import cli, experiments
 from langmove.cli import main
 
 
@@ -892,6 +892,17 @@ class TestStudyCommands:
                 "AnalyticWavelet config key alpha must be of type float, got None$",
                 id="simulate-wavelet-null",
             ),
+            # a model's beta is a list of numbers: a number, a string, a nested list or a
+            # boolean was read as one float, and a string entry or null failed in numpy
+            *(
+                pytest.param(
+                    "simulate",
+                    {**SIM_CONFIG, "model": {**SIM_CONFIG["model"], "beta": beta}},
+                    rf"RsfModel config key beta must be of type tuple\[float, \.\.\.\], got {re.escape(repr(beta))}$",
+                    id=f"simulate-model-beta-{beta!r}",
+                )
+                for beta in ("12", 2.0, [[1.0]], [True], ["a"], None)
+            ),
             # and where a name, a path or a list of numbers belongs, in keys a command reads itself
             pytest.param(
                 "irregular",
@@ -925,6 +936,18 @@ class TestStudyCommands:
             args = ["--config", cfg, *flags]
         with pytest.raises(ValueError, match=message):
             main([command, *args, "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    def test_scenario2_speed_rejected_before_the_fields_are_generated(self, tmp_path, monkeypatch):
+        # the config checks gamma2 when it is built; it used to fail in the
+        # model, after both random fields were generated
+        def no_fields(spec):
+            raise AssertionError("a field was generated")
+
+        monkeypatch.setattr(experiments, "generate_random_field", no_fields)
+        cfg = write_json(tmp_path / "c.json", {"gamma2": -1.0})
+        with pytest.raises(ValueError, match="^gamma2 must be positive and finite, got -1.0$"):
+            main(["scenario2", "--config", cfg, "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
     def test_unknown_random_field_key_rejected(self, tmp_path):

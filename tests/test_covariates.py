@@ -379,6 +379,15 @@ class TestRandomField:
         with pytest.raises(DegenerateFieldError):
             generate_random_field(spec)
 
+    @pytest.mark.parametrize("rho", [11.4, 100.0])
+    def test_window_over_the_whole_grid_rejected(self, rho):
+        # the cell centres of a 9x9 grid lie within 11.32 of each other: the
+        # smoothed field varied only by rounding, which the rescaling blew up
+        # into a field of two values
+        spec = RandomFieldSpec(x_min=0, y_min=0, cell_size=1.0, n_x=9, n_y=9, rho=rho, seed=8)
+        with pytest.raises(DegenerateFieldError, match=f"^every window of rho {rho} covers the whole grid"):
+            generate_random_field(spec)
+
     @pytest.mark.parametrize(
         "cell_size, n_x, n_y, rho",
         [

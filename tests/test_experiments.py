@@ -92,6 +92,37 @@ class TestConfigs:
             replace(TINY, **changes)
 
     @pytest.mark.parametrize(
+        "config, changes, message",
+        [
+            # the settings a config passes on to its model and simulations were
+            # built unchecked, and failed only when the study ran
+            (Scenario1Config(), {"beta": (1.0, 2.0)}, "beta has 2 entries for 3 covariates"),
+            (Scenario1Config(), {"gamma2": 0.0}, "gamma2 must be positive and finite, got 0.0"),
+            (Scenario1Config(), {"x0": (math.nan, 0.0)}, r"x0 must be finite, got \(nan, 0.0\)"),
+            (Scenario1Config(), {"second_sine_axis": "z3"}, "second_sine_axis must be 'z1' or 'z2', got 'z3'"),
+            (TINY, {"rho": -1.0}, "rho must be positive and finite, got -1.0"),
+            (TINY, {"gamma2": -1.0}, "gamma2 must be positive and finite, got -1.0"),
+            (TINY, {"gamma2": math.nan}, "gamma2 must be positive and finite, got nan"),
+            (TINY, {"beta": (1.0,)}, r"beta must hold two numbers, got \(1.0,\)"),
+            (TINY, {"beta": (1.0, math.inf)}, r"beta must be finite, got \(1.0, inf\)"),
+        ],
+        ids=[
+            "scenario1-beta-length", "scenario1-gamma2-0", "scenario1-x0-nan", "scenario1-second_sine_axis",
+            "scenario2-rho", "scenario2-gamma2-negative", "scenario2-gamma2-nan", "scenario2-beta-length",
+            "scenario2-beta-inf",
+        ],
+    )
+    def test_settings_passed_on_are_checked_at_build(self, config, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(config, **changes)
+
+    @pytest.mark.parametrize("seed", [None, True])
+    def test_scenario2_seed_must_be_an_integer(self, seed):
+        # the field specs derive their seeds from it; a None seed would draw fresh entropy
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed}$"):
+            replace(TINY, seed=seed)
+
+    @pytest.mark.parametrize(
         "mean_intervals, message",
         [
             ((0.05, math.inf), "interval inf is not a multiple of fine_dt 0.01"),

@@ -1,7 +1,9 @@
 """The package namespace: the public names of the library modules, each
-once, and no module-level import left unused."""
+once, every module's ``__all__`` defined, and no module-level import left
+unused."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import langmove
@@ -23,6 +25,16 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from langmove import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(langmove.__all__)
+
+
+def test_every_name_in_a_module_all_is_defined():
+    # a deletion can leave its name in __all__, which only a star import
+    # notices; every module is covered, errors (which has no __all__) too
+    for path in sorted(Path(langmove.__file__).parent.glob("*.py")):
+        name = "langmove" if path.stem == "__init__" else f"langmove.{path.stem}"
+        module = importlib.import_module(name)
+        undefined = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not undefined, f"{name}.__all__ names undefined {undefined}"
 
 
 def test_every_module_level_import_is_used():

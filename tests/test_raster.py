@@ -212,11 +212,11 @@ class TestAsciiGrid:
 
         header = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
         for text, line_no, message in [
-            (header.replace("ncols 2", "ncols 2.5") + "1 2\n3 4\n", 1, "ncols must be a positive integer"),
-            (header.replace("ncols 2", "ncols -2") + "1 2\n3 4\n", 1, "ncols must be a positive integer"),
-            (header.replace("nrows 2", "nrows -2") + "1 2\n3 4\n", 2, "nrows must be a positive integer"),
-            (header.replace("ncols 2", "ncols nan") + "1 2\n3 4\n", 1, "ncols must be a positive integer"),
-            (header.replace("ncols 2", "ncols inf") + "1 2\n3 4\n", 1, "ncols must be a positive integer"),
+            (header.replace("ncols 2", "ncols 2.5") + "1 2\n3 4\n", 1, "ncols must be an integer >= 2"),
+            (header.replace("ncols 2", "ncols -2") + "1 2\n3 4\n", 1, "ncols must be an integer >= 2"),
+            (header.replace("nrows 2", "nrows -2") + "1 2\n3 4\n", 2, "nrows must be an integer >= 2"),
+            (header.replace("ncols 2", "ncols nan") + "1 2\n3 4\n", 1, "ncols must be an integer >= 2"),
+            (header.replace("ncols 2", "ncols inf") + "1 2\n3 4\n", 1, "ncols must be an integer >= 2"),
             (header.replace("ncols 2", "ncols two") + "1 2\n3 4\n", 1, "bad header value 'two'"),
             # a key after the data must not change the grid read so far
             (header + "1 2\n3 4\ncellsize 2\n", 8, "'cellsize 2' after the data"),
@@ -245,6 +245,33 @@ class TestAsciiGrid:
             path.write_text(header + rows)
             with pytest.raises(NonFiniteError):
                 read_ascii_grid(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            # the grid's geometry rejected these after the whole file was read,
+            # naming no file line, and a corner or cell that is not finite
+            # as the derived grid origin
+            ("ncols 1", "ncols must be an integer >= 2, got '1'"),
+            ("nrows 1", "nrows must be an integer >= 2, got '1'"),
+            ("cellsize 0", "cellsize must be positive and finite, got '0'"),
+            ("cellsize -1", "cellsize must be positive and finite, got '-1'"),
+            ("cellsize inf", "cellsize must be positive and finite, got 'inf'"),
+            ("cellsize nan", "cellsize must be positive and finite, got 'nan'"),
+            ("xllcorner nan", "xllcorner must be finite, got 'nan'"),
+            ("yllcorner -inf", "yllcorner must be finite, got '-inf'"),
+        ],
+    )
+    def test_header_values_the_geometry_rejects(self, tmp_path, line, message):
+        lines = ["ncols 2", "nrows 2", "xllcorner 0", "yllcorner 0", "cellsize 1"]
+        key = line.split()[0]
+        line_no = next(i for i, text in enumerate(lines, start=1) if text.startswith(key))
+        lines[line_no - 1] = line
+        path = tmp_path / "g.asc"
+        path.write_text("\n".join(lines) + "\n1 2\n3 4\n")
+        with pytest.raises(GridParseError, match=f"^line {line_no}: {message}$") as err:
+            read_ascii_grid(path)
+        assert err.value.line_no == line_no
 
     def test_nodata_rejected(self, tmp_path):
         path = tmp_path / "g.asc"
